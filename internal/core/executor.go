@@ -55,6 +55,10 @@ type execJob struct {
 	// reaches the partition's chunk count and wakes ProcessAll.
 	done     int
 	finished bool
+	// running marks a chunk of this job being applied by a worker.
+	// processAll does not return while it is set, even after a failure, so
+	// the caller may release the job's arena as soon as it regains control.
+	running bool
 }
 
 // execEnabled reports whether the worker-pool executor drives chunk work.
@@ -89,6 +93,7 @@ func (s *System) workerLoop(round int) {
 		}
 		it := s.execQueue[0]
 		s.execQueue = s.execQueue[1:]
+		it.ej.running = true
 		s.inFlight++
 		if s.inFlight > s.stats.PeakParallelStreams {
 			s.stats.PeakParallelStreams = s.inFlight
@@ -103,17 +108,21 @@ func (s *System) workerLoop(round int) {
 
 		s.mu.Lock()
 		s.inFlight--
+		it.ej.running = false
 		it.ej.done++
-		if it.ej.done == len(it.cp.set.Chunks) {
+		finished := it.ej.done == len(it.cp.set.Chunks)
+		if finished {
 			it.ej.finished = true
 		}
 		if s.cfg.FineSync {
-			// chunkDoneLocked broadcasts the partition's cond, which also
-			// wakes this job's processAll if finished just flipped.
-			s.chunkDoneLocked(it.ej.js, it.cp)
+			s.chunkDoneLocked(it.ej.js, it.cp, finished)
 		} else {
 			s.dispatchLocked(it.cp)
-			it.cp.cond.Broadcast()
+			// After a failure processAll may be waiting out this item
+			// (running) rather than for finished.
+			if finished || s.err != nil {
+				it.cp.cond.Broadcast()
+			}
 		}
 		s.mu.Unlock()
 	}
@@ -186,7 +195,7 @@ func (s *System) processAll(js *jobState, cp *curPartition) {
 	cp.execJobs = append(cp.execJobs, ej)
 	cp.execByID[js.job.ID] = ej
 	s.dispatchLocked(cp)
-	for s.err == nil && !ej.finished {
+	for (s.err == nil && !ej.finished) || ej.running {
 		cp.cond.Wait()
 	}
 }

@@ -79,8 +79,13 @@ func (p *profiler) observe(s profSample, sharedTE float64) {
 }
 
 // chunkLoad evaluates Formula (3): L_kj = T(F_j) * Σ_{v∈V_k∩A_j} N+_k(v),
-// the job's compute load on one chunk given its active bitmap.
+// the job's compute load on one chunk given its active bitmap. With every
+// vertex active the sum is the chunk's edge count; the per-entry sum is of
+// integers far below 2^53, so it is exact and the shortcut bit-identical.
 func chunkLoad(tF float64, t *chunk.Table, active *engine.Bitmap) float64 {
+	if active.Full() {
+		return tF * float64(t.NumEdges)
+	}
 	var processed float64
 	for _, e := range t.Entries {
 		if active.Has(int(e.Vertex)) {
@@ -93,5 +98,5 @@ func chunkLoad(tF float64, t *chunk.Table, active *engine.Bitmap) float64 {
 // chunkLeadTime evaluates Formula (4): the leader additionally pays
 // T(E) * Σ_{v∈V_k} N+_k(v) to pull the chunk into the LLC.
 func chunkLeadTime(tF, tE float64, t *chunk.Table, active *engine.Bitmap) float64 {
-	return chunkLoad(tF, t, active) + tE*float64(t.TotalEdges())
+	return chunkLoad(tF, t, active) + tE*float64(t.NumEdges)
 }

@@ -222,7 +222,10 @@ func (sess *Session) EndIteration() {
 	sess.inIteration = false
 }
 
-// Close deregisters the job. Idempotent.
+// Close deregisters the job and frees its chunk-apply arena: the per-chunk
+// memo and scratch buffers only serve streaming, and a finished job the
+// caller keeps around (a service ticket) must not pin them — nor the dead
+// chunk versions the memo's keys keep reachable. Idempotent.
 func (sess *Session) Close() {
 	if sess.closed {
 		return
@@ -230,6 +233,7 @@ func (sess *Session) Close() {
 	sess.closed = true
 	sess.s.leave(sess.js)
 	sess.s.mem.ReserveJobData(-sess.js.job.Prog.StateBytes())
+	sess.js.job.ReleaseArena()
 	sess.js.job.Done = true
 	sess.s.wg.Done()
 }

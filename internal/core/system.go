@@ -892,18 +892,34 @@ func (s *System) awaitChunk(js *jobState, cp *curPartition, k int) bool {
 func (s *System) chunkDone(js *jobState, cp *curPartition) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.chunkDoneLocked(js, cp)
+	s.chunkDoneLocked(js, cp, false)
 }
 
 // chunkDoneLocked records one job's completion of the current chunk. It is
 // shared by the legacy Next/Process path and the executor's work items, so
-// pool-driven and self-driven sessions interoperate on one lockstep. The
-// closing broadcast reaches only the partition's own wait list — jobs queued
-// at the round barrier and jobs suspended on other work never wake for a
-// chunk event.
-func (s *System) chunkDoneLocked(js *jobState, cp *curPartition) {
-	if cp.leaderID == js.job.ID {
+// pool-driven and self-driven sessions interoperate on one lockstep.
+//
+// Wake rule: the partition's cond is broadcast only when a predicate its
+// waiters test can have changed — awaitChunk reads chunkIdx, leaderID and
+// leaderDone, processAll reads its execJob's finished flag (the executor
+// passes finished=true when that flag just flipped). A follower finishing
+// the chunk without closing it changes none of them, so the N-1 follower
+// completions of a chunk wake nobody, and a chunk costs O(N) wakeups for N
+// attendees instead of O(N²). Jobs queued at the round barrier and jobs
+// suspended on other work never wake for a chunk event.
+func (s *System) chunkDoneLocked(js *jobState, cp *curPartition, finished bool) {
+	if s.err != nil {
+		// A failed system's lockstep is over: every waiter returns on err.
+		// Electing a leader now would read the frontiers of attendees whose
+		// drivers have already unwound and may be rewriting them; the
+		// broadcast only releases a processAll waiting out its last item.
+		cp.cond.Broadcast()
+		return
+	}
+	wake := finished
+	if cp.leaderID == js.job.ID && !cp.leaderDone {
 		cp.leaderDone = true
+		wake = true
 		// The leader pulled the chunk into the LLC: followers may stream it
 		// now, including any pool-driven ones awaiting dispatch.
 		s.dispatchLocked(cp)
@@ -911,8 +927,11 @@ func (s *System) chunkDoneLocked(js *jobState, cp *curPartition) {
 	cp.doneCount++
 	if cp.doneCount == len(cp.attend) {
 		s.advanceChunkLocked(cp)
+		wake = true
 	}
-	cp.cond.Broadcast()
+	if wake {
+		cp.cond.Broadcast()
+	}
 }
 
 // advanceChunkLocked closes the current chunk (every attendee done), opens

@@ -76,7 +76,8 @@ type Job struct {
 	// executor serializes a job's chunks — only one ApplyChunk in flight per
 	// job — so the arena is uncontended; it grows to the chunk high-water
 	// mark once and steady-state chunk application allocates nothing (the
-	// zero-alloc gate in zeroalloc_test asserts it).
+	// zero-alloc gate in zeroalloc_test asserts it). It lives until
+	// ReleaseArena, which core.Session.Close calls.
 	arena chunkArena
 
 	rng *rand.Rand
@@ -104,21 +105,42 @@ type chunkArena struct {
 	gated []graph.Edge
 
 	// memo caches the set-grouped per-line aggregates of full-active batch
-	// programs, keyed by chunk. A chunk's edges are immutable for the
-	// lifetime of an experiment and a job's StateBase/VertexPay never
-	// change, so when every vertex is active both the aggregates and their
-	// set grouping are pure functions of the chunk — and jobs re-apply the
-	// same chunks every iteration. Bounded so a week-long replay over a
-	// huge grid cannot hoard memory.
-	memo map[chunkKey]memsim.GroupedEntries
+	// programs, keyed by chunk identity. Chunk edge slices are never
+	// mutated in place (base partitions and snapshot copies are
+	// copy-on-write), so when every vertex is active both the aggregates
+	// and their set grouping are pure functions of the chunk's edges, the
+	// job's StateBase/VertexPay and the cache geometry — and jobs re-apply
+	// the same chunks every iteration, whichever buffer address an
+	// out-of-core reload gives them. memoFor records the state layout and
+	// cache the entries were derived under; a change clears the memo.
+	// Bounded so a week-long replay over a huge grid cannot hoard memory.
+	memo    map[chunkKey]memsim.GroupedEntries
+	memoFor memoScope
+	// memoHits counts applications served from the memo.
+	memoHits uint64
 }
 
-// chunkKey identifies one chunk of the edge grid: its block base address
-// plus the sub-range streamed.
+// chunkKey identifies a chunk by its edge slice: the address of its first
+// edge and its length. The pointer keeps the backing array reachable while
+// the key is live, so a freed array can never be reused under a live key.
 type chunkKey struct {
-	base  uint64
-	first int
+	first *graph.Edge
 	n     int
+}
+
+// keyOf returns the memo key of a chunk's edge slice. Empty chunks share
+// one key; their grouped entries are empty.
+func keyOf(edges []graph.Edge) chunkKey {
+	if len(edges) == 0 {
+		return chunkKey{}
+	}
+	return chunkKey{&edges[0], len(edges)}
+}
+
+// memoScope is what a memoized grouping depends on besides the chunk.
+type memoScope struct {
+	stateBase, vpay uint64
+	cache           *memsim.Cache
 }
 
 // memoCap bounds a job's per-chunk memo (at ~2KB per typical chunk this is
@@ -219,11 +241,14 @@ func (j *Job) ApplyChunk(edges []graph.Edge, baseAddr uint64, first int, cache *
 	// ProcessEdges. Every access position a cached entry carries is the same
 	// batch-global position the loop would have assigned, so the pricing is
 	// bit-identical to a fresh collection.
-	if bp != nil && allActive {
-		if j.arena.memo == nil {
+	memoize := bp != nil && allActive
+	if memoize {
+		if scope := (memoScope{stateBase, vpay, cache}); j.arena.memo == nil || j.arena.memoFor != scope {
 			j.arena.memo = make(map[chunkKey]memsim.GroupedEntries)
+			j.arena.memoFor = scope
 		}
-		if g, ok := j.arena.memo[chunkKey{baseAddr, first, n}]; ok {
+		if g, ok := j.arena.memo[keyOf(edges)]; ok {
+			j.arena.memoHits++
 			cache.ScanChunk(baseAddr, first, n, graph.EdgeSize, &tally)
 			st.Processed, st.Activated = bp.ProcessEdges(edges, active)
 			cache.TouchGrouped(&g, uint64(2*n), &tally)
@@ -319,15 +344,15 @@ func (j *Job) ApplyChunk(edges []graph.Edge, baseAddr uint64, first int, cache *
 		st.Activated += a
 	}
 	j.arena.entries = entries
-	if bp != nil && allActive {
+	if memoize && len(j.arena.memo) < memoCap {
 		// Group once, apply, and memoize the grouping for every later visit
 		// of this chunk (a failed grouping means the fallback below, which is
 		// never memoized — it must re-derive raw addresses each time anyway).
+		// A full memo prices through TouchEntries instead: the grouping
+		// allocates slices only worth paying for when they are retained.
 		if g, ok := cache.GroupEntries(entries, &j.arena.scratch); ok {
 			cache.TouchGrouped(&g, uint64(pos), &tally)
-			if len(j.arena.memo) < memoCap {
-				j.arena.memo[chunkKey{baseAddr, first, n}] = g
-			}
+			j.arena.memo[keyOf(edges)] = g
 		} else {
 			j.rawStateBatch(edges, active, true, cache, &tally)
 		}
@@ -342,6 +367,22 @@ func (j *Job) ApplyChunk(edges []graph.Edge, baseAddr uint64, first int, cache *
 	cache.FlushTally(tally, &j.Ctr, j.ID)
 	j.priceChunk(&st, tally, cm, start)
 	return st
+}
+
+// ReleaseArena drops the job's chunk-apply scratch — collection buffers and
+// the per-chunk memo, with any chunk versions the memo's keys keep
+// reachable. The next ApplyChunk regrows it. The caller must guarantee no
+// chunk application of the job is in flight; core.Session.Close calls it
+// once the job has left the sharing controller.
+func (j *Job) ReleaseArena() {
+	j.arena = chunkArena{}
+}
+
+// MemoStats reports the per-chunk memo's current entry count and the number
+// of chunk applications it has served since the arena was last released.
+// Only meaningful while the job is quiescent.
+func (j *Job) MemoStats() (entries int, hits uint64) {
+	return len(j.arena.memo), j.arena.memoHits
 }
 
 // rawStateBatch is the exact-order fallback for a chunk whose per-line

@@ -157,6 +157,19 @@ func TestScenarioDeterministicRepeat(t *testing.T) {
 // the memoised set-grouped state path, the frontier ones (BFS, SSSP) the
 // gated sparse path — inactive-source runs dominate there.
 func TestScenarioSimEqualPerEdgeVsRunLength(t *testing.T) {
+	checkSimEqualPerAlgorithm(t, testBudget)
+}
+
+// TestScenarioSimEqualAcrossReloads is the same invariant out of core: a
+// one-byte memory budget evicts every partition before its next load, so
+// each iteration streams its chunks from freshly loaded buffers at new
+// addresses — the case the per-chunk memo must serve by chunk identity
+// rather than by buffer address, without moving a single counter.
+func TestScenarioSimEqualAcrossReloads(t *testing.T) {
+	checkSimEqualPerAlgorithm(t, 1)
+}
+
+func checkSimEqualPerAlgorithm(t *testing.T, budget int64) {
 	progs := map[string]func() engine.Program{
 		"pagerank":  func() engine.Program { return algorithms.NewPageRank(0.85, 5) },
 		"ppr":       func() engine.Program { return algorithms.NewPersonalizedPageRank(1, 0.85, 5) },
@@ -170,7 +183,10 @@ func TestScenarioSimEqualPerEdgeVsRunLength(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			script := scenario.Script{Initial: []scenario.JobSpec{{ID: 1, Seed: 5, New: mk}}}
 			run := func(perEdge bool) *scenario.Result {
-				env, _ := testEnv(t)
+				env, _, err := scenario.GenEnv("scn", 400, 3200, 3, 17, testLLC, budget)
+				if err != nil {
+					t.Fatal(err)
+				}
 				cfg := runCfg(0, false)
 				cfg.PerEdgeSim = perEdge
 				res, err := scenario.Run(env, cfg, script)
@@ -179,6 +195,10 @@ func TestScenarioSimEqualPerEdgeVsRunLength(t *testing.T) {
 				}
 				if err := scenario.CheckClean(env, res); err != nil {
 					t.Fatal(err)
+				}
+				if m := res.Jobs[1].Metrics; budget < testBudget && (m.Iterations < 2 || env.Mem.Faults() != m.PartitionLoads) {
+					t.Fatalf("reload run: %d iterations, %d faults for %d partition loads — want >= 2 iterations, every load a fault",
+						m.Iterations, env.Mem.Faults(), m.PartitionLoads)
 				}
 				return res
 			}
