@@ -57,14 +57,16 @@
 // The innermost loop — one job applying one chunk with full LLC
 // simulation — is batched at every layer while preserving the simulator's
 // observable behaviour. The 12-byte-edge stream is walked in 64-byte
-// cache-line runs (~5.3 edges), each run accounted under a single set-lock
-// acquisition (memsim.Cache.TouchRun: the first access resolves hit or
-// miss, the rest are hits by construction); hit/miss/processed tallies
-// accumulate as integers and land in the job's Counters and the cache-wide
-// totals with one atomic add per counter per chunk; simulated time is
-// priced with a handful of multiplications at chunk end; and programs
-// implementing engine.BatchProgram (PageRank, WCC) process a line-run per
-// call instead of an interface dispatch per edge. The per-edge reference
+// cache-line runs (~5.3 edges), a chunk's runs accounted under one lock
+// acquisition per lock shard (memsim.Cache.ScanChunk: each run's first
+// access resolves hit or miss, the rest are hits by construction); the
+// chunk's state accesses are settled per cache set from per-line
+// aggregates (memsim.Cache.GroupEntries + TouchGrouped); hit/miss/processed
+// tallies accumulate as integers and land in the job's Counters and the
+// cache-wide totals with one atomic add per counter per chunk; simulated
+// time is priced with a handful of multiplications at chunk end; and
+// programs implementing engine.BatchProgram process a chunk per call
+// instead of an interface dispatch per edge. The per-edge reference
 // model survives as engine.Job.ApplyChunkPerEdge (core.Config.PerEdgeSim),
 // and the scenario harness proves the two count every LLC hit and miss
 // identically under the serial driver. On the controller side, the chunk

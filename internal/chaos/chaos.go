@@ -192,7 +192,7 @@ func (r *Runner) runJob(j *engine.Job, perJobCopy bool) error {
 			// are scattered, so the group's NICs stream in parallel.
 			j.Met.SimIONS += r.Net.TransferNS(uint64(len(c.Edges))*graph.EdgeSize) / uint64(len(r.S.Group))
 			j.Met.PartitionLoads++
-			engine.StreamEdges(j, c.Edges, buf.BaseAddr, 0, r.Cache, r.Cost)
+			j.ApplyChunk(c.Edges, buf.BaseAddr, 0, r.Cache, r.Cost)
 			buf.Release()
 		}
 		j.Prog.AfterIteration(iter)

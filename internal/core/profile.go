@@ -16,12 +16,16 @@ import (
 // i.e. processed-edge work plus scanned-edge access. Two partitions give two
 // equations in the unknowns T(F_j) and T(E); T(E) is a property of the
 // machine/graph, profiled once and then pinned for later jobs.
+//
+// T_ij is read in simulated time (engine.StreamStats.SimNS), not
+// wall-clock, so the profile — and every leader election it feeds — is the
+// same on every run of the same serial schedule.
 
 // profSample is one partition's worth of Formula (2) observations.
 type profSample struct {
 	processed float64 // Σ_{v∈V_k∩A_j} N+_k(v) over the partition's chunks
 	scanned   float64 // Σ_{v∈V_k} N+_k(v) — every streamed edge
-	elapsedNS float64 // measured T_ij
+	elapsedNS float64 // T_ij in simulated ns (StreamStats.SimNS)
 }
 
 // profiler accumulates samples for one job and solves for T(F_j) and T(E).

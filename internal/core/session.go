@@ -288,7 +288,7 @@ func (sp *SharedPartition) Next() bool {
 // Edges returns the current chunk exactly as this job observes it through
 // its snapshot (private mutations / versioned updates applied), together
 // with the chunk's simulated base address and the index of its first edge
-// within that address region — the inputs engine.StreamEdges needs.
+// within that address region — the inputs engine.Job.ApplyChunk needs.
 func (sp *SharedPartition) Edges() (edges []graph.Edge, baseAddr uint64, first int) {
 	s := sp.sess.s
 	t := sp.cp.set.Chunks[sp.k]

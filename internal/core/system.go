@@ -990,7 +990,7 @@ func (s *System) streamChunk(js *jobState, cp *curPartition, k int) engine.Strea
 func (s *System) recordSample(js *jobState, st engine.StreamStats) {
 	js.curSample.processed += float64(st.Processed)
 	js.curSample.scanned += float64(st.Scanned)
-	js.curSample.elapsedNS += float64(st.Elapsed.Nanoseconds())
+	js.curSample.elapsedNS += float64(st.SimNS)
 }
 
 // partitionBarrier is the Barrier() API of Table 1: the job declares the

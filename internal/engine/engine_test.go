@@ -132,7 +132,7 @@ func TestStreamEdgesCountsAndTouches(t *testing.T) {
 	j := NewJob(1, prog, 1)
 	j.Bind(g)
 	j.StateBase = 1 << 30
-	st := StreamEdges(j, g.Edges, 0, 0, cache, DefaultCostModel())
+	st := j.ApplyChunk(g.Edges, 0, 0, cache, DefaultCostModel())
 	if st.Scanned != 200 || st.Processed != 200 {
 		t.Fatalf("scanned/processed = %d/%d, want 200/200", st.Scanned, st.Processed)
 	}
@@ -155,7 +155,7 @@ func TestStreamEdgesSkipsInactiveSources(t *testing.T) {
 	j.Bind(g)
 	prog.active.Reset()
 	prog.active.Set(1) // only source 1 active
-	st := StreamEdges(j, g.Edges, 0, 0, cache, DefaultCostModel())
+	st := j.ApplyChunk(g.Edges, 0, 0, cache, DefaultCostModel())
 	if st.Scanned != 3 {
 		t.Fatalf("scanned = %d, want 3 (all edges stream)", st.Scanned)
 	}
@@ -178,8 +178,8 @@ func TestStreamEdgesSharedAddressesHitAfterLeader(t *testing.T) {
 	}
 	leader := mkJob(1, 1<<30)
 	follower := mkJob(2, 2<<30)
-	StreamEdges(leader, g.Edges, 0, 0, cache, DefaultCostModel())
-	StreamEdges(follower, g.Edges, 0, 0, cache, DefaultCostModel())
+	leader.ApplyChunk(g.Edges, 0, 0, cache, DefaultCostModel())
+	follower.ApplyChunk(g.Edges, 0, 0, cache, DefaultCostModel())
 	if follower.Ctr.MissRate() >= leader.Ctr.MissRate() {
 		t.Fatalf("follower miss rate %.3f not below leader %.3f",
 			follower.Ctr.MissRate(), leader.Ctr.MissRate())

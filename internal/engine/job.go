@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -71,8 +72,8 @@ type Job struct {
 	// Done marks completion.
 	Done bool
 
-	// arena is the job's reusable chunk-apply scratch (the collected state
-	// addresses of the chunk in flight plus the set-grouping buffers). The
+	// arena is the job's reusable chunk-apply scratch (the state-access
+	// aggregates of the chunk in flight plus the set-grouping buffers). The
 	// executor serializes a job's chunks — only one ApplyChunk in flight per
 	// job — so the arena is uncontended; it grows to the chunk high-water
 	// mark once and steady-state chunk application allocates nothing (the
@@ -85,8 +86,7 @@ type Job struct {
 
 // chunkArena holds per-job scratch reused across chunk applications.
 type chunkArena struct {
-	stateAddrs []uint64
-	scratch    memsim.BatchScratch
+	scratch memsim.BatchScratch
 
 	// Per-line dedup table for the batch path: the chunk's state accesses
 	// are aggregated into one memsim.BatchEntry per distinct line as they
@@ -168,7 +168,9 @@ type StreamStats struct {
 	Scanned   uint64
 	Processed uint64
 	Activated uint64
-	Elapsed   time.Duration // wall-clock, used by the profiling phase
+	// SimNS is the chunk's simulated memory plus compute time, the T_ij the
+	// synchronization manager's profiling phase fits Formula (2) to.
+	SimNS uint64
 }
 
 // AddMetrics accumulates delta into the job's metrics under the job's
@@ -181,83 +183,98 @@ func (j *Job) AddMetrics(delta Metrics) {
 	j.metMu.Unlock()
 }
 
-// StreamEdges streams edges[first:first+n] of a partition buffer for job j:
-// every edge is scanned (touching its cache line at baseAddr), and edges
-// whose source is active are processed through the program, touching the
-// job's state lines for both endpoints. It updates the job's metrics and
-// returns per-call stats for the synchronization manager's profiler.
-func StreamEdges(j *Job, edges []graph.Edge, baseAddr uint64, first int, cache *memsim.Cache, cm CostModel) StreamStats {
-	return j.ApplyChunk(edges, baseAddr, first, cache, cm)
-}
-
 // ApplyChunk is the job's chunk-apply entry: it streams one chunk's edges
-// through the program with full LLC instrumentation and metric accounting.
-// It is safe for concurrent invocation over disjoint chunks in the sense
-// that all job bookkeeping (Met, Ctr) is synchronized; vertex-state safety
-// is the caller's contract — the streaming executor serializes a job's
-// chunks (only ever one ApplyChunk in flight per job), because ProcessEdge
-// mutates per-vertex state that disjoint chunks may share through common
+// (edges[0] is record first of the buffer at baseAddr) through the program
+// with full LLC instrumentation and metric accounting, and returns per-call
+// stats for the synchronization manager's profiler. It is safe for
+// concurrent invocation over disjoint chunks in the sense that all job
+// bookkeeping (Met, Ctr) is synchronized; vertex-state safety is the
+// caller's contract — the streaming executor serializes a job's chunks (only
+// ever one ApplyChunk in flight per job), because ProcessEdge mutates
+// per-vertex state that disjoint chunks may share through common
 // destinations.
 //
 // The simulated access order is canonical across both accounting models, in
-// two phases per chunk. Stream phase: each 64-byte line-run of the
-// 12-byte-edge stream (~5.3 edges) is scanned — one access per edge, all to
-// the same cache line — and the run's active-source edges are processed, in
-// edge order, with their two endpoint state addresses collected. State
-// phase: the chunk's collected state accesses are applied at the end of the
-// chunk. Formula (1) sizes a chunk so its edges plus the attending jobs'
-// vertex state fit in the LLC together, so settling the chunk's state lines
-// at a chunk-end barrier instead of interleaved mid-scan is the same
-// residency story the chunking design already asserts — and it is what lets
-// the hot path batch the state accesses set-major.
+// two phases per chunk. Stream phase: every edge record is scanned in
+// storage order, one access per edge. State phase: each active-source edge,
+// in edge order, accesses its two endpoints' state. Formula (1) sizes a
+// chunk so its edges plus the attending jobs' vertex state fit in the LLC
+// together, so settling the chunk's state lines at a chunk-end barrier
+// instead of interleaved mid-scan is the same residency story the chunking
+// design already asserts — and it is what lets the hot path batch the state
+// accesses set-major.
 //
-// ApplyChunk is the batched hot path: the scan accounts every line-run
-// under a single set-lock acquisition (memsim.Cache.TouchRun), programs
-// implementing BatchProgram are processed one run at a time (skipping the
-// per-edge interface dispatch), and the state phase goes through
-// memsim.Cache.TouchBatch — grouped by cache set, one lock acquisition per
-// group, provably bit-identical to in-order application. Hits, misses and
-// processed counts are tallied as integers and flushed to the job's
-// Counters and the sharded cache-wide totals with one atomic add per
-// counter at chunk end. The collection buffers live in the job's arena, so
-// steady-state chunk application performs zero heap allocations.
-// ApplyChunkPerEdge is the reference model for the same canonical sequence;
-// under a serial schedule the two produce identical counters — the scenario
-// harness's sim-equality invariant proves it.
+// ApplyChunk is the batched hot path. The compute runs first: programs
+// implementing BatchProgram are processed in one call (skipping the
+// per-edge interface dispatch), and the chunk's state accesses are folded
+// into per-line aggregates as they are collected. Then one tail prices the
+// chunk: memsim.Cache.ScanChunk for the stream phase, and for the state
+// phase memsim.Cache.GroupEntries plus TouchGrouped — one lock acquisition
+// per cache set, provably bit-identical to in-order application — or, when a
+// set's distinct lines outnumber the ways, the raw stream in order through
+// TouchTally. Hits, misses and processed counts are tallied as integers and
+// flushed to the job's Counters and the sharded cache-wide totals with one
+// atomic add per counter at chunk end. The collection buffers live in the
+// job's arena, so steady-state chunk application performs zero heap
+// allocations. ApplyChunkPerEdge is the reference model for the same
+// canonical sequence; under a serial schedule the two produce identical
+// counters — the scenario harness's sim-equality invariant proves it.
 func (j *Job) ApplyChunk(edges []graph.Edge, baseAddr uint64, first int, cache *memsim.Cache, cm CostModel) StreamStats {
-	start := time.Now()
 	active := j.Prog.Active()
 	allActive := active.Full()
 	bp, _ := j.Prog.(BatchProgram)
-	var st StreamStats
-	var tally memsim.Tally
 	n := len(edges)
-	stateBase, vpay := j.StateBase, j.VertexPay
+	st := StreamStats{Scanned: uint64(n)}
 	// Memoized fast path: a full-active batch program touches every edge, so
 	// its per-line aggregates depend only on the chunk itself — and the
 	// executor re-applies the same chunks every iteration. After the first
-	// visit the collection loop disappears; the chunk prices as one fused
-	// scan plus the cached aggregates, and the compute runs once through
-	// ProcessEdges. Every access position a cached entry carries is the same
-	// batch-global position the loop would have assigned, so the pricing is
-	// bit-identical to a fresh collection.
+	// visit the collection loop and the grouping disappear; the compute runs
+	// once through ProcessEdges. Every access position a cached entry
+	// carries is the same batch-global position the loop would have
+	// assigned, so the pricing is bit-identical to a fresh collection.
 	memoize := bp != nil && allActive
+	var g memsim.GroupedEntries
+	grouped := false
 	if memoize {
-		if scope := (memoScope{stateBase, vpay, cache}); j.arena.memo == nil || j.arena.memoFor != scope {
+		if scope := (memoScope{j.StateBase, j.VertexPay, cache}); j.arena.memo == nil || j.arena.memoFor != scope {
 			j.arena.memo = make(map[chunkKey]memsim.GroupedEntries)
 			j.arena.memoFor = scope
 		}
-		if g, ok := j.arena.memo[keyOf(edges)]; ok {
-			j.arena.memoHits++
-			cache.ScanChunk(baseAddr, first, n, graph.EdgeSize, &tally)
-			st.Processed, st.Activated = bp.ProcessEdges(edges, active)
-			cache.TouchGrouped(&g, uint64(2*n), &tally)
-			st.Scanned = uint64(n)
-			cache.FlushTally(tally, &j.Ctr, j.ID)
-			j.priceChunk(&st, tally, cm, start)
-			return st
+		g, grouped = j.arena.memo[keyOf(edges)]
+	}
+	phaseLen := uint64(2 * n)
+	if grouped {
+		j.arena.memoHits++
+		st.Processed, st.Activated = bp.ProcessEdges(edges, active)
+	} else {
+		phaseLen = j.collectChunk(edges, active, allActive, bp, &st)
+		g, grouped = cache.GroupEntries(j.arena.entries, &j.arena.scratch)
+		// The grouping is a view into the arena's scratch: copy it only to
+		// keep it. A refused grouping is never memoized — the in-order
+		// fallback must re-walk the raw stream on every visit anyway.
+		if grouped && memoize && len(j.arena.memo) < memoCap {
+			j.arena.memo[keyOf(edges)] = memsim.GroupedEntries{
+				Sets: slices.Clone(g.Sets), Ends: slices.Clone(g.Ends), Eg: slices.Clone(g.Eg)}
 		}
 	}
+	var tally memsim.Tally
+	cache.ScanChunk(baseAddr, first, n, graph.EdgeSize, &tally)
+	if grouped {
+		cache.TouchGrouped(&g, phaseLen, &tally)
+	} else {
+		j.touchStateInOrder(edges, active, allActive, cache, &tally)
+	}
+	cache.FlushTally(tally, &j.Ctr, j.ID)
+	j.priceChunk(&st, tally, cm)
+	return st
+}
+
+// collectChunk runs the chunk's compute and folds its state accesses into
+// per-line aggregates in the arena's entries, returning the state phase's
+// length in accesses.
+func (j *Job) collectChunk(edges []graph.Edge, active *Bitmap, allActive bool, bp BatchProgram, st *StreamStats) uint64 {
+	n := len(edges)
+	stateBase, vpay := j.StateBase, j.VertexPay
 	// Size the per-line dedup table to the job's state extent (one slot per
 	// 64B state line) and open a fresh epoch for this chunk. Stale stamps
 	// from earlier chunks are simply non-matching — no clearing needed —
@@ -292,17 +309,13 @@ func (j *Job) ApplyChunk(edges []graph.Edge, baseAddr uint64, first int, cache *
 		}
 		gated = j.arena.gated[:0]
 	}
-	// Stream phase: the chunk's edge lines in storage order. State accesses
-	// settle at the chunk-end barrier, so the scan is a pure prefix of the
-	// chunk's canonical access sequence and prices in one fused call.
-	cache.ScanChunk(baseAddr, first, n, graph.EdgeSize, &tally)
 	for k := 0; k < n; k++ {
 		e := edges[k]
 		if !allActive && !active.Has(int(e.Src)) {
 			continue
 		}
 		// Job-specific data accesses for the two endpoints, settled in the
-		// chunk's state phase below: aggregate per distinct line.
+		// chunk's state phase: aggregate per distinct line.
 		li := (rem + uint64(e.Src)*vpay) / memsim.LineSize
 		if st := stamp[li]; st&^0xffffffff == epoch {
 			en := &entries[uint32(st)]
@@ -344,29 +357,7 @@ func (j *Job) ApplyChunk(edges []graph.Edge, baseAddr uint64, first int, cache *
 		st.Activated += a
 	}
 	j.arena.entries = entries
-	if memoize && len(j.arena.memo) < memoCap {
-		// Group once, apply, and memoize the grouping for every later visit
-		// of this chunk (a failed grouping means the fallback below, which is
-		// never memoized — it must re-derive raw addresses each time anyway).
-		// A full memo prices through TouchEntries instead: the grouping
-		// allocates slices only worth paying for when they are retained.
-		if g, ok := cache.GroupEntries(entries, &j.arena.scratch); ok {
-			cache.TouchGrouped(&g, uint64(pos), &tally)
-			j.arena.memo[keyOf(edges)] = g
-		} else {
-			j.rawStateBatch(edges, active, true, cache, &tally)
-		}
-	} else if !cache.TouchEntries(entries, uint64(pos), &j.arena.scratch, &tally) {
-		// A set-group's distinct lines exceeded the cache's ways, so the
-		// per-line aggregates can't settle the phase exactly; re-collect
-		// the raw access stream (pure address math — compute already ran)
-		// and price it through the order-exact batch path.
-		j.rawStateBatch(edges, active, allActive, cache, &tally)
-	}
-	st.Scanned = uint64(n)
-	cache.FlushTally(tally, &j.Ctr, j.ID)
-	j.priceChunk(&st, tally, cm, start)
-	return st
+	return uint64(pos)
 }
 
 // ReleaseArena drops the job's chunk-apply scratch — collection buffers and
@@ -385,43 +376,33 @@ func (j *Job) MemoStats() (entries int, hits uint64) {
 	return len(j.arena.memo), j.arena.memoHits
 }
 
-// rawStateBatch is the exact-order fallback for a chunk whose per-line
-// aggregates could not settle through TouchEntries: it re-collects the raw
-// state access stream (pure address math — the compute already ran) and
-// prices it through TouchBatch, which preserves each set's access order.
-func (j *Job) rawStateBatch(edges []graph.Edge, active *Bitmap, allActive bool, cache *memsim.Cache, tally *memsim.Tally) {
-	n := len(edges)
-	if cap(j.arena.stateAddrs) < 2*n {
-		j.arena.stateAddrs = make([]uint64, 2*n)
-	}
-	addrs := j.arena.stateAddrs[:0]
+// touchStateInOrder is the exact fallback for a state phase GroupEntries
+// refuses: it re-walks the chunk's raw state accesses (pure address math —
+// the compute already ran) and prices them one at a time, in program order,
+// exactly as the reference model does.
+func (j *Job) touchStateInOrder(edges []graph.Edge, active *Bitmap, allActive bool, cache *memsim.Cache, tally *memsim.Tally) {
 	stateBase, vpay := j.StateBase, j.VertexPay
 	for _, e := range edges {
 		if !allActive && !active.Has(int(e.Src)) {
 			continue
 		}
-		addrs = append(addrs,
-			stateBase+uint64(e.Src)*vpay,
-			stateBase+uint64(e.Dst)*vpay)
+		cache.TouchTally(stateBase+uint64(e.Src)*vpay, tally)
+		cache.TouchTally(stateBase+uint64(e.Dst)*vpay, tally)
 	}
-	cache.TouchBatch(addrs, &j.arena.scratch, tally)
-	j.arena.stateAddrs = addrs
 }
 
 // ApplyChunkPerEdge is the reference accounting model: the same canonical
 // access sequence as ApplyChunk — stream phase, then the chunk's state
 // accesses — priced one memsim.Cache.Touch at a time, in program order, with
 // one set-lock acquisition and one atomic update per simulated access, and
-// always the per-edge ProcessEdge path. The state phase applies the
-// collected addresses in plain collection order; TouchBatch's set-major
-// order is observably identical (memsim's TestTouchBatchEquivalence), so
-// the two models' counters match bit for bit under a serial schedule. It
-// exists to verify the batched hot path (core.Config.PerEdgeSim routes a
-// system through it), not for production streaming.
+// always the per-edge ProcessEdge path. Under a serial schedule the two
+// models' counters match bit for bit (memsim's grouped-state property tests
+// prove the state phase, the scenario harness the whole chunk). It exists to
+// verify the batched hot path (core.Config.PerEdgeSim routes a system
+// through it), not for production streaming.
 func (j *Job) ApplyChunkPerEdge(edges []graph.Edge, baseAddr uint64, first int, cache *memsim.Cache, cm CostModel) StreamStats {
-	start := time.Now()
 	active := j.Prog.Active()
-	var st StreamStats
+	st := StreamStats{Scanned: uint64(len(edges))}
 	var tally memsim.Tally
 	touch := func(addr uint64) {
 		if cache.Touch(addr, &j.Ctr) {
@@ -430,39 +411,23 @@ func (j *Job) ApplyChunkPerEdge(edges []graph.Edge, baseAddr uint64, first int, 
 			tally.Hits++
 		}
 	}
-	addrs := j.arena.stateAddrs[:0]
-	n := len(edges)
-	for i := 0; i < n; {
-		addr := baseAddr + uint64(first+i)*graph.EdgeSize
-		lineEnd := (addr/memsim.LineSize + 1) * memsim.LineSize
-		run := i + int((lineEnd-addr+graph.EdgeSize-1)/graph.EdgeSize)
-		if run > n {
-			run = n
-		}
-		for k := i; k < run; k++ {
-			touch(baseAddr + uint64(first+k)*graph.EdgeSize)
-		}
-		for k := i; k < run; k++ {
-			e := edges[k]
-			if !active.Has(int(e.Src)) {
-				continue
-			}
-			addrs = append(addrs,
-				j.StateBase+uint64(e.Src)*j.VertexPay,
-				j.StateBase+uint64(e.Dst)*j.VertexPay)
-			if j.Prog.ProcessEdge(e) {
-				st.Activated++
-			}
-			st.Processed++
-		}
-		i = run
+	for k := range edges {
+		touch(baseAddr + uint64(first+k)*graph.EdgeSize)
 	}
-	for _, a := range addrs {
-		touch(a)
+	// ProcessEdge touches no simulated line, so running it beside the state
+	// accesses leaves the access sequence unchanged.
+	for _, e := range edges {
+		if !active.Has(int(e.Src)) {
+			continue
+		}
+		touch(j.StateBase + uint64(e.Src)*j.VertexPay)
+		touch(j.StateBase + uint64(e.Dst)*j.VertexPay)
+		if j.Prog.ProcessEdge(e) {
+			st.Activated++
+		}
+		st.Processed++
 	}
-	j.arena.stateAddrs = addrs
-	st.Scanned = uint64(n)
-	j.priceChunk(&st, tally, cm, start)
+	j.priceChunk(&st, tally, cm)
 	return st
 }
 
@@ -470,15 +435,15 @@ func (j *Job) ApplyChunkPerEdge(edges []graph.Edge, baseAddr uint64, first int, 
 // commits the metrics: scan, hit and miss counts each cost a single multiply
 // here instead of an accumulation per access, and both accounting models
 // price through it so their SimMemNS/SimComputeNS agree bit for bit.
-func (j *Job) priceChunk(st *StreamStats, tally memsim.Tally, cm CostModel, start time.Time) {
-	memNS := float64(st.Scanned)*cm.ScanNS +
-		float64(tally.Hits)*cm.LLCHitNS + float64(tally.Misses)*cm.LLCMissNS
-	computeNS := float64(st.Processed) * cm.WorkNS * j.Prog.EdgeCost()
-	st.Elapsed = time.Since(start)
+func (j *Job) priceChunk(st *StreamStats, tally memsim.Tally, cm CostModel) {
+	memNS := uint64(float64(st.Scanned)*cm.ScanNS +
+		float64(tally.Hits)*cm.LLCHitNS + float64(tally.Misses)*cm.LLCMissNS)
+	computeNS := uint64(float64(st.Processed) * cm.WorkNS * j.Prog.EdgeCost())
+	st.SimNS = memNS + computeNS
 	j.AddMetrics(Metrics{
 		ScannedEdges:   st.Scanned,
 		ProcessedEdges: st.Processed,
-		SimMemNS:       uint64(memNS),
-		SimComputeNS:   uint64(computeNS),
+		SimMemNS:       memNS,
+		SimComputeNS:   computeNS,
 	})
 }

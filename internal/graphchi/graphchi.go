@@ -169,7 +169,7 @@ func (r *Runner) runJob(j *engine.Job, keyFn func(sh *Shard) string) error {
 				j.Met.SimIONS += uint64(base)
 			}
 			j.Met.PartitionLoads++
-			engine.StreamEdges(j, sh.Edges, buf.BaseAddr, 0, r.Cache, r.Cost)
+			j.ApplyChunk(sh.Edges, buf.BaseAddr, 0, r.Cache, r.Cost)
 			buf.Release()
 		}
 		j.Prog.AfterIteration(iter)

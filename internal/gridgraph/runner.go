@@ -113,7 +113,7 @@ func (r *Runner) runJob(j *engine.Job, keyFn func(p *Partition) string) error {
 				j.Met.SimIONS += uint64(base)
 			}
 			j.Met.PartitionLoads++
-			engine.StreamEdges(j, p.Edges, buf.BaseAddr, 0, r.Cache, r.Cost)
+			j.ApplyChunk(p.Edges, buf.BaseAddr, 0, r.Cache, r.Cost)
 			buf.Release()
 		}
 		j.Prog.AfterIteration(iter)

@@ -14,7 +14,7 @@
 // the state of the one set its line maps to. Two consequences the hot path
 // exploits: accesses to different sets commute (reordering a stream across
 // sets, while preserving each set's own subsequence, changes no per-access
-// outcome — TouchBatch rests on this, and the property test proves it), and
+// outcome — TouchGrouped rests on this, and the property test proves it), and
 // there is no cache-global state to contend on per access — the cache-wide
 // hit/miss totals are sharded (per set for Touch, per flushed tally for the
 // batched path) and only summed when read.
@@ -203,11 +203,11 @@ func (c *Cache) SizeBytes() int64 {
 }
 
 // Tally is a local, unsynchronized accumulator of hit/miss counts. The
-// batched hot path (TouchRun, TouchBatch) tallies accesses here instead of
-// bumping the shared counters per access, and FlushTally folds a whole
-// chunk's deltas into the cache-wide totals and a job's Counters with one
-// atomic add per counter. A Tally must not be shared between goroutines
-// without external synchronization.
+// batched hot path (ScanChunk, TouchGrouped, TouchTally) tallies accesses
+// here instead of bumping the shared counters per access, and FlushTally
+// folds a whole chunk's deltas into the cache-wide totals and a job's
+// Counters with one atomic add per counter. A Tally must not be shared
+// between goroutines without external synchronization.
 type Tally struct {
 	Hits   uint64
 	Misses uint64
@@ -256,80 +256,46 @@ func (s *cacheSet) touchLocked(tag uint64, ways int) bool {
 	return true
 }
 
-// Touch simulates a load of one cache line containing addr, updating ctr (if
-// non-nil) and the cache-wide counters. It reports whether the access missed.
-func (c *Cache) Touch(addr uint64, ctr *Counters) bool {
+// TouchTally simulates a load of the cache line containing addr and counts
+// it into t without touching the shared counters; callers flush t with
+// FlushTally. It reports whether the access missed. A sequence of TouchTally
+// calls is the per-access model itself, so it prices any access stream in
+// program order — the engine's fallback for a state phase GroupEntries
+// refuses.
+func (c *Cache) TouchTally(addr uint64, t *Tally) bool {
 	line := addr / LineSize
 	setIdx := line & (c.numSets - 1)
-	set := &c.sets[setIdx]
-	tag := line>>c.setShift + 1 // +1 so that 0 marks an empty way
-
 	l := c.lockOf(setIdx)
 	l.acquire()
-	miss := set.touchLocked(tag, c.ways)
+	miss := c.sets[setIdx].touchLocked(line>>c.setShift+1, c.ways) // +1 so that 0 marks an empty way
 	l.release()
-
-	shard := &c.shards[setIdx&(tallyShards-1)]
 	if miss {
-		shard.misses.Add(1)
+		t.Misses++
 	} else {
-		shard.hits.Add(1)
-	}
-	if ctr != nil {
-		if miss {
-			ctr.Misses.Add(1)
-		} else {
-			ctr.Hits.Add(1)
-		}
-		ctr.Instructions.Add(1)
+		t.Hits++
 	}
 	return miss
 }
 
-// TouchRun simulates n >= 1 back-to-back loads of the single cache line
-// containing addr under one set-lock acquisition. The first access resolves
-// hit-or-miss exactly as Touch does; the remaining n-1 are hits by
-// construction — the line was just referenced and no other access can
-// intervene while the set is locked. The set's LRU state afterwards is
-// bit-identical to n consecutive Touch calls on the same line (the set clock
-// advances by n and the line's stamp lands on the final tick), which is what
-// lets the run-length hot path stand in for the per-edge model: see the
-// equivalence property test and the scenario harness's sim-counter
-// invariant.
-//
-// Counts accumulate into t without touching the shared counters; callers
-// flush them in batch with FlushTally. TouchRun reports whether the first
-// access missed.
-func (c *Cache) TouchRun(addr, n uint64, t *Tally) bool {
-	if n == 0 {
-		return false
-	}
-	line := addr / LineSize
-	setIdx := line & (c.numSets - 1)
-	set := &c.sets[setIdx]
-	tag := line>>c.setShift + 1
-
-	l := c.lockOf(setIdx)
-	l.acquire()
-	set.tick += n - 1
-	miss := set.touchLocked(tag, c.ways)
-	l.release()
-
-	if miss {
-		t.Misses++
-		t.Hits += n - 1
-	} else {
-		t.Hits += n
-	}
+// Touch simulates a load of one cache line containing addr, updating ctr (if
+// non-nil) and the cache-wide counters. It reports whether the access missed.
+func (c *Cache) Touch(addr uint64, ctr *Counters) bool {
+	var t Tally
+	miss := c.TouchTally(addr, &t)
+	c.FlushTally(t, ctr, int(addr/LineSize))
 	return miss
 }
 
 // ScanChunk prices the stream phase of one chunk: nEdges records of
 // edgeSize bytes stored contiguously from baseAddr + firstEdge*edgeSize,
-// walked in storage order one 64B line-run at a time — exactly the sequence
-// of TouchRun calls the engine used to issue per line, fused so consecutive
-// lines (hence consecutive sets) sharing a lock shard are priced under one
-// acquisition instead of one per line.
+// one access per record in storage order. It walks the records one 64B
+// line-run at a time: a run's first access resolves hit or miss exactly as
+// Touch does, and the rest are hits by construction — the line was just
+// referenced and nothing intervenes while its set is locked. The set clock
+// advances by the run length and the line's stamp lands on the final tick,
+// so each set's LRU state afterwards is bit-identical to one Touch per
+// record. Consecutive lines (hence consecutive sets) sharing a lock shard are
+// priced under one acquisition instead of one per line.
 func (c *Cache) ScanChunk(baseAddr uint64, firstEdge, nEdges int, edgeSize uint64, t *Tally) {
 	if nEdges <= 0 {
 		return
@@ -379,23 +345,22 @@ func (c *Cache) ScanChunk(baseAddr uint64, firstEdge, nEdges int, edgeSize uint6
 	t.Misses += misses
 }
 
-// BatchScratch holds the reusable grouping buffers TouchBatch needs. One
+// BatchScratch holds the reusable buffers GroupEntries groups into. One
 // scratch serves one streaming goroutine (the engine keeps one per job —
 // only one chunk of a job is ever in flight); buffers grow to the high-water
-// mark once and are reused, so steady-state batch accounting allocates
-// nothing.
+// mark once and are reused, so steady-state grouping allocates nothing.
 type BatchScratch struct {
-	counts   []uint32     // per cache set: access count, then scatter cursor; all-zero between calls
-	touched  []uint32     // distinct set indices in first-touch order
-	grouped  []uint64     // addrs reordered set-major
-	egrouped []BatchEntry // entries reordered set-major (TouchEntries)
+	counts []uint32     // per cache set: entry count, then scatter cursor; all-zero between calls
+	sets   []uint32     // distinct set indices in first-touch order
+	ends   []uint32     // group end offsets, parallel to sets
+	eg     []BatchEntry // entries reordered set-major
 }
 
 // BatchEntry aggregates one distinct line's accesses within a batch: how
 // many raw accesses hit the line, and the batch-global positions (0-based)
 // of the first and the last. A caller that already walks its access stream
 // (the engine's chunk-apply does, to collect addresses) can dedup into
-// entries on the fly and hand TouchEntries ~8x fewer elements than the raw
+// entries on the fly and hand GroupEntries ~8x fewer elements than the raw
 // stream — the hub-vertex skew of power-law graphs concentrates a chunk's
 // state accesses onto few lines.
 type BatchEntry struct {
@@ -405,199 +370,64 @@ type BatchEntry struct {
 	Last  uint32 // batch-global position of the last access
 }
 
-// TouchBatch simulates the access sequence addrs — arbitrary lines, in
-// program order — applying it set-major: addrs are grouped by cache set
-// (groups in first-touch order, each set's own accesses kept in program
-// order) and each group is resolved under a single set-lock acquisition.
-//
-// Because each set's automaton consumes only its own subsequence, which the
-// grouping preserves, every access's hit/miss outcome and every set's final
-// LRU state are bit-identical to touching addrs one by one in program order
-// (TestTouchBatchEquivalence proves it). What changes is purely the lock
-// economy: one acquisition per (batch, set) instead of one per access — the
-// chunk-apply hot path measures ~17 state accesses per group on the skewed
-// power-law workloads, so the per-access synchronization cost all but
-// vanishes.
-//
-// Counts accumulate into t; callers flush them with FlushTally.
-func (c *Cache) TouchBatch(addrs []uint64, sc *BatchScratch, t *Tally) {
-	if len(addrs) == 0 {
-		return
-	}
-	mask := c.numSets - 1
-	if uint64(len(sc.counts)) < c.numSets {
-		sc.counts = make([]uint32, c.numSets)
-	}
-	counts := sc.counts
-	touched := sc.touched[:0]
-	for _, a := range addrs {
-		s := uint32((a / LineSize) & mask)
-		if counts[s] == 0 {
-			touched = append(touched, s)
-		}
-		counts[s]++
-	}
-	if cap(sc.grouped) < len(addrs) {
-		sc.grouped = make([]uint64, len(addrs))
-	}
-	grouped := sc.grouped[:len(addrs)]
-	// Prefix sums over the touched sets turn counts into scatter cursors;
-	// groups are laid out contiguously in first-touch order.
-	off := uint32(0)
-	for _, s := range touched {
-		n := counts[s]
-		counts[s] = off
-		off += n
-	}
-	for _, a := range addrs {
-		s := uint32((a / LineSize) & mask)
-		grouped[counts[s]] = a
-		counts[s]++
-	}
-	var hits, misses uint64
-	start := uint32(0)
-	for _, si := range touched {
-		end := counts[si]
-		counts[si] = 0 // restore the all-zero invariant for the next batch
-		set := &c.sets[si]
-		l := c.lockOf(uint64(si))
-		l.acquire()
-		h, m := c.applyGroupLocked(set, grouped[start:end])
-		l.release()
-		hits += h
-		misses += m
-		start = end
-	}
-	sc.touched = touched
-	t.Hits += hits
-	t.Misses += misses
-}
-
-// applyGroupLocked replays one set's group of accesses (lock held) with an
-// exact shortcut: every access in the group carries a strictly newer clock
-// than anything resident before the group started, so the min-clock victim
-// of any in-group miss is never a line the group has already touched — as
-// long as the group's distinct lines fit the set's ways. Repeats of an
-// already-touched line are therefore guaranteed hits and need no tag scan;
-// each distinct line costs exactly one touchLocked at its first occurrence.
-// At group end, repeated lines' clocks are patched to their last-occurrence
-// tick — exactly where per-access simulation would leave them (intermediate
-// clock values are unobservable: group lines are never victim candidates
-// mid-group, and the lock is held throughout). In the rare case of more
-// distinct lines than ways — where an already-touched line can become the
-// oldest again — the shortcut stops and the tail is replayed per access
-// after patching, which restores exact per-access state first.
-func (c *Cache) applyGroupLocked(set *cacheSet, group []uint64) (hits, misses uint64) {
-	base := set.tick
-	var dTags [MaxWays]uint64
-	var dFirst, dLast [MaxWays]uint32
-	nd := 0
-	i := 0
-	for ; i < len(group); i++ {
-		tag := (group[i]/LineSize)>>c.setShift + 1
-		k := 0
-		for k < nd && dTags[k] != tag {
-			k++
-		}
-		if k < nd {
-			hits++
-			dLast[k] = uint32(i)
-			continue
-		}
-		if nd == c.ways {
-			break
-		}
-		dTags[nd] = tag
-		dFirst[nd] = uint32(i)
-		dLast[nd] = uint32(i)
-		nd++
-		set.tick = base + uint64(i)
-		if set.touchLocked(tag, c.ways) {
-			misses++
-		} else {
-			hits++
-		}
-	}
-	for k := 0; k < nd; k++ {
-		if dLast[k] == dFirst[k] {
-			continue
-		}
-		if set.w0.tag == dTags[k] {
-			set.w0.clock = base + uint64(dLast[k]) + 1
-			continue
-		}
-		for w := 0; w < c.ways-1; w++ {
-			if set.tags[w] == dTags[k] {
-				set.clks[w] = base + uint64(dLast[k]) + 1
-				break
-			}
-		}
-	}
-	if i == len(group) {
-		set.tick = base + uint64(len(group))
-		return hits, misses
-	}
-	set.tick = base + uint64(i)
-	for ; i < len(group); i++ {
-		if set.touchLocked((group[i]/LineSize)>>c.setShift+1, c.ways) {
-			misses++
-		} else {
-			hits++
-		}
-	}
-	return hits, misses
-}
-
-// GroupedEntries is a set-major grouping of per-line aggregates, precomputed
-// once by GroupEntries and re-applied every iteration via TouchGrouped. The
-// grouping is a pure function of the entry list, so a chunk that is re-applied
-// with the same aggregates (full-active programs re-visiting an immutable
-// chunk) can skip the per-call counting sort entirely.
+// GroupedEntries is a set-major grouping of one state phase's per-line
+// aggregates, built by GroupEntries and settled by TouchGrouped. The grouping
+// is a pure function of the entry list, so a chunk that is re-applied with
+// the same aggregates (full-active programs re-visiting an immutable chunk)
+// can keep a copy and skip the counting sort on every later visit.
 type GroupedEntries struct {
 	Sets []uint32     // distinct set indices, in group order
 	Ends []uint32     // Eg[Ends[i-1]:Ends[i]] is set Sets[i]'s group (Ends[-1] = 0)
 	Eg   []BatchEntry // entries scattered set-major, append order within a set
 }
 
-// GroupEntries precomputes the set-major grouping that TouchEntries derives
-// per call, returning freshly allocated slices safe to retain. It reports
-// ok=false — and derives nothing — when any set's distinct lines exceed the
-// cache's ways, exactly the condition under which TouchEntries would refuse
-// the batch.
+// GroupEntries groups a state phase's per-line aggregates set-major for
+// TouchGrouped: sets in first-touch order, each set's entries in list order.
+// The result is a view into sc, valid until the next call on sc; a caller
+// that keeps it copies it. GroupEntries reports ok=false when any set's
+// distinct lines exceed the cache's ways — the aggregates cannot settle such
+// a phase exactly (see TouchGrouped) and the caller prices the raw access
+// stream in order with TouchTally instead. Grouping touches no cache state,
+// so a refusal leaves the cache exactly as it was.
 func (c *Cache) GroupEntries(entries []BatchEntry, sc *BatchScratch) (GroupedEntries, bool) {
-	var g GroupedEntries
 	if len(entries) == 0 {
-		return g, true
+		return GroupedEntries{}, true
 	}
 	mask := c.numSets - 1
 	if uint64(len(sc.counts)) < c.numSets {
 		sc.counts = make([]uint32, c.numSets)
 	}
 	counts := sc.counts
-	touched := sc.touched[:0]
+	sets := sc.sets[:0]
 	overflow := false
 	for i := range entries {
 		s := uint32(entries[i].Line & mask)
 		if counts[s] == 0 {
-			touched = append(touched, s)
+			sets = append(sets, s)
 		}
 		counts[s]++
 		if counts[s] > uint32(c.ways) {
 			overflow = true
 		}
 	}
-	sc.touched = touched
+	sc.sets = sets
 	if overflow {
-		for _, s := range touched {
+		for _, s := range sets {
 			counts[s] = 0
 		}
-		return g, false
+		return GroupedEntries{}, false
 	}
-	g.Sets = append([]uint32(nil), touched...)
-	g.Ends = make([]uint32, len(touched))
-	g.Eg = make([]BatchEntry, len(entries))
+	if cap(sc.ends) < len(sets) {
+		sc.ends = make([]uint32, len(sets))
+	}
+	if cap(sc.eg) < len(entries) {
+		sc.eg = make([]BatchEntry, len(entries))
+	}
+	g := GroupedEntries{Sets: sets, Ends: sc.ends[:len(sets)], Eg: sc.eg[:len(entries)]}
+	// Prefix sums over the touched sets turn counts into scatter cursors;
+	// groups are laid out contiguously in first-touch order.
 	off := uint32(0)
-	for i, s := range touched {
+	for i, s := range sets {
 		n := counts[s]
 		counts[s] = off
 		off += n
@@ -608,15 +438,30 @@ func (c *Cache) GroupEntries(entries []BatchEntry, sc *BatchScratch) (GroupedEnt
 		g.Eg[counts[s]] = e
 		counts[s]++
 	}
-	for _, s := range touched {
-		counts[s] = 0
+	for _, s := range sets {
+		counts[s] = 0 // restore the all-zero invariant for the next call
 	}
 	return g, true
 }
 
-// TouchGrouped settles a pre-grouped state phase: observably identical to
-// TouchEntries over the ungrouped entry list (same locks, same per-set clock
-// arithmetic), minus the grouping passes.
+// TouchGrouped settles a state phase from its grouped per-line aggregates:
+// one lock acquisition per set-group, one simulated access per distinct
+// line. It is observably identical to touching the raw access stream the
+// entries summarize one access at a time, in program order. Each set's
+// automaton consumes only its own subsequence of the stream, so sets may be
+// settled in any order. Within a set-group whose distinct lines fit the
+// ways, every in-group access carries a strictly newer clock than anything
+// resident before the group, so an already-touched line is never the
+// min-clock victim of a later in-group miss: every repeat is a guaranteed
+// hit, and only each line's first access needs simulating — GroupEntries
+// refuses exactly the groups where this fails. Clocks are written from
+// batch-global positions rather than per-set sequence numbers; that yields
+// different clock values than per-access simulation but the same strict
+// order within every set (a subsequence inherits the global order), and
+// clocks are only ever compared within a set, so every future victim choice
+// — and therefore every observable hit/miss — is unchanged. phaseLen (the
+// raw stream's length) bounds every written clock and advances each touched
+// set's tick past it, keeping ticks monotone for later accesses.
 func (c *Cache) TouchGrouped(g *GroupedEntries, phaseLen uint64, t *Tally) {
 	var hits, misses uint64
 	start := uint32(0)
@@ -627,113 +472,11 @@ func (c *Cache) TouchGrouped(g *GroupedEntries, phaseLen uint64, t *Tally) {
 		l.acquire()
 		base := set.tick
 		for _, e := range g.Eg[start:end] {
-			tag := e.Line>>c.setShift + 1
-			if set.w0.tag == tag {
-				// MRU hit: the clock write below is the only observable
-				// effect (tick is rewritten before the next probe), so the
-				// call is skipped entirely.
-				set.w0.clock = base + uint64(e.Last) + 1
-				hits += uint64(e.Count)
-				continue
-			}
-			set.tick = base + uint64(e.First)
-			if set.touchLocked(tag, c.ways) {
-				misses++
-			} else {
-				hits++
-			}
-			set.w0.clock = base + uint64(e.Last) + 1
-			hits += uint64(e.Count - 1)
-		}
-		set.tick = base + phaseLen
-		l.release()
-		start = end
-	}
-	t.Hits += hits
-	t.Misses += misses
-}
-
-// TouchEntries prices a batch given per-line aggregates instead of the raw
-// access stream, in one pass over ~count-of-distinct-lines elements. It is
-// observably identical to TouchBatch over the raw stream the entries
-// summarize, by the same argument applyGroupLocked uses: while a set-group's
-// distinct lines fit the ways, an already-touched line always carries a
-// strictly newer clock than anything resident before the group, so it can
-// never be the min-clock victim of a later in-group miss — every repeat is
-// a guaranteed hit, and only each line's first access needs simulating.
-// Entry clocks are written from batch-global positions rather than per-set
-// sequence numbers; that yields different clock values than per-access
-// simulation but the same strict order within every set (a subsequence
-// inherits the global order), and clocks are only ever compared within a
-// set, so every future victim choice — and therefore every observable
-// hit/miss — is unchanged. phaseLen (the raw stream's length) bounds every
-// written clock and advances each touched set's tick past it, keeping ticks
-// monotone for later accesses.
-//
-// If any set-group's distinct lines exceed the ways — where an in-group
-// line could age back into victimhood and repeats are no longer guaranteed
-// hits — the aggregates are insufficient and TouchEntries returns false
-// WITHOUT touching any cache state (grouping is pure); the caller falls
-// back to the raw-stream TouchBatch path. With realistic geometries this is
-// vanishingly rare: it needs >ways distinct lines of one set in one chunk.
-func (c *Cache) TouchEntries(entries []BatchEntry, phaseLen uint64, sc *BatchScratch, t *Tally) bool {
-	if len(entries) == 0 {
-		return true
-	}
-	mask := c.numSets - 1
-	if uint64(len(sc.counts)) < c.numSets {
-		sc.counts = make([]uint32, c.numSets)
-	}
-	counts := sc.counts
-	touched := sc.touched[:0]
-	overflow := false
-	for i := range entries {
-		s := uint32(entries[i].Line & mask)
-		if counts[s] == 0 {
-			touched = append(touched, s)
-		}
-		counts[s]++
-		if counts[s] > uint32(c.ways) {
-			overflow = true
-		}
-	}
-	sc.touched = touched
-	if overflow {
-		for _, s := range touched {
-			counts[s] = 0
-		}
-		return false
-	}
-	if cap(sc.egrouped) < len(entries) {
-		sc.egrouped = make([]BatchEntry, len(entries))
-	}
-	eg := sc.egrouped[:len(entries)]
-	off := uint32(0)
-	for _, s := range touched {
-		n := counts[s]
-		counts[s] = off
-		off += n
-	}
-	for _, e := range entries {
-		s := uint32(e.Line & mask)
-		eg[counts[s]] = e
-		counts[s]++
-	}
-	var hits, misses uint64
-	start := uint32(0)
-	for _, si := range touched {
-		end := counts[si]
-		counts[si] = 0 // restore the all-zero invariant for the next batch
-		set := &c.sets[si]
-		l := c.lockOf(uint64(si))
-		l.acquire()
-		base := set.tick
-		for _, e := range eg[start:end] {
-			// Entries sit in first-occurrence order (grouping preserves
-			// append order); simulate the first access, then credit the
-			// repeats as hits and stamp the line's clock with its last
-			// occurrence — touchLocked left the line at way 0. An MRU hit
-			// is inlined: the clock write is its only observable effect.
+			// Entries sit in first-occurrence order: simulate the first
+			// access, then credit the repeats as hits and stamp the line's
+			// clock with its last occurrence — touchLocked left the line at
+			// way 0. An MRU hit is inlined: the clock write is its only
+			// observable effect (tick is rewritten before the next probe).
 			tag := e.Line>>c.setShift + 1
 			if set.w0.tag == tag {
 				set.w0.clock = base + uint64(e.Last) + 1
@@ -755,13 +498,11 @@ func (c *Cache) TouchEntries(entries []BatchEntry, phaseLen uint64, sc *BatchScr
 	}
 	t.Hits += hits
 	t.Misses += misses
-	return true
 }
 
 // FlushTally folds a batch of tallied accesses into the cache-wide totals
-// and into ctr (if non-nil), with one atomic add per counter — the batched
-// equivalent of the per-access updates Touch performs. The hot path calls it
-// once per applied chunk. shard picks the slot of the sharded cache-wide
+// and into ctr (if non-nil), with one atomic add per counter. The hot path
+// calls it once per applied chunk; Touch calls it once per access. shard picks the slot of the sharded cache-wide
 // totals (callers pass a stable per-job or per-worker value, e.g. the job
 // ID); it only spreads contention — any shard sums into the same totals.
 func (c *Cache) FlushTally(t Tally, ctr *Counters, shard int) {
@@ -784,23 +525,6 @@ func (c *Cache) FlushTally(t Tally, ctr *Counters, shard int) {
 	if n := t.Hits + t.Misses; n != 0 {
 		ctr.Instructions.Add(n)
 	}
-}
-
-// TouchRange simulates a sequential scan of [addr, addr+n) and reports the
-// number of line misses. Used for bulk edge streaming.
-func (c *Cache) TouchRange(addr, n uint64, ctr *Counters) int {
-	if n == 0 {
-		return 0
-	}
-	first := addr / LineSize
-	last := (addr + n - 1) / LineSize
-	misses := 0
-	for l := first; l <= last; l++ {
-		if c.Touch(l*LineSize, ctr) {
-			misses++
-		}
-	}
-	return misses
 }
 
 // TotalMisses returns the cache-wide miss count, summed over the tally

@@ -75,9 +75,24 @@ func TestWorkingSetSmallerThanCacheNeverEvicts(t *testing.T) {
 	}
 }
 
+// touchRange simulates a sequential scan of [addr, addr+n), one Touch per
+// line, and reports the number of line misses.
+func touchRange(c *Cache, addr, n uint64) int {
+	if n == 0 {
+		return 0
+	}
+	misses := 0
+	for l := addr / LineSize; l <= (addr+n-1)/LineSize; l++ {
+		if c.Touch(l*LineSize, nil) {
+			misses++
+		}
+	}
+	return misses
+}
+
 func TestTouchRangeCountsLines(t *testing.T) {
 	c, _ := NewCache(DefaultConfig(64 << 10))
-	misses := c.TouchRange(0, 256, nil) // 4 lines
+	misses := touchRange(c, 0, 256) // 4 lines
 	if misses != 4 {
 		t.Fatalf("misses = %d, want 4", misses)
 	}
@@ -86,7 +101,7 @@ func TestTouchRangeCountsLines(t *testing.T) {
 	}
 	// Unaligned range crossing a line boundary.
 	c.Reset()
-	misses = c.TouchRange(60, 8, nil) // spans lines 0 and 1
+	misses = touchRange(c, 60, 8) // spans lines 0 and 1
 	if misses != 2 {
 		t.Fatalf("misses = %d, want 2", misses)
 	}
@@ -138,18 +153,44 @@ func TestSharedVsPrivateAddressStreams(t *testing.T) {
 	// temporal (as GraphM's chunk synchronization arranges).
 	chunkB := uint64(8 << 10)
 	for off := uint64(0); off < streamLen; off += chunkB {
-		shared.TouchRange(off, chunkB, nil) // job A
-		shared.TouchRange(off, chunkB, nil) // job B reuses
+		touchRange(shared, off, chunkB) // job A
+		touchRange(shared, off, chunkB) // job B reuses
 	}
 
 	private, _ := NewCache(cfg)
 	for off := uint64(0); off < streamLen; off += chunkB {
-		private.TouchRange(off, chunkB, nil)       // job A copy 1
-		private.TouchRange(1<<30+off, chunkB, nil) // job B copy 2
+		touchRange(private, off, chunkB)       // job A copy 1
+		touchRange(private, 1<<30+off, chunkB) // job B copy 2
 	}
 
 	if shared.TotalMisses() >= private.TotalMisses() {
 		t.Fatalf("shared stream misses %d, private %d; sharing should miss less",
 			shared.TotalMisses(), private.TotalMisses())
+	}
+}
+
+// TestShardedTotalsSum checks that Touch and FlushTally land in the sharded
+// cache-wide totals and that the read side sums every shard regardless of
+// which slot a flush picked.
+func TestShardedTotalsSum(t *testing.T) {
+	c, err := NewCache(Config{SizeBytes: 8 << 10, Ways: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		c.Touch(uint64(i)*LineSize, nil) // 100 distinct lines: all miss
+	}
+	for shard := 0; shard < 130; shard++ { // exercise wraparound past 64
+		c.FlushTally(Tally{Hits: 2, Misses: 1}, nil, shard)
+	}
+	if got := c.TotalMisses(); got != 100+130 {
+		t.Fatalf("TotalMisses = %d, want %d", got, 230)
+	}
+	if got := c.TotalHits(); got != 260 {
+		t.Fatalf("TotalHits = %d, want %d", got, 260)
+	}
+	c.Reset()
+	if c.TotalHits() != 0 || c.TotalMisses() != 0 {
+		t.Fatal("Reset left sharded totals non-zero")
 	}
 }

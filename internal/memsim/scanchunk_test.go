@@ -6,43 +6,45 @@ import (
 	"testing/quick"
 )
 
-// TestTouchRunEquivalentToTouches is the property the batched hot path
-// rests on: a TouchRun of n accesses is observably equivalent to n per-edge
-// Touch calls on the same line — the same hit/miss counts accumulate, and
-// the cache is left in the same LRU state. The replayed streams are random
-// (addresses and run lengths), and the final-state comparison is behavioral:
-// after the divergence-prone replay, both caches must answer an identical
-// probe stream identically, which exposes any difference in resident tags
-// or LRU ordering as a differing miss.
-func TestTouchRunEquivalentToTouches(t *testing.T) {
+// edgeSize is the engine's edge record size (graph.EdgeSize): ~5.3 records
+// per 64B line, so line-runs have lengths 5 and 6 and records straddle
+// line boundaries.
+const edgeSize = 12
+
+// TestScanChunkEquivalentToTouches is the property the stream phase rests
+// on: ScanChunk over nEdges records is observably equivalent to one Touch
+// per record in storage order — the same hit/miss counts accumulate, and
+// the cache is left in the same LRU state. Chunks are random (base address,
+// first record, length); the cache has 64 sets, so four lock shards of 16,
+// and every case also scans a chunk straddling a shard boundary, so the
+// fused lock hand-off between shards is exercised. The final-state
+// comparison is behavioral: after the replay, both caches must answer an
+// identical probe stream identically, which exposes any difference in
+// resident tags or LRU ordering as a differing miss.
+func TestScanChunkEquivalentToTouches(t *testing.T) {
 	type op struct {
-		Addr uint16
-		N    uint8
+		Base  uint32
+		First uint8
+		N     uint8
 	}
-	cfg := Config{SizeBytes: 4 << 10, Ways: 4} // small: evictions are common
+	cfg := Config{SizeBytes: 16 << 10, Ways: 4} // 64 sets: evictions are common
 	f := func(ops []op, probeSeed int64) bool {
 		perEdge, err := NewCache(cfg)
 		if err != nil {
 			return false
 		}
 		batched, _ := NewCache(cfg)
+		// 16 sets of 64B lines per lock shard: this chunk starts two lines
+		// before the first shard boundary and ends past it.
+		ops = append([]op{{Base: 14 * LineSize, First: 0, N: 30}}, ops...)
 		var perCtr, batCtr Counters
 		var tally Tally
 		for _, o := range ops {
-			n := uint64(o.N%6) + 1 // run lengths 1..6, like 12-byte edges in a 64-byte line
-			addr := uint64(o.Addr)
-			firstMiss := false
-			for k := uint64(0); k < n; k++ {
-				m := perEdge.Touch(addr, &perCtr)
-				if k == 0 {
-					firstMiss = m
-				} else if m {
-					return false // later accesses of a run must hit
-				}
+			base, first, n := uint64(o.Base%(1<<16)), int(o.First), int(o.N)
+			for k := 0; k < n; k++ {
+				perEdge.Touch(base+uint64(first+k)*edgeSize, &perCtr)
 			}
-			if got := batched.TouchRun(addr, n, &tally); got != firstMiss {
-				return false
-			}
+			batched.ScanChunk(base, first, n, edgeSize, &tally)
 		}
 		batched.FlushTally(tally, &batCtr, 0)
 		if perCtr.Hits.Load() != batCtr.Hits.Load() ||
@@ -54,10 +56,6 @@ func TestTouchRunEquivalentToTouches(t *testing.T) {
 			perEdge.TotalMisses() != batched.TotalMisses() {
 			return false
 		}
-		// Behavioral LRU probe: stream fresh conflicting lines through both
-		// caches one access at a time; any divergence in resident tags or
-		// victim ordering left behind by the replay shows up as a miss
-		// mismatch.
 		rng := rand.New(rand.NewSource(probeSeed))
 		for i := 0; i < 512; i++ {
 			addr := uint64(rng.Intn(1 << 16))
@@ -72,22 +70,20 @@ func TestTouchRunEquivalentToTouches(t *testing.T) {
 	}
 }
 
-// TestTouchRunZeroLength pins the degenerate case: no accesses, no state
+// TestScanChunkZeroLength pins the degenerate case: no records, no state
 // change, no counts.
-func TestTouchRunZeroLength(t *testing.T) {
+func TestScanChunkZeroLength(t *testing.T) {
 	c, err := NewCache(DefaultConfig(64 << 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var tally Tally
-	if c.TouchRun(0, 0, &tally) {
-		t.Fatal("zero-length run reported a miss")
-	}
+	c.ScanChunk(0, 0, 0, edgeSize, &tally)
 	if tally.Accesses() != 0 {
-		t.Fatalf("zero-length run tallied %d accesses", tally.Accesses())
+		t.Fatalf("zero-length scan tallied %d accesses", tally.Accesses())
 	}
 	if !c.Touch(0, nil) {
-		t.Fatal("zero-length run changed cache state (line became resident)")
+		t.Fatal("zero-length scan changed cache state (line became resident)")
 	}
 }
 
@@ -97,7 +93,7 @@ func TestFlushTallyConservation(t *testing.T) {
 	c, _ := NewCache(DefaultConfig(64 << 10))
 	var tally Tally
 	for i := 0; i < 100; i++ {
-		c.TouchRun(uint64(i)*LineSize, 3, &tally)
+		c.ScanChunk(uint64(i)*LineSize, 0, 3, edgeSize, &tally)
 	}
 	if got := tally.Accesses(); got != 300 {
 		t.Fatalf("tally accesses = %d, want 300", got)

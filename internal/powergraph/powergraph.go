@@ -225,7 +225,7 @@ func (r *Runner) runJob(j *engine.Job, perJobCopy bool) error {
 				j.Met.SimIONS += r.Cost.DiskNS(uint64(len(buf.Data)))
 			}
 			j.Met.PartitionLoads++
-			engine.StreamEdges(j, f.Edges, buf.BaseAddr, 0, r.Cache, r.Cost)
+			j.ApplyChunk(f.Edges, buf.BaseAddr, 0, r.Cache, r.Cost)
 			buf.Release()
 		}
 		// Replica synchronisation commits the superstep; each node's NIC
