@@ -17,10 +17,11 @@ test:
 
 # allocs runs the steady-state allocation gates on their own: the
 # per-algorithm AllocsPerRun zero-alloc assertions over ApplyChunk plus the
-# grouped-state property tests they rest on (-v: the log shows they ran).
+# grouped-state property tests they rest on and the differential against
+# the test-only reference LRU (-v: the log shows they ran).
 allocs:
 	go test -run 'TestApplyChunkZeroAlloc' -v ./internal/engine
-	go test -run 'TestGroupedState' -v ./internal/memsim
+	go test -run 'TestGroupedState|TestReferenceLRUDifferential' -v ./internal/memsim
 
 # bench-baseline refreshes the committed perf baseline from the pinned
 # serial subset. Run on a quiet machine; CI compares every PR against this

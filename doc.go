@@ -59,8 +59,10 @@
 // observable behaviour. The 12-byte-edge stream is walked in 64-byte
 // cache-line runs (~5.3 edges), a chunk's runs accounted under one lock
 // acquisition per lock shard (memsim.Cache.ScanChunk: each run's first
-// access resolves hit or miss, the rest are hits by construction); the
-// chunk's state accesses are settled per cache set from per-line
+// access resolves hit or miss, the rest are hits by construction); each
+// simulated set is a recency stack of tags, MRU first, so an MRU run costs
+// a compare and a miss one shift-down pass that drops the last way;
+// the chunk's state accesses are settled per cache set from per-line
 // aggregates (memsim.Cache.GroupEntries + TouchGrouped); hit/miss/processed
 // tallies accumulate as integers and land in the job's Counters and the
 // cache-wide totals with one atomic add per counter per chunk; simulated

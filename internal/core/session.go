@@ -59,8 +59,8 @@ type SessionOptions struct {
 	// iteration) and skips Job.Bind (the group binds the shared program
 	// once). BeginIteration publishes the active set and returns without
 	// waiting for the round to form; Sharing performs the deferred wait.
-	// Blocking at the round barrier would deadlock a driver that still owes
-	// streaming work to another shard's in-flight round.
+	// The group begins every member of its round from one goroutine, so a
+	// begin that blocked at the round barrier would deadlock it.
 	GroupDriver bool
 }
 

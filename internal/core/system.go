@@ -246,9 +246,8 @@ type jobState struct {
 	joinMidRound bool
 	// deferBarrier makes beginIteration return without waiting for the round
 	// to form; sharing() performs the wait instead (SessionOptions.
-	// GroupDriver). A scatter/gather driver holding sessions on several
-	// systems must not block inside one system's round barrier while another
-	// system's round still needs it to stream.
+	// GroupDriver). A scatter/gather group begins every member of its round
+	// from one goroutine, so no begin may block inside the round barrier.
 	deferBarrier bool
 	// detachWanted asks the job to withdraw from sharing; the job's next
 	// sharing() call (or its current suspended one) unhooks it from the
@@ -404,29 +403,45 @@ func (s *System) Submit(j *engine.Job) {
 		s.fail(err)
 		return
 	}
-	go func() {
-		defer sess.Close()
-		// The StreamEdges loop of Figure 6(b), over the session API.
-		// ProcessAll applies the partition's chunks — serially here, or as
-		// work items on the round's worker pool when Config.Workers >= 1.
-		for sess.BeginIteration() {
-			for {
-				sp := sess.Sharing()
-				if sp == nil {
-					break
-				}
-				sp.ProcessAll()
-				sp.Barrier()
-			}
-			sess.EndIteration()
-		}
-	}()
+	go s.drive(sess)
 }
 
-// Run submits jobs and waits for all of them.
+// drive is the built-in driver loop for one session: the StreamEdges loop of
+// Figure 6(b), over the session API. ProcessAll applies the partition's
+// chunks — serially here, or as work items on the round's worker pool when
+// Config.Workers >= 1.
+func (s *System) drive(sess *Session) {
+	defer sess.Close()
+	for sess.BeginIteration() {
+		for {
+			sp := sess.Sharing()
+			if sp == nil {
+				break
+			}
+			sp.ProcessAll()
+			sp.Barrier()
+		}
+		sess.EndIteration()
+	}
+}
+
+// Run submits jobs together and waits for all of them. Every job is
+// registered before any driver starts, so the first round always includes
+// the whole batch: a driver that started while later jobs were still being
+// registered could open a round without them, and the round count would
+// depend on goroutine scheduling.
 func (s *System) Run(jobs []*engine.Job) error {
+	sessions := make([]*Session, 0, len(jobs))
 	for _, j := range jobs {
-		s.Submit(j)
+		sess, err := s.OpenSession(j)
+		if err != nil {
+			s.fail(err)
+			continue
+		}
+		sessions = append(sessions, sess)
+	}
+	for _, sess := range sessions {
+		go s.drive(sess)
 	}
 	return s.Wait()
 }
@@ -483,9 +498,8 @@ func (s *System) beginIteration(js *jobState) bool {
 	if js.deferBarrier {
 		// Group-driver sessions publish their active set and leave: the
 		// round forms once every job on this system is ready, and sharing()
-		// parks until then. Waiting here would deadlock the shard group's
-		// driver, which still owes streaming work to other shards before
-		// this shard's barrier can fill.
+		// parks until then. Waiting here would deadlock the shard group,
+		// which begins every member of its round from one goroutine.
 		return true
 	}
 	for s.err == nil && s.round == waitRound {

@@ -242,12 +242,11 @@ func (j *Job) ApplyChunk(edges []graph.Edge, baseAddr uint64, first int, cache *
 		}
 		g, grouped = j.arena.memo[keyOf(edges)]
 	}
-	phaseLen := uint64(2 * n)
 	if grouped {
 		j.arena.memoHits++
 		st.Processed, st.Activated = bp.ProcessEdges(edges, active)
 	} else {
-		phaseLen = j.collectChunk(edges, active, allActive, bp, &st)
+		j.collectChunk(edges, active, allActive, bp, &st)
 		g, grouped = cache.GroupEntries(j.arena.entries, &j.arena.scratch)
 		// The grouping is a view into the arena's scratch: copy it only to
 		// keep it. A refused grouping is never memoized — the in-order
@@ -260,7 +259,7 @@ func (j *Job) ApplyChunk(edges []graph.Edge, baseAddr uint64, first int, cache *
 	var tally memsim.Tally
 	cache.ScanChunk(baseAddr, first, n, graph.EdgeSize, &tally)
 	if grouped {
-		cache.TouchGrouped(&g, phaseLen, &tally)
+		cache.TouchGrouped(&g, &tally)
 	} else {
 		j.touchStateInOrder(edges, active, allActive, cache, &tally)
 	}
@@ -270,9 +269,8 @@ func (j *Job) ApplyChunk(edges []graph.Edge, baseAddr uint64, first int, cache *
 }
 
 // collectChunk runs the chunk's compute and folds its state accesses into
-// per-line aggregates in the arena's entries, returning the state phase's
-// length in accesses.
-func (j *Job) collectChunk(edges []graph.Edge, active *Bitmap, allActive bool, bp BatchProgram, st *StreamStats) uint64 {
+// per-line aggregates in the arena's entries.
+func (j *Job) collectChunk(edges []graph.Edge, active *Bitmap, allActive bool, bp BatchProgram, st *StreamStats) {
 	n := len(edges)
 	stateBase, vpay := j.StateBase, j.VertexPay
 	// Size the per-line dedup table to the job's state extent (one slot per
@@ -323,7 +321,7 @@ func (j *Job) collectChunk(edges []graph.Edge, active *Bitmap, allActive bool, b
 			en.Last = pos
 		} else {
 			stamp[li] = epoch | uint64(len(entries))
-			entries = append(entries, memsim.BatchEntry{Line: lineBase + li, Count: 1, First: pos, Last: pos})
+			entries = append(entries, memsim.BatchEntry{Line: lineBase + li, Count: 1, Last: pos})
 		}
 		pos++
 		li = (rem + uint64(e.Dst)*vpay) / memsim.LineSize
@@ -333,7 +331,7 @@ func (j *Job) collectChunk(edges []graph.Edge, active *Bitmap, allActive bool, b
 			en.Last = pos
 		} else {
 			stamp[li] = epoch | uint64(len(entries))
-			entries = append(entries, memsim.BatchEntry{Line: lineBase + li, Count: 1, First: pos, Last: pos})
+			entries = append(entries, memsim.BatchEntry{Line: lineBase + li, Count: 1, Last: pos})
 		}
 		pos++
 		if gatherGated {
@@ -357,7 +355,6 @@ func (j *Job) collectChunk(edges []graph.Edge, active *Bitmap, allActive bool, b
 		st.Activated += a
 	}
 	j.arena.entries = entries
-	return uint64(pos)
 }
 
 // ReleaseArena drops the job's chunk-apply scratch — collection buffers and

@@ -8,7 +8,7 @@ import (
 
 // dedupEntries folds a raw access stream into per-line aggregates the way
 // the engine's collection loop does: one BatchEntry per distinct line with
-// its access count and first/last batch-global positions.
+// its access count and last batch-global position, in first-access order.
 func dedupEntries(addrs []uint64) []BatchEntry {
 	idx := map[uint64]int{}
 	var entries []BatchEntry
@@ -20,7 +20,7 @@ func dedupEntries(addrs []uint64) []BatchEntry {
 			continue
 		}
 		idx[line] = len(entries)
-		entries = append(entries, BatchEntry{Line: line, Count: 1, First: uint32(i), Last: uint32(i)})
+		entries = append(entries, BatchEntry{Line: line, Count: 1, Last: uint32(i)})
 	}
 	return entries
 }
@@ -31,7 +31,7 @@ func dedupEntries(addrs []uint64) []BatchEntry {
 // reports whether the grouping refused.
 func priceGrouped(c *Cache, addrs []uint64, sc *BatchScratch, t *Tally) (refused bool) {
 	if g, ok := c.GroupEntries(dedupEntries(addrs), sc); ok {
-		c.TouchGrouped(&g, uint64(len(addrs)), t)
+		c.TouchGrouped(&g, t)
 		return false
 	}
 	for _, a := range addrs {
@@ -131,7 +131,7 @@ func TestGroupedStateOverflowRefusesWithoutMutation(t *testing.T) {
 	// 5 distinct lines of set 0 > 4 ways: must refuse.
 	var entries []BatchEntry
 	for i := 0; i < 5; i++ {
-		entries = append(entries, BatchEntry{Line: uint64(i * 16), Count: 2, First: uint32(2 * i), Last: uint32(2*i + 1)})
+		entries = append(entries, BatchEntry{Line: uint64(i * 16), Count: 2, Last: uint32(2*i + 1)})
 	}
 	var sc BatchScratch
 	if _, ok := c.GroupEntries(entries, &sc); ok {
@@ -163,7 +163,7 @@ func TestTouchEntriesEmpty(t *testing.T) {
 	if !ok || len(g.Eg) != 0 {
 		t.Fatal("empty grouping refused or non-empty")
 	}
-	c.TouchGrouped(&g, 0, &tally)
+	c.TouchGrouped(&g, &tally)
 	if tally.Accesses() != 0 || c.TotalHits()+c.TotalMisses() != 0 {
 		t.Fatalf("empty batch counted accesses: tally=%+v", tally)
 	}

@@ -9,15 +9,16 @@
 // the same events. The substitution preserves the comparison the paper makes:
 // the same access streams that would thrash a real LLC thrash the model.
 //
-// The model is a product of independent per-set automata: each set carries
-// its own lock, tick and LRU state, and an access only ever reads or writes
-// the state of the one set its line maps to. Two consequences the hot path
-// exploits: accesses to different sets commute (reordering a stream across
-// sets, while preserving each set's own subsequence, changes no per-access
-// outcome — TouchGrouped rests on this, and the property test proves it), and
-// there is no cache-global state to contend on per access — the cache-wide
-// hit/miss totals are sharded (per set for Touch, per flushed tally for the
-// batched path) and only summed when read.
+// The model is a product of independent per-set automata: a set's whole LRU
+// state is the recency order of its resident lines, and an access only ever
+// reads or writes the state of the one set its line maps to (one spinlock
+// covers 16 consecutive sets). Two consequences the hot path exploits:
+// accesses to different sets commute (reordering a stream across sets, while
+// preserving each set's own subsequence, changes no per-access outcome —
+// TouchGrouped rests on this, and the property tests prove it), and there is
+// no cache-global state to contend on per access — the cache-wide hit/miss
+// totals are sharded (per set for Touch, per flushed tally for the batched
+// path) and only summed when read.
 package memsim
 
 import (
@@ -29,9 +30,9 @@ import (
 // LineSize is the simulated cache-line size in bytes.
 const LineSize = 64
 
-// MaxWays bounds the associativity so each set's tag and LRU-clock arrays
-// can live inline in the set (no pointer chase on the hot path). 16 matches
-// contemporary Xeon LLCs; NewCache rejects higher values.
+// MaxWays bounds the associativity so each set's tag stack can live inline
+// in the set (no pointer chase on the hot path). 16 matches contemporary
+// Xeon LLCs; NewCache rejects higher values.
 const MaxWays = 16
 
 // Config describes a simulated LLC.
@@ -88,8 +89,9 @@ type tallyShard struct {
 
 // Cache is a shared, set-associative, LRU-replacement cache model. Addresses
 // are abstract byte addresses in a flat simulated physical space; callers
-// derive them from (region base + offset). Cache is safe for concurrent use;
-// each set is locked independently so parallel jobs contend realistically.
+// derive them from (region base + offset). Cache is safe for concurrent use:
+// one spinlock covers each run of 16 consecutive sets, so parallel jobs
+// contend on the sets they share.
 type Cache struct {
 	ways    int
 	numSets uint64
@@ -117,28 +119,15 @@ type Cache struct {
 // that a sequential line scan acquires ~1/16th the locks.
 const lockSpanShift = 4
 
-// cacheSet is one set's complete state, inline (no pointer chase). Ways are
-// kept in most-recently-used-first order (a hit or fill moves the way to
-// slot 0), so the tag scan of a skewed access stream usually terminates at
-// w0 — tick and w0 share the set's first real cache line. The remaining
-// ways are stored as separate tag and clock planes: a deep tag scan and the
-// miss path's full victim scan each stream one contiguous array instead of
-// striding over interleaved pairs. Way positions are internal — eviction
-// picks the minimum clock wherever it sits — so the ordering games are
-// invisible to the model.
+// cacheSet is one set's complete state, inline (no pointer chase): its
+// resident tags as a recency stack, tags[0] the most recently used line and
+// tags[ways-1] the least. Tag 0 marks an empty way (tags are shifted to
+// avoid 0); empty ways sort to the tail, since a fill only ever pushes lines
+// down. The stack order is the whole LRU state: the victim of a miss is
+// always the last way. At 128B a set spans exactly two cache lines, and a
+// skewed stream's probe usually resolves on the first.
 type cacheSet struct {
-	tick uint64
-	w0   cacheWay            // way 0 (MRU) inline: the shallow probe reads one line
-	tags [MaxWays - 1]uint64 // ways 1..15 tags, contiguous: the deep scan streams them
-	clks [MaxWays - 1]uint64 // ways 1..15 clocks, contiguous: so does the victim scan
-	_    [56]byte            // pad to 320B so sets stay line-aligned in the array
-}
-
-// cacheWay is the MRU way's inline tag/clock pair (the deeper ways live in
-// cacheSet's split planes).
-type cacheWay struct {
-	tag   uint64 // 0 means empty (tags are shifted to avoid 0)
-	clock uint64 // LRU timestamp
+	tags [MaxWays]uint64
 }
 
 // lockShard is one padded spinlock covering lockSpan consecutive sets.
@@ -223,36 +212,20 @@ func (t *Tally) Add(other Tally) {
 }
 
 // touchLocked performs one access to the line with the given tag on a set
-// whose lock is held, returning whether it missed. Hits and fills move the
-// way to slot 0 (MRU-first ordering), so repeated lines resolve on the first
-// probe.
+// whose lock is held, returning whether it missed. The line moves to the
+// top of the stack in one pass that carries each way down one as it probes:
+// a hit stops at the line's old way, having shifted only the lines above
+// it; a miss shifts every way and drops the last (the LRU line, or an empty
+// way).
 func (s *cacheSet) touchLocked(tag uint64, ways int) bool {
-	s.tick++
-	tick := s.tick
-	if s.w0.tag == tag {
-		s.w0.clock = tick
-		return false
-	}
-	n := ways - 1
-	for w := 0; w < n; w++ {
-		if s.tags[w] == tag {
-			s.tags[w], s.clks[w] = s.w0.tag, s.w0.clock
-			s.w0 = cacheWay{tag: tag, clock: tick}
+	carry := tag
+	for w, cur := range s.tags[:ways] {
+		s.tags[w] = carry
+		if cur == tag {
 			return false
 		}
+		carry = cur
 	}
-	victim := -1
-	oldest := s.w0.clock
-	for w := 0; w < n; w++ {
-		if s.clks[w] < oldest {
-			oldest = s.clks[w]
-			victim = w
-		}
-	}
-	if victim >= 0 {
-		s.tags[victim], s.clks[victim] = s.w0.tag, s.w0.clock
-	}
-	s.w0 = cacheWay{tag: tag, clock: tick}
 	return true
 }
 
@@ -291,10 +264,11 @@ func (c *Cache) Touch(addr uint64, ctr *Counters) bool {
 // one access per record in storage order. It walks the records one 64B
 // line-run at a time: a run's first access resolves hit or miss exactly as
 // Touch does, and the rest are hits by construction — the line was just
-// referenced and nothing intervenes while its set is locked. The set clock
-// advances by the run length and the line's stamp lands on the final tick,
-// so each set's LRU state afterwards is bit-identical to one Touch per
-// record. Consecutive lines (hence consecutive sets) sharing a lock shard are
+// referenced and nothing intervenes while its set is locked. A repeat
+// access to the line atop its set's stack changes nothing, so each set's
+// LRU state afterwards is bit-identical to one Touch per record, and a run
+// whose line is already atop the stack is a compare with no write.
+// Consecutive lines (hence consecutive sets) sharing a lock shard are
 // priced under one acquisition instead of one per line.
 func (c *Cache) ScanChunk(baseAddr uint64, firstEdge, nEdges int, edgeSize uint64, t *Tally) {
 	if nEdges <= 0 {
@@ -320,21 +294,11 @@ func (c *Cache) ScanChunk(baseAddr uint64, firstEdge, nEdges int, edgeSize uint6
 		}
 		set := &c.sets[setIdx]
 		tag := line>>c.setShift + 1
-		tick := set.tick + uint64(run-i)
-		if set.w0.tag == tag {
-			// MRU hit on the first probe — the overwhelmingly common case
-			// once a chunk's lines are warm — inlined to skip the call.
-			set.tick = tick
-			set.w0.clock = tick
-			hits += uint64(run - i)
-		} else {
-			set.tick = tick - 1
-			if set.touchLocked(tag, c.ways) {
-				misses++
-				hits += uint64(run-i) - 1
-			} else {
-				hits += uint64(run - i)
-			}
+		// An MRU hit is inlined to skip the call.
+		hits += uint64(run - i)
+		if set.tags[0] != tag && set.touchLocked(tag, c.ways) {
+			misses++
+			hits-- // the run's first access
 		}
 		i = run
 	}
@@ -357,16 +321,16 @@ type BatchScratch struct {
 }
 
 // BatchEntry aggregates one distinct line's accesses within a batch: how
-// many raw accesses hit the line, and the batch-global positions (0-based)
-// of the first and the last. A caller that already walks its access stream
-// (the engine's chunk-apply does, to collect addresses) can dedup into
-// entries on the fly and hand GroupEntries ~8x fewer elements than the raw
-// stream — the hub-vertex skew of power-law graphs concentrates a chunk's
-// state accesses onto few lines.
+// many raw accesses hit the line, and the batch-global position (0-based)
+// of the last. A batch lists its entries in the order of their lines' first
+// accesses, which is all TouchGrouped needs to know of them. A caller that
+// already walks its access stream (the engine's chunk-apply does, to collect
+// addresses) can dedup into entries on the fly and hand GroupEntries ~8x
+// fewer elements than the raw stream — the hub-vertex skew of power-law
+// graphs concentrates a chunk's state accesses onto few lines.
 type BatchEntry struct {
 	Line  uint64 // line number, addr / LineSize
 	Count uint32 // raw accesses to the line in this batch
-	First uint32 // batch-global position of the first access
 	Last  uint32 // batch-global position of the last access
 }
 
@@ -449,50 +413,44 @@ func (c *Cache) GroupEntries(entries []BatchEntry, sc *BatchScratch) (GroupedEnt
 // line. It is observably identical to touching the raw access stream the
 // entries summarize one access at a time, in program order. Each set's
 // automaton consumes only its own subsequence of the stream, so sets may be
-// settled in any order. Within a set-group whose distinct lines fit the
-// ways, every in-group access carries a strictly newer clock than anything
-// resident before the group, so an already-touched line is never the
-// min-clock victim of a later in-group miss: every repeat is a guaranteed
-// hit, and only each line's first access needs simulating — GroupEntries
-// refuses exactly the groups where this fails. Clocks are written from
-// batch-global positions rather than per-set sequence numbers; that yields
-// different clock values than per-access simulation but the same strict
-// order within every set (a subsequence inherits the global order), and
-// clocks are only ever compared within a set, so every future victim choice
-// — and therefore every observable hit/miss — is unchanged. phaseLen (the
-// raw stream's length) bounds every written clock and advances each touched
-// set's tick past it, keeping ticks monotone for later accesses.
-func (c *Cache) TouchGrouped(g *GroupedEntries, phaseLen uint64, t *Tally) {
+// settled in any order. Within a set-group, the lines the group has already
+// touched head the stack, above every line resident before the group. While
+// the group's distinct lines fit the ways (GroupEntries refuses exactly the
+// groups where they do not), fewer than ways group lines sit above the last
+// way whenever a new line misses, so the victim is always a pre-group line
+// or an empty way: no group line is evicted within the group, every repeat
+// is a guaranteed hit, and only each line's first access needs simulating,
+// in first-access order (the entries' order). Those touches leave the
+// group's k lines in tags[0:k], above the surviving pre-group lines in
+// their old order — the order the per-access model leaves too, except that
+// it ranks the group's lines by their last access. Rewriting tags[0:k] in
+// descending Last order closes that gap.
+func (c *Cache) TouchGrouped(g *GroupedEntries, t *Tally) {
 	var hits, misses uint64
+	var lasts [MaxWays]uint32
 	start := uint32(0)
 	for i, si := range g.Sets {
 		end := g.Ends[i]
+		grp := g.Eg[start:end]
 		set := &c.sets[si]
 		l := c.lockOf(uint64(si))
 		l.acquire()
-		base := set.tick
-		for _, e := range g.Eg[start:end] {
-			// Entries sit in first-occurrence order: simulate the first
-			// access, then credit the repeats as hits and stamp the line's
-			// clock with its last occurrence — touchLocked left the line at
-			// way 0. An MRU hit is inlined: the clock write is its only
-			// observable effect (tick is rewritten before the next probe).
-			tag := e.Line>>c.setShift + 1
-			if set.w0.tag == tag {
-				set.w0.clock = base + uint64(e.Last) + 1
-				hits += uint64(e.Count)
-				continue
-			}
-			set.tick = base + uint64(e.First)
-			if set.touchLocked(tag, c.ways) {
+		for _, e := range grp {
+			hits += uint64(e.Count)
+			if set.touchLocked(e.Line>>c.setShift+1, c.ways) {
 				misses++
-			} else {
-				hits++
+				hits-- // the line's first access
 			}
-			set.w0.clock = base + uint64(e.Last) + 1
-			hits += uint64(e.Count - 1)
 		}
-		set.tick = base + phaseLen
+		// Insertion sort of the group's lines into tags[0:k] by descending
+		// Last; positions are distinct, so the order is total.
+		for k, e := range grp {
+			p := k
+			for ; p > 0 && lasts[p-1] < e.Last; p-- {
+				set.tags[p], lasts[p] = set.tags[p-1], lasts[p-1]
+			}
+			set.tags[p], lasts[p] = e.Line>>c.setShift+1, e.Last
+		}
 		l.release()
 		start = end
 	}
@@ -502,9 +460,10 @@ func (c *Cache) TouchGrouped(g *GroupedEntries, phaseLen uint64, t *Tally) {
 
 // FlushTally folds a batch of tallied accesses into the cache-wide totals
 // and into ctr (if non-nil), with one atomic add per counter. The hot path
-// calls it once per applied chunk; Touch calls it once per access. shard picks the slot of the sharded cache-wide
-// totals (callers pass a stable per-job or per-worker value, e.g. the job
-// ID); it only spreads contention — any shard sums into the same totals.
+// calls it once per applied chunk; Touch calls it once per access. shard
+// picks the slot of the sharded cache-wide totals (callers pass a stable
+// per-job or per-worker value, e.g. the job ID); it only spreads contention
+// — any shard sums into the same totals.
 func (c *Cache) FlushTally(t Tally, ctr *Counters, shard int) {
 	sh := &c.shards[uint64(shard)&(tallyShards-1)]
 	if t.Hits != 0 {
@@ -561,9 +520,7 @@ func (c *Cache) MissRate() float64 {
 
 // Reset clears contents and counters. Not safe concurrently with Touch.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		c.sets[i] = cacheSet{}
-	}
+	clear(c.sets)
 	for i := range c.shards {
 		c.shards[i].hits.Store(0)
 		c.shards[i].misses.Store(0)

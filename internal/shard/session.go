@@ -16,10 +16,9 @@ import (
 // The logical job's program is shared by one shadow job per shard; the
 // shadow sessions are opened in GroupDriver mode, so this session alone
 // runs BeforeIteration/AfterIteration and owns convergence. Each logical
-// iteration begins on EVERY shard before streaming any (the shard systems'
-// deferred round barrier makes that non-blocking), then gathers the shards
-// in ascending order — shard-major traversal over ascending-ID placement
-// is exactly the unsharded global partition order, which is what makes
+// iteration waits at the group's round barrier, then gathers the shards in
+// ascending order — shard-major traversal over ascending-ID placement is
+// exactly the unsharded global partition order, which is what makes
 // outputs bit-identical across shard counts.
 type Session struct {
 	g   *Group
@@ -36,28 +35,35 @@ type Session struct {
 	inIteration bool
 	closed      bool
 
-	// joined flips once the first BeginIteration has landed the job on
-	// every shard — from then on the job's effect on each shard's round
-	// composition is fixed, which is the property deterministic attach
-	// sequencing polls for.
+	// admitted and detachWanted are guarded by the group's mutex: admitted
+	// flips when a group round takes the session off the barrier,
+	// detachWanted when Detach asks it to withdraw.
+	admitted     bool
+	detachWanted bool
+
+	// joined flips once the first BeginIteration has reached the group's
+	// round barrier (see Joined).
 	joined atomic.Bool
 }
 
 // OpenJobSession registers j with every shard and returns its group driver.
 // The logical job is bound here, once. opts.JoinMidRound is deliberately NOT
-// forwarded: a group job admitted mid-stream queues for the next round on
-// every shard instead of splicing into rounds already in flight. Mid-round
-// splicing appends the joiner's missed partitions per shard, so its
-// first-iteration partition order would depend on the shard count (and on
-// which shards' rounds were still open) — breaking the group's bit-identity
-// contract — and joining an in-flight round on a later shard while an
-// earlier shard's round has already closed deadlocks the gather outright.
-// Queueing is uniform at every shard count; the cost is admission latency
-// of at most one round. The caller must Close the session even on error
-// paths; Group.Wait blocks until all sessions on all shards are closed.
+// forwarded: a group job admitted mid-stream waits at the group's round
+// barrier for the next round instead of splicing into rounds already in
+// flight. Mid-round splicing appends the joiner's missed partitions per
+// shard, so its first-iteration partition order would depend on the shard
+// count — breaking the group's bit-identity contract. Queueing is uniform
+// at every shard count; the cost is admission latency of at most one
+// round. The caller must Close the session even on error paths; Group.Wait
+// blocks until all sessions on all shards are closed.
 func (g *Group) OpenJobSession(j *engine.Job, opts core.SessionOptions) (core.JobDriver, error) {
 	j.Bind(g.g)
 	gs := &Session{g: g, job: j}
+	// Registration is atomic with respect to round starts: a group round
+	// begins its members on every shard under this mutex, so no shard ever
+	// sees a registered job that is absent from the group round it forms.
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	for si, sys := range g.sys {
 		// The shadow job shares the logical program (and therefore its
 		// state); the seed is irrelevant because GroupDriver sessions never
@@ -78,14 +84,13 @@ func (g *Group) OpenJobSession(j *engine.Job, opts core.SessionOptions) (core.Jo
 		gs.sess = append(gs.sess, sess)
 	}
 	gs.began = make([]bool, len(gs.sess))
+	g.live++
 	return gs, nil
 }
 
 // BeginIteration runs the logical program's BeforeIteration once, then
-// joins the next round on every shard. The shard begins are deferred-
-// barrier (they publish the active set and return), so no shard blocks
-// while another still owes this job streaming work. Returns false when the
-// job has converged, every shard refused (detach), or the group failed.
+// waits at the group's round barrier (Group.enterRound). Returns false
+// when the job has converged, withdrew (detach), or the group failed.
 func (s *Session) BeginIteration() bool {
 	if s.closed {
 		return false
@@ -93,6 +98,14 @@ func (s *Session) BeginIteration() bool {
 	if !s.job.Prog.BeforeIteration(s.iter) || s.g.Err() != nil {
 		return false
 	}
+	return s.g.enterRound(s)
+}
+
+// beginShardsLocked joins the current group round on every shard. The
+// shard begins are deferred-barrier (they publish the active set and
+// return), so the group can begin every member from one goroutine. Called
+// with the group's mutex held.
+func (s *Session) beginShardsLocked() {
 	any := false
 	for i, sess := range s.sess {
 		s.began[i] = sess.BeginIteration()
@@ -102,10 +115,6 @@ func (s *Session) BeginIteration() bool {
 	}
 	s.cur = 0
 	s.inIteration = any
-	if any {
-		s.joined.Store(true)
-	}
-	return any
 }
 
 // Sharing gathers the shards in ascending order: it returns the next
@@ -170,13 +179,19 @@ func (s *Session) Close() {
 	for _, sess := range s.sess {
 		sess.Close()
 	}
+	s.g.leave()
 }
 
-// Detach asks every shard to withdraw the job at its next barrier.
+// Detach asks every shard to withdraw the job at its next barrier, and the
+// group's round barrier to release it if it is waiting there.
 func (s *Session) Detach() {
 	for _, sess := range s.sess {
 		sess.Detach()
 	}
+	s.g.mu.Lock()
+	s.detachWanted = true
+	s.g.roundCond.Broadcast()
+	s.g.mu.Unlock()
 }
 
 // Detached reports whether any shard honored a Detach before the job
@@ -190,9 +205,8 @@ func (s *Session) Detached() bool {
 	return false
 }
 
-// Joined reports whether the job has landed on every shard at least once:
-// true from the moment the first BeginIteration returns. A group begin is
-// atomic enough for deterministic attach sequencing — once it returns, the
-// job is attached or queued on every shard, so its effect on round
-// composition is fixed everywhere.
+// Joined reports whether the job has reached the group's round barrier at
+// least once. Once it returns true the job's effect on round composition
+// is fixed on every shard, which is what deterministic attach sequencing
+// polls for.
 func (s *Session) Joined() bool { return s.joined.Load() }

@@ -27,8 +27,8 @@
 //     partition rule core.System.locate uses, over the global ascending
 //     partition list — an edge lands in the identical partition and chunk
 //     whatever the shard count (see ownerOf).
-//   - Jobs admitted mid-stream queue for the next round on every shard
-//     instead of splicing into rounds already in flight
+//   - Jobs admitted mid-stream queue at the group's round barrier
+//     (Group.enterRound) instead of splicing into rounds already in flight
 //     (Group.OpenJobSession ignores SessionOptions.JoinMidRound): a
 //     mid-round splice appends the joiner's missed partitions per shard, so
 //     its first-iteration stream order would depend on the shard count.
@@ -46,6 +46,7 @@ package shard
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"graphm/internal/cluster"
 	"graphm/internal/core"
@@ -70,6 +71,14 @@ type Group struct {
 	// perShard[s] are the partitions placed on shard s, ascending.
 	perShard [][]*core.Partition
 	caches   []*memsim.Cache
+
+	// The group's round barrier (see enterRound). mu guards live, waiting
+	// and every session's admitted/detachWanted flags; live counts open
+	// logical sessions, waiting the ones queued for the next round.
+	mu        sync.Mutex
+	roundCond *sync.Cond
+	live      int
+	waiting   []*Session
 }
 
 // New partitions layout across n shard systems, each on its own simulated
@@ -99,6 +108,7 @@ func New(layout core.Layout, n int, memBudget int64, cc core.Config) (*Group, er
 		return nil, err
 	}
 	g := &Group{cl: cl, g: layout.Graph(), parts: parts, owner: make([]int, len(parts))}
+	g.roundCond = sync.NewCond(&g.mu)
 	idx := 0
 	for si, size := range sizes {
 		node := cl.Nodes[si]
@@ -160,6 +170,64 @@ func (g *Group) Err() error {
 		}
 	}
 	return nil
+}
+
+// enterRound queues s at the group's round barrier and blocks until a
+// group round admits it. A round starts once every open logical session is
+// waiting, and the session that completes the barrier begins every member
+// on every shard before any of them streams. So each shard forms its round
+// from exactly the group round's members, and a job's iteration on one
+// shard never waits on a job that is still queued for another shard's
+// round — which is what per-shard barriers alone allowed, and what
+// deadlocked the gather. It returns false when the job withdrew (detach)
+// or no shard admitted it.
+func (g *Group) enterRound(s *Session) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	s.joined.Store(true)
+	s.admitted = false
+	g.waiting = append(g.waiting, s)
+	g.maybeStartRoundLocked()
+	for !s.admitted {
+		if s.detachWanted {
+			for i, w := range g.waiting {
+				if w == s {
+					g.waiting = append(g.waiting[:i], g.waiting[i+1:]...)
+					break
+				}
+			}
+			// Every shard holds the detach request already (Detach sets
+			// it before detachWanted), so these begins only record the
+			// withdrawal and return false.
+			s.beginShardsLocked()
+			return s.inIteration
+		}
+		g.roundCond.Wait()
+	}
+	return s.inIteration
+}
+
+// maybeStartRoundLocked starts a group round when every open logical
+// session is waiting at the barrier.
+func (g *Group) maybeStartRoundLocked() {
+	if len(g.waiting) == 0 || len(g.waiting) < g.live {
+		return
+	}
+	for _, s := range g.waiting {
+		s.beginShardsLocked()
+		s.admitted = true
+	}
+	g.waiting = g.waiting[:0]
+	g.roundCond.Broadcast()
+}
+
+// leave deregisters a closed logical session and lets the barrier
+// re-evaluate without it.
+func (g *Group) leave() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.live--
+	g.maybeStartRoundLocked()
 }
 
 // Wait blocks until every session on every shard has closed.
