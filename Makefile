@@ -11,9 +11,13 @@ PINNED_SERIAL = ^(BenchmarkTable3Preprocess|BenchmarkFig03Motivation|BenchmarkAb
 print-pinned:
 	@echo '$(PINNED_SERIAL)'
 
+# test bounds every package's run, so a stalled controller (a lockstep
+# waiter nobody wakes, an owner that never prices) fails fast with the
+# goroutine dump the test binary prints on timeout instead of hanging for
+# the 10-minute default.
 test:
 	go build ./...
-	go test ./...
+	go test -timeout 5m ./...
 
 # allocs runs the steady-state allocation gates on their own: the
 # per-algorithm AllocsPerRun zero-alloc assertions over ApplyChunk plus the

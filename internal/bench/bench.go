@@ -188,11 +188,11 @@ func gridP(spec graph.DatasetSpec) int {
 type RunOptions struct {
 	Cores int
 	// Workers sets the real-concurrency width of SchemeM's streaming
-	// executor (core.Config.Workers); 0 keeps the legacy serial driver the
+	// executor (core.Config.Workers); 0 keeps the serial driver the
 	// simulated-time experiments run under.
 	Workers int
 	// TimeScale scales workload submission delays into real sleeps; 0
-	// submits everything immediately.
+	// submits everything immediately (SchemeM: as one System.Run batch).
 	TimeScale float64
 	// Scheduler controls the Section 4 strategy in SchemeM (default on).
 	SchedulerOff bool
@@ -260,7 +260,16 @@ func (e *GridEnv) RunScheme(scheme string, wf func() *jobs.Workload, opts RunOpt
 		if err != nil {
 			return nil, err
 		}
-		if err := jobs.RunWorkload(w, sysSubmitter{sys}, opts.TimeScale); err != nil {
+		// A workload submitted all at once is one System.Run batch: every
+		// job registers before any driver starts, so the first round holds
+		// the whole batch whatever the goroutine schedule, and the serial
+		// driver's simulated numbers do not depend on GOMAXPROCS.
+		if opts.TimeScale == 0 {
+			err = sys.Run(w.Jobs)
+		} else {
+			err = jobs.RunWorkload(w, sysSubmitter{sys}, opts.TimeScale)
+		}
+		if err != nil {
 			return nil, err
 		}
 		st := sys.StatsSnapshot()

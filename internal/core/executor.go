@@ -26,8 +26,8 @@ package core
 //
 // The pool is per-round: startRoundLocked spawns the workers and they exit
 // when their round ends (or the system fails), so an idle System holds no
-// goroutines. The legacy serial driver (Workers == 0) bypasses all of this
-// and is bit-for-bit the pre-executor behaviour.
+// goroutines. The serial driver (Workers == 0) bypasses all of this and
+// streams two-phase instead (twophase.go).
 //
 // Adaptive chunk re-labelling composes with the pool through one invariant:
 // a partition's labelling is only swapped inside advancePartitionLocked,

@@ -36,37 +36,46 @@ func stressLayout(g *graph.Graph, parts int, disk *storage.Disk) Layout {
 
 // TestLockstepLivenessStress guards the chunk lockstep's wake rule
 // (chunkDoneLocked broadcasts only when a waiter's predicate can have
-// changed) against lost wakeups: ten self-driven attendees plus two
-// pool-driven ones stream multi-chunk partitions in lockstep while one job
-// detaches in the middle of a partition, and — in the failure variant —
-// another fails the system in the middle of a partition, with attendees
-// parked on the chunk barrier and pool items in flight. Every driver must
-// return within the bound at GOMAXPROCS 1, 2 and 4; run it under -race.
-// The Share-only variant (FineSync off) has no lockstep, so there the pool
-// jobs' ProcessAll depends on the finished wake alone.
+// changed and someone waits on it) against lost wakeups: ten self-driven
+// attendees plus two ProcessAll ones stream multi-chunk partitions in
+// lockstep while one job detaches in the middle of a partition, and — in
+// the failure variant — another fails the system in the middle of a
+// partition, with attendees parked on the chunk barrier and ProcessAll work
+// in flight. At workers=2 the ProcessAll jobs run on the executor's pool;
+// at workers=0 they stream two-phase, so a self-driven job is a partition's
+// leader while the ProcessAll jobs collect, and the owner prices beside
+// self-driven attendees. Every driver must return within the bound at
+// GOMAXPROCS 1, 2 and 4; run it under -race. The Share-only variant
+// (FineSync off) has no lockstep, so there the pool jobs' ProcessAll
+// depends on the finished wake alone.
 func TestLockstepLivenessStress(t *testing.T) {
 	g, err := graph.GenerateRMAT(graph.DefaultRMAT("lockstep", 1200, 12000, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, procs := range []int{1, 2, 4} {
-		for _, fineSync := range []bool{true, false} {
-			for _, inject := range []bool{false, true} {
-				// A stalled run leaves its drivers parked; stop rather than
-				// pile more stalled runs on top of them.
-				name := fmt.Sprintf("gomaxprocs=%d/finesync=%v/fail=%v", procs, fineSync, inject)
-				if !t.Run(name, func(t *testing.T) {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					runLockstepStress(t, g, fineSync, inject)
-				}) {
-					return
+		for _, workers := range []int{0, 2} {
+			for _, fineSync := range []bool{true, false} {
+				for _, inject := range []bool{false, true} {
+					// A stalled run leaves its drivers parked; stop rather
+					// than pile more stalled runs on top of them.
+					name := fmt.Sprintf("gomaxprocs=%d/finesync=%v/fail=%v", procs, fineSync, inject)
+					if workers == 0 {
+						name = "workers=0/" + name
+					}
+					if !t.Run(name, func(t *testing.T) {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+						runLockstepStress(t, g, workers, fineSync, inject)
+					}) {
+						return
+					}
 				}
 			}
 		}
 	}
 }
 
-func runLockstepStress(t *testing.T, g *graph.Graph, fineSync, inject bool) {
+func runLockstepStress(t *testing.T, g *graph.Graph, workers int, fineSync, inject bool) {
 	const (
 		selfDriven = 10
 		poolDriven = 2
@@ -76,7 +85,7 @@ func runLockstepStress(t *testing.T, g *graph.Graph, fineSync, inject bool) {
 	errInjected := errors.New("injected failure")
 	disk := storage.NewDisk()
 	cfg := DefaultConfig(16 << 10)
-	cfg.Workers = 2
+	cfg.Workers = workers
 	cfg.FineSync = fineSync
 	cache, err := memsim.NewCache(memsim.DefaultConfig(cfg.LLCBytes))
 	if err != nil {

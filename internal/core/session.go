@@ -290,15 +290,7 @@ func (sp *SharedPartition) Next() bool {
 // with the chunk's simulated base address and the index of its first edge
 // within that address region — the inputs engine.Job.ApplyChunk needs.
 func (sp *SharedPartition) Edges() (edges []graph.Edge, baseAddr uint64, first int) {
-	s := sp.sess.s
-	t := sp.cp.set.Chunks[sp.k]
-	edges = sp.cp.part.Edges[t.FirstEdge : t.FirstEdge+t.NumEdges]
-	baseAddr = sp.cp.buf.BaseAddr
-	first = t.FirstEdge
-	if cpy := s.snaps.resolve(sp.sess.js.job.ID, sp.sess.js.born, sp.cp.part.ID, sp.k); cpy != nil {
-		edges, baseAddr, first = cpy.edges, cpy.addr, 0
-	}
-	return edges, baseAddr, first
+	return sp.sess.s.chunkEdges(sp.sess.js, sp.cp, sp.k)
 }
 
 // Process streams the current chunk through the job's program with the
@@ -314,22 +306,29 @@ func (sp *SharedPartition) Process() {
 // executor enabled (Config.Workers >= 1) the chunks become work items on the
 // round's worker pool — the FineSync lockstep and per-job serialization are
 // preserved, but real concurrency across attending jobs is bounded by the
-// worker count instead of one goroutine per job. Without the executor it is
-// exactly the serial Next/Process loop. Call Barrier afterwards as usual;
-// drivers that need custom per-chunk handling keep using Next/Process/Edges
-// directly, which interoperates with pool-driven jobs on the same lockstep.
+// worker count instead of one goroutine per job. Under the serial driver
+// with FineSync the partition streams in two phases (twophase.go): the job
+// computes all of its chunks on the calling goroutine, and one attendee
+// then prices every attendee's chunks in lockstep order. Share-only
+// (FineSync off) streams the chunks back to back. Call Barrier afterwards
+// as usual; drivers that need custom per-chunk handling keep using
+// Next/Process/Edges directly, which interoperates with both kinds of
+// ProcessAll attendee on the same lockstep.
 func (sp *SharedPartition) ProcessAll() {
 	if sp.done {
 		return
 	}
-	s := sp.sess.s
-	if s.execEnabled() {
-		s.processAll(sp.sess.js, sp.cp)
-		sp.done = true
-		return
-	}
-	for sp.Next() {
-		sp.Process()
+	sp.done = true
+	s, js := sp.sess.s, sp.sess.js
+	switch {
+	case s.execEnabled():
+		s.processAll(js, sp.cp)
+	case s.cfg.FineSync:
+		s.streamTwoPhase(js, sp.cp)
+	default:
+		for k := range sp.cp.set.Chunks {
+			s.recordSample(js, s.streamChunk(js, sp.cp, k))
+		}
 	}
 }
 

@@ -21,14 +21,19 @@ type Config struct {
 	Cores int
 	// Workers sets the real-concurrency width of the streaming executor:
 	// the number of OS goroutines that apply chunk work items each round.
-	// Zero keeps the legacy driver, in which each job's goroutine streams
-	// its own chunks serially — the mode every simulated-time experiment
-	// runs in, so existing results are unchanged. Workers >= 1 routes
-	// Submit-driven jobs (and Session.ProcessAll callers) through the
-	// per-round worker pool with async partition prefetch; workers=1
-	// executes the same chunk schedule serially, so simulated work counters
-	// match the legacy driver while wall-clock scales with Workers beyond
-	// it. Negative values are rejected by NewSystem.
+	// Zero keeps the serial driver, the mode every simulated-time
+	// experiment runs in: under FineSync each Session.ProcessAll caller
+	// computes all of its chunks of a partition on its own goroutine, in
+	// parallel with the other attendees, and then the last one to finish
+	// prices the whole partition's LLC accesses alone, chunk by chunk in
+	// the lockstep order (the chunk's leader first, then ascending job ID),
+	// so every simulated number is independent of goroutine interleaving.
+	// Workers >= 1 routes Submit-driven jobs (and Session.ProcessAll
+	// callers) through the per-round worker pool with async partition
+	// prefetch; workers=1 executes the same chunk schedule serially, so
+	// simulated work counters match the serial driver while wall-clock
+	// scales with Workers beyond it. Negative values are rejected by
+	// NewSystem.
 	Workers int
 	// DisablePrefetch turns off the executor's async partition prefetcher
 	// (double-buffering the next scheduled partition's load). Only
@@ -115,7 +120,7 @@ type Stats struct {
 	// PeakParallelStreams is the high-water mark of chunk applications in
 	// flight at once on the executor's worker pool — the structural proof
 	// of real concurrency (wall-clock speedup additionally needs the cores
-	// to run them on). Zero under the legacy serial driver.
+	// to run them on). Zero under the serial driver.
 	PeakParallelStreams int
 	// Relabels counts adaptive chunk re-labellings: partition-barrier
 	// re-evaluations of Formula (1) whose target size drifted beyond the
@@ -179,7 +184,7 @@ type System struct {
 	sem   chan struct{}
 
 	// cores is cfg.Cores resolved (0 -> runtime.GOMAXPROCS(0)); workers is
-	// cfg.Workers verbatim (0 = legacy serial driver).
+	// cfg.Workers verbatim (0 = serial driver).
 	cores   int
 	workers int
 
@@ -266,6 +271,11 @@ type jobState struct {
 
 	prof      profiler
 	curSample profSample
+	// collected is the open partition whose chunks the job collected inside
+	// ProcessAll (serial driver, FineSync) for the partition's owner to
+	// price; the owner also runs the job's profiling-phase observation, so
+	// the job's own Barrier skips it and clears the field.
+	collected *curPartition
 }
 
 // curPartition is the partition currently being streamed by the sharing
@@ -291,6 +301,21 @@ type curPartition struct {
 	leaderDone bool
 	doneCount  int
 
+	// chunkWaiters counts goroutines parked on cond for a chunk event —
+	// self-driven attendees in awaitChunk and an owner pricing beside them —
+	// so a chunk that opens or fills with nobody waiting on it wakes nobody.
+	chunkWaiters int
+
+	// Two-phase streaming (serial driver, FineSync; see streamTwoPhase).
+	// declared counts attendees that picked a way to stream the partition:
+	// a ProcessAll caller once its chunks are collected, a self-driven one
+	// at its first Next. Once every attendee has declared, no chunk can
+	// still be collected, and the ProcessAll caller that sees it becomes
+	// the partition's single owner (owned) and prices it; priced releases
+	// the other ProcessAll callers.
+	declared      int
+	owned, priced bool
+
 	// Pool-driven attendees (executor mode): jobs whose chunk loop runs as
 	// work items on the round's worker pool rather than in their own
 	// goroutine. execJobs keeps arrival order for deterministic dispatch at
@@ -314,7 +339,7 @@ func NewSystem(layout Layout, mem *storage.Memory, cache *memsim.Cache, cfg Conf
 		return nil, fmt.Errorf("core: Cores must be >= 0 (0 means GOMAXPROCS-unbounded), got %d", cfg.Cores)
 	}
 	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("core: Workers must be >= 0 (0 means the legacy serial driver), got %d", cfg.Workers)
+		return nil, fmt.Errorf("core: Workers must be >= 0 (0 means the serial driver), got %d", cfg.Workers)
 	}
 	if cfg.RelabelFactor != 0 && cfg.RelabelFactor < 1 {
 		return nil, fmt.Errorf("core: RelabelFactor must be >= 1 (0 means the default of 2), got %v", cfg.RelabelFactor)
@@ -360,9 +385,9 @@ func NewSystem(layout Layout, mem *storage.Memory, cache *memsim.Cache, cfg Conf
 	s.workCond = sync.NewCond(&s.mu)
 	s.evolveCond = sync.NewCond(&s.mu)
 	if cfg.Cores > 0 && !s.execEnabled() {
-		// The legacy driver throttles concurrent chunk streams with a
-		// semaphore; the executor bounds real concurrency with its worker
-		// count instead.
+		// The serial driver throttles concurrent chunk streams (two-phase
+		// collections, self-driven chunks) with a semaphore; the executor
+		// bounds real concurrency with its worker count instead.
 		s.sem = make(chan struct{}, cfg.Cores)
 	}
 	s.stats.ChunkBytes = sc
@@ -895,10 +920,26 @@ func (s *System) sharing(js *jobState) *curPartition {
 func (s *System) awaitChunk(js *jobState, cp *curPartition, k int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if k == 0 {
+		cp.declared++
+		if cp.declared == len(cp.attend) {
+			// The last attendee to declare may complete the owner election of
+			// ProcessAll callers waiting in streamTwoPhase.
+			cp.cond.Broadcast()
+		}
+	}
 	for s.err == nil && !(cp.chunkIdx == k && (cp.leaderID == js.job.ID || cp.leaderDone)) {
-		cp.cond.Wait()
+		s.waitChunkLocked(cp)
 	}
 	return s.err == nil
+}
+
+// waitChunkLocked parks the caller on cp's cond until the next chunk event,
+// counted in chunkWaiters so chunkDoneLocked knows someone is listening.
+func (s *System) waitChunkLocked(cp *curPartition) {
+	cp.chunkWaiters++
+	cp.cond.Wait()
+	cp.chunkWaiters--
 }
 
 // chunkDone is the per-chunk barrier: the last attending job to finish chunk
@@ -910,17 +951,21 @@ func (s *System) chunkDone(js *jobState, cp *curPartition) {
 }
 
 // chunkDoneLocked records one job's completion of the current chunk. It is
-// shared by the legacy Next/Process path and the executor's work items, so
-// pool-driven and self-driven sessions interoperate on one lockstep.
+// shared by the self-driven Next/Process path, the executor's work items
+// and the two-phase owner, so every kind of attendee interoperates on one
+// lockstep.
 //
 // Wake rule: the partition's cond is broadcast only when a predicate its
-// waiters test can have changed — awaitChunk reads chunkIdx, leaderID and
-// leaderDone, processAll reads its execJob's finished flag (the executor
-// passes finished=true when that flag just flipped). A follower finishing
-// the chunk without closing it changes none of them, so the N-1 follower
-// completions of a chunk wake nobody, and a chunk costs O(N) wakeups for N
-// attendees instead of O(N²). Jobs queued at the round barrier and jobs
-// suspended on other work never wake for a chunk event.
+// waiters test can have changed and someone tests it. Chunk waiters
+// (awaitChunk, an owner pricing beside self-driven attendees) read
+// chunkIdx, leaderID and leaderDone, so a leader finishing or a chunk
+// closing wakes them only when chunkWaiters says one is parked. processAll
+// reads only its execJob's finished and running flags (the executor passes
+// finished=true when the former just flipped), and two-phase attendees
+// wait for priced, which no chunk event sets. A follower finishing the chunk
+// without closing it changes nothing anyone reads, so the N-1 follower
+// completions of a chunk wake nobody. Jobs queued at the round barrier and
+// jobs suspended on other work never wake for a chunk event.
 func (s *System) chunkDoneLocked(js *jobState, cp *curPartition, finished bool) {
 	if s.err != nil {
 		// A failed system's lockstep is over: every waiter returns on err.
@@ -933,7 +978,7 @@ func (s *System) chunkDoneLocked(js *jobState, cp *curPartition, finished bool) 
 	wake := finished
 	if cp.leaderID == js.job.ID && !cp.leaderDone {
 		cp.leaderDone = true
-		wake = true
+		wake = wake || cp.chunkWaiters > 0
 		// The leader pulled the chunk into the LLC: followers may stream it
 		// now, including any pool-driven ones awaiting dispatch.
 		s.dispatchLocked(cp)
@@ -941,7 +986,7 @@ func (s *System) chunkDoneLocked(js *jobState, cp *curPartition, finished bool) 
 	cp.doneCount++
 	if cp.doneCount == len(cp.attend) {
 		s.advanceChunkLocked(cp)
-		wake = true
+		wake = wake || cp.chunkWaiters > 0
 	}
 	if wake {
 		cp.cond.Broadcast()
@@ -980,16 +1025,21 @@ func (s *System) electLeaderLocked(cp *curPartition) {
 	}
 }
 
-// streamChunk streams one chunk for one job, resolving the job's snapshot
-// view (private mutations / versioned updates) before touching the LLC.
-func (s *System) streamChunk(js *jobState, cp *curPartition, k int) engine.StreamStats {
+// chunkEdges returns chunk k of cp exactly as js observes it through its
+// snapshot (private mutations / versioned updates applied), with the
+// chunk's simulated base address and the index of its first edge within
+// that address region.
+func (s *System) chunkEdges(js *jobState, cp *curPartition, k int) (edges []graph.Edge, base uint64, first int) {
 	t := cp.set.Chunks[k]
-	edges := cp.part.Edges[t.FirstEdge : t.FirstEdge+t.NumEdges]
-	base := cp.buf.BaseAddr
-	first := t.FirstEdge
 	if cpy := s.snaps.resolve(js.job.ID, js.born, cp.part.ID, k); cpy != nil {
-		edges, base, first = cpy.edges, cpy.addr, 0
+		return cpy.edges, cpy.addr, 0
 	}
+	return cp.part.Edges[t.FirstEdge : t.FirstEdge+t.NumEdges], cp.buf.BaseAddr, t.FirstEdge
+}
+
+// streamChunk collects and prices one chunk for one job in one go.
+func (s *System) streamChunk(js *jobState, cp *curPartition, k int) engine.StreamStats {
+	edges, base, first := s.chunkEdges(js, cp, k)
 	if s.sem != nil {
 		s.sem <- struct{}{}
 		defer func() { <-s.sem }()
@@ -1015,13 +1065,10 @@ func (s *System) partitionBarrier(js *jobState, cp *curPartition) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	js.processed[cp.part.ID] = true
-	if !js.prof.profiled {
-		js.prof.observe(js.curSample, s.sharedTE)
-		if js.prof.profiled && s.sharedTE == 0 && js.prof.tE > 0 {
-			// T(E) is a property of the graph/machine: profiled once,
-			// shared with later jobs (Section 3.4.2).
-			s.sharedTE = js.prof.tE
-		}
+	if js.collected == cp {
+		js.collected = nil // the partition's owner already observed it
+	} else {
+		s.observeLocked(js)
 	}
 	cp.remaining--
 	if cp.remaining == 0 && s.cur == cp {
@@ -1029,6 +1076,21 @@ func (s *System) partitionBarrier(js *jobState, cp *curPartition) {
 		// barrier that leaves the partition open concerns nobody else — no
 		// other wait predicate reads remaining or processed.
 		s.advancePartitionLocked()
+	}
+}
+
+// observeLocked feeds the job's sample of the partition just streamed to
+// its profiler.
+func (s *System) observeLocked(js *jobState) {
+	if js.prof.profiled {
+		return
+	}
+	js.prof.observe(js.curSample, s.sharedTE)
+	if js.prof.profiled && s.sharedTE == 0 && js.prof.tE > 0 {
+		// T(E) is a property of the graph/machine: profiled once, shared
+		// with later jobs (Section 3.4.2) — so the order in which jobs are
+		// observed decides whose T(E) the others inherit.
+		s.sharedTE = js.prof.tE
 	}
 }
 

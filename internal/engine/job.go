@@ -73,12 +73,13 @@ type Job struct {
 	Done bool
 
 	// arena is the job's reusable chunk-apply scratch (the state-access
-	// aggregates of the chunk in flight plus the set-grouping buffers). The
-	// executor serializes a job's chunks — only one ApplyChunk in flight per
-	// job — so the arena is uncontended; it grows to the chunk high-water
-	// mark once and steady-state chunk application allocates nothing (the
-	// zero-alloc gate in zeroalloc_test asserts it). It lives until
-	// ReleaseArena, which core.Session.Close calls.
+	// aggregates of the chunk being collected, the set-grouping buffers and
+	// the per-chunk records awaiting pricing). Drivers serialize a job's
+	// chunk work — only one Collect or Price call of a job is ever running —
+	// so the arena is uncontended; it grows to the high-water mark once and
+	// steady-state chunk application allocates nothing (the zero-alloc gate
+	// in zeroalloc_test asserts it). It lives until ReleaseArena, which
+	// core.Session.Close calls.
 	arena chunkArena
 
 	rng *rand.Rand
@@ -118,6 +119,34 @@ type chunkArena struct {
 	memoFor memoScope
 	// memoHits counts applications served from the memo.
 	memoHits uint64
+
+	// recs holds one record per collected-but-unpriced chunk, indexed by
+	// the slot the driver collected it into. Records are reused across
+	// chunks: their grouping buffers keep their capacity, and PriceChunk
+	// drops every reference into the chunk (edges, frontier, memo entry),
+	// so a priced record pins no chunk version.
+	recs []chunkRecord
+}
+
+// chunkRecord is one chunk's compute outcome, held between CollectChunk and
+// PriceChunk: what the pricing tail needs to replay the chunk's canonical
+// LLC access sequence.
+type chunkRecord struct {
+	edges     []graph.Edge // the chunk as the job observed it; nil once priced
+	active    *Bitmap      // the frontier the chunk was collected under
+	baseAddr  uint64
+	first     int
+	allActive bool
+	// perEdge marks a record collected for the per-edge reference model.
+	perEdge bool
+	// grouped says g holds the state phase's set-major grouping; false
+	// sends pricing down the in-order fallback.
+	grouped bool
+	st      StreamStats // Scanned, Processed, Activated of the compute
+	// g is the grouping to settle: a memo entry, or own.
+	g memsim.GroupedEntries
+	// own is the record's reusable copy of a non-memoized grouping.
+	own memsim.GroupedEntries
 }
 
 // chunkKey identifies a chunk by its edge slice: the address of its first
@@ -186,13 +215,14 @@ func (j *Job) AddMetrics(delta Metrics) {
 // ApplyChunk is the job's chunk-apply entry: it streams one chunk's edges
 // (edges[0] is record first of the buffer at baseAddr) through the program
 // with full LLC instrumentation and metric accounting, and returns per-call
-// stats for the synchronization manager's profiler. It is safe for
-// concurrent invocation over disjoint chunks in the sense that all job
-// bookkeeping (Met, Ctr) is synchronized; vertex-state safety is the
-// caller's contract — the streaming executor serializes a job's chunks (only
-// ever one ApplyChunk in flight per job), because ProcessEdge mutates
-// per-vertex state that disjoint chunks may share through common
-// destinations.
+// stats for the synchronization manager's profiler. It is CollectChunk then
+// PriceChunk on slot 0, the form every driver that prices a chunk the
+// moment it computes it uses (the baseline engines, the executor pool, a
+// session's Process). All job bookkeeping (Met, Ctr) is synchronized;
+// vertex-state safety is the caller's contract — drivers serialize a job's
+// chunk work (only ever one Collect or Price call in flight per job),
+// because ProcessEdge mutates per-vertex state that disjoint chunks may
+// share through common destinations.
 //
 // The simulated access order is canonical across both accounting models, in
 // two phases per chunk. Stream phase: every edge record is scanned in
@@ -204,14 +234,15 @@ func (j *Job) AddMetrics(delta Metrics) {
 // design already asserts — and it is what lets the hot path batch the state
 // accesses set-major.
 //
-// ApplyChunk is the batched hot path. The compute runs first: programs
-// implementing BatchProgram are processed in one call (skipping the
-// per-edge interface dispatch), and the chunk's state accesses are folded
-// into per-line aggregates as they are collected. Then one tail prices the
-// chunk: memsim.Cache.ScanChunk for the stream phase, and for the state
-// phase memsim.Cache.GroupEntries plus TouchGrouped — one lock acquisition
-// per cache set, provably bit-identical to in-order application — or, when a
-// set's distinct lines outnumber the ways, the raw stream in order through
+// ApplyChunk is the batched hot path. The compute runs first (CollectChunk):
+// programs implementing BatchProgram are processed in one call (skipping
+// the per-edge interface dispatch), the chunk's state accesses are folded
+// into per-line aggregates as they are collected, and
+// memsim.Cache.GroupEntries groups them set-major. Then one tail prices the
+// chunk (PriceChunk): memsim.Cache.ScanChunk for the stream phase, and for
+// the state phase TouchGrouped — one lock acquisition per cache set,
+// provably bit-identical to in-order application — or, when a set's
+// distinct lines outnumber the ways, the raw stream in order through
 // TouchTally. Hits, misses and processed counts are tallied as integers and
 // flushed to the job's Counters and the sharded cache-wide totals with one
 // atomic add per counter at chunk end. The collection buffers live in the
@@ -220,52 +251,124 @@ func (j *Job) AddMetrics(delta Metrics) {
 // canonical sequence; under a serial schedule the two produce identical
 // counters — the scenario harness's sim-equality invariant proves it.
 func (j *Job) ApplyChunk(edges []graph.Edge, baseAddr uint64, first int, cache *memsim.Cache, cm CostModel) StreamStats {
+	j.CollectChunk(0, edges, baseAddr, first, cache)
+	return j.PriceChunk(0, cache, cm)
+}
+
+// CollectChunk is the job-private half of ApplyChunk: it runs the chunk's
+// compute and records in the arena's record slot what PriceChunk needs to
+// price it. It touches no cache state (GroupEntries only reads the cache's
+// geometry), so the collections of different jobs may run in parallel, and
+// one job may collect a whole partition into consecutive slots before any
+// of it is priced: the frontier a record keeps is the iteration's, which
+// no ProcessEdge call mutates. Pricing a job's records in slot order after
+// collecting them yields exactly the tallies, StreamStats, Metrics and
+// program state of ApplyChunk on each chunk in turn.
+func (j *Job) CollectChunk(slot int, edges []graph.Edge, baseAddr uint64, first int, cache *memsim.Cache) {
+	r := j.record(slot)
 	active := j.Prog.Active()
 	allActive := active.Full()
 	bp, _ := j.Prog.(BatchProgram)
-	n := len(edges)
-	st := StreamStats{Scanned: uint64(n)}
+	*r = chunkRecord{edges: edges, active: active, baseAddr: baseAddr, first: first,
+		allActive: allActive, st: StreamStats{Scanned: uint64(len(edges))}, own: r.own}
 	// Memoized fast path: a full-active batch program touches every edge, so
-	// its per-line aggregates depend only on the chunk itself — and the
-	// executor re-applies the same chunks every iteration. After the first
-	// visit the collection loop and the grouping disappear; the compute runs
-	// once through ProcessEdges. Every access position a cached entry
-	// carries is the same batch-global position the loop would have
-	// assigned, so the pricing is bit-identical to a fresh collection.
+	// its per-line aggregates depend only on the chunk itself — and drivers
+	// re-apply the same chunks every iteration. After the first visit the
+	// collection loop and the grouping disappear; the compute runs once
+	// through ProcessEdges. Every access position a cached entry carries is
+	// the same batch-global position the loop would have assigned, so the
+	// pricing is bit-identical to a fresh collection.
 	memoize := bp != nil && allActive
-	var g memsim.GroupedEntries
-	grouped := false
 	if memoize {
 		if scope := (memoScope{j.StateBase, j.VertexPay, cache}); j.arena.memo == nil || j.arena.memoFor != scope {
 			j.arena.memo = make(map[chunkKey]memsim.GroupedEntries)
 			j.arena.memoFor = scope
 		}
-		g, grouped = j.arena.memo[keyOf(edges)]
+		r.g, r.grouped = j.arena.memo[keyOf(edges)]
 	}
-	if grouped {
+	if r.grouped {
 		j.arena.memoHits++
-		st.Processed, st.Activated = bp.ProcessEdges(edges, active)
-	} else {
-		j.collectChunk(edges, active, allActive, bp, &st)
-		g, grouped = cache.GroupEntries(j.arena.entries, &j.arena.scratch)
-		// The grouping is a view into the arena's scratch: copy it only to
-		// keep it. A refused grouping is never memoized — the in-order
-		// fallback must re-walk the raw stream on every visit anyway.
-		if grouped && memoize && len(j.arena.memo) < memoCap {
-			j.arena.memo[keyOf(edges)] = memsim.GroupedEntries{
-				Sets: slices.Clone(g.Sets), Ends: slices.Clone(g.Ends), Eg: slices.Clone(g.Eg)}
+		r.st.Processed, r.st.Activated = bp.ProcessEdges(edges, active)
+		return
+	}
+	j.collectChunk(edges, active, allActive, bp, &r.st)
+	g, grouped := cache.GroupEntries(j.arena.entries, &j.arena.scratch)
+	if !grouped {
+		// A refused grouping is never kept — the in-order fallback re-walks
+		// the raw stream on every visit anyway.
+		return
+	}
+	// The grouping is a view into the arena's scratch, which the job's next
+	// collection overwrites: keep it in the memo or in the record's own
+	// buffers.
+	r.grouped = true
+	if memoize && len(j.arena.memo) < memoCap {
+		r.g = memsim.GroupedEntries{Sets: slices.Clone(g.Sets), Ends: slices.Clone(g.Ends), Eg: slices.Clone(g.Eg)}
+		j.arena.memo[keyOf(edges)] = r.g
+		return
+	}
+	r.own = memsim.GroupedEntries{
+		Sets: append(r.own.Sets[:0], g.Sets...),
+		Ends: append(r.own.Ends[:0], g.Ends...),
+		Eg:   append(r.own.Eg[:0], g.Eg...),
+	}
+	r.g = r.own
+}
+
+// CollectChunkPerEdge is CollectChunk for the per-edge reference model: it
+// runs the compute through ProcessEdge one active-source edge at a time and
+// records the chunk for PriceChunk to price one Cache.Touch per access.
+func (j *Job) CollectChunkPerEdge(slot int, edges []graph.Edge, baseAddr uint64, first int) {
+	r := j.record(slot)
+	active := j.Prog.Active()
+	*r = chunkRecord{edges: edges, active: active, baseAddr: baseAddr, first: first,
+		perEdge: true, st: StreamStats{Scanned: uint64(len(edges))}, own: r.own}
+	// ProcessEdge touches no simulated line, so running the compute ahead of
+	// the pricing leaves the access sequence unchanged.
+	for _, e := range edges {
+		if !active.Has(int(e.Src)) {
+			continue
 		}
+		if j.Prog.ProcessEdge(e) {
+			r.st.Activated++
+		}
+		r.st.Processed++
 	}
+}
+
+// PriceChunk is the pricing half of ApplyChunk: it replays the canonical
+// LLC access sequence of the chunk collected into slot against cache,
+// commits the chunk's metrics and returns its stats. It runs no program
+// code, so a driver may price a job's collected chunks from any goroutine
+// while the job's own goroutine is parked. Afterwards the record keeps no
+// reference into the chunk.
+func (j *Job) PriceChunk(slot int, cache *memsim.Cache, cm CostModel) StreamStats {
+	r := &j.arena.recs[slot]
+	st := r.st
 	var tally memsim.Tally
-	cache.ScanChunk(baseAddr, first, n, graph.EdgeSize, &tally)
-	if grouped {
-		cache.TouchGrouped(&g, &tally)
+	if r.perEdge {
+		j.touchPerEdge(r, cache, &tally)
 	} else {
-		j.touchStateInOrder(edges, active, allActive, cache, &tally)
+		cache.ScanChunk(r.baseAddr, r.first, len(r.edges), graph.EdgeSize, &tally)
+		if r.grouped {
+			cache.TouchGrouped(&r.g, &tally)
+		} else {
+			j.touchStateInOrder(r.edges, r.active, r.allActive, cache, &tally)
+		}
+		cache.FlushTally(tally, &j.Ctr, j.ID)
 	}
-	cache.FlushTally(tally, &j.Ctr, j.ID)
 	j.priceChunk(&st, tally, cm)
+	r.edges, r.active, r.g = nil, nil, memsim.GroupedEntries{}
 	return st
+}
+
+// record returns the arena's record for slot, growing the record list to
+// cover it.
+func (j *Job) record(slot int) *chunkRecord {
+	for len(j.arena.recs) <= slot {
+		j.arena.recs = append(j.arena.recs, chunkRecord{})
+	}
+	return &j.arena.recs[slot]
 }
 
 // collectChunk runs the chunk's compute and folds its state accesses into
@@ -357,11 +460,11 @@ func (j *Job) collectChunk(edges []graph.Edge, active *Bitmap, allActive bool, b
 	j.arena.entries = entries
 }
 
-// ReleaseArena drops the job's chunk-apply scratch — collection buffers and
-// the per-chunk memo, with any chunk versions the memo's keys keep
-// reachable. The next ApplyChunk regrows it. The caller must guarantee no
-// chunk application of the job is in flight; core.Session.Close calls it
-// once the job has left the sharing controller.
+// ReleaseArena drops the job's chunk-apply scratch — collection buffers,
+// chunk records and the per-chunk memo, with any chunk versions the memo's
+// keys keep reachable. The next CollectChunk regrows it. The caller must
+// guarantee no chunk work of the job is in flight; core.Session.Close calls
+// it once the job has left the sharing controller.
 func (j *Job) ReleaseArena() {
 	j.arena = chunkArena{}
 }
@@ -392,15 +495,20 @@ func (j *Job) touchStateInOrder(edges []graph.Edge, active *Bitmap, allActive bo
 // access sequence as ApplyChunk — stream phase, then the chunk's state
 // accesses — priced one memsim.Cache.Touch at a time, in program order, with
 // one set-lock acquisition and one atomic update per simulated access, and
-// always the per-edge ProcessEdge path. Under a serial schedule the two
-// models' counters match bit for bit (memsim's grouped-state property tests
-// prove the state phase, the scenario harness the whole chunk). It exists to
-// verify the batched hot path (core.Config.PerEdgeSim routes a system
-// through it), not for production streaming.
+// always the per-edge ProcessEdge path. It is CollectChunkPerEdge then
+// PriceChunk on slot 0. Under a serial schedule the two models' counters
+// match bit for bit (memsim's grouped-state property tests prove the state
+// phase, the scenario harness the whole chunk). It exists to verify the
+// batched hot path (core.Config.PerEdgeSim routes a system through it), not
+// for production streaming.
 func (j *Job) ApplyChunkPerEdge(edges []graph.Edge, baseAddr uint64, first int, cache *memsim.Cache, cm CostModel) StreamStats {
-	active := j.Prog.Active()
-	st := StreamStats{Scanned: uint64(len(edges))}
-	var tally memsim.Tally
+	j.CollectChunkPerEdge(0, edges, baseAddr, first)
+	return j.PriceChunk(0, cache, cm)
+}
+
+// touchPerEdge prices a per-edge record: every edge record, then every
+// active-source edge's two endpoints, one Cache.Touch each.
+func (j *Job) touchPerEdge(r *chunkRecord, cache *memsim.Cache, tally *memsim.Tally) {
 	touch := func(addr uint64) {
 		if cache.Touch(addr, &j.Ctr) {
 			tally.Misses++
@@ -408,24 +516,15 @@ func (j *Job) ApplyChunkPerEdge(edges []graph.Edge, baseAddr uint64, first int, 
 			tally.Hits++
 		}
 	}
-	for k := range edges {
-		touch(baseAddr + uint64(first+k)*graph.EdgeSize)
+	for k := range r.edges {
+		touch(r.baseAddr + uint64(r.first+k)*graph.EdgeSize)
 	}
-	// ProcessEdge touches no simulated line, so running it beside the state
-	// accesses leaves the access sequence unchanged.
-	for _, e := range edges {
-		if !active.Has(int(e.Src)) {
-			continue
+	for _, e := range r.edges {
+		if r.active.Has(int(e.Src)) {
+			touch(j.StateBase + uint64(e.Src)*j.VertexPay)
+			touch(j.StateBase + uint64(e.Dst)*j.VertexPay)
 		}
-		touch(j.StateBase + uint64(e.Src)*j.VertexPay)
-		touch(j.StateBase + uint64(e.Dst)*j.VertexPay)
-		if j.Prog.ProcessEdge(e) {
-			st.Activated++
-		}
-		st.Processed++
 	}
-	j.priceChunk(&st, tally, cm)
-	return st
 }
 
 // priceChunk converts a chunk's integer tallies into simulated time and

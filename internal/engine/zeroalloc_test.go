@@ -14,7 +14,9 @@ import (
 // buffers and populated its per-chunk memo, re-applying the same chunks must
 // not allocate at all — for every fallback algorithm, full-active and
 // frontier-driven alike — and again when every pass re-applies the chunks
-// under a new buffer address, as out-of-core reloads do. Any new per-chunk
+// under a new buffer address, as out-of-core reloads do, and when a pass is
+// collected whole into consecutive record slots before any of it is priced,
+// as the serial driver's two-phase partition streaming does. Any new per-chunk
 // allocation on the hot path (a fresh slice, an escaping closure, a map
 // insert per apply) trips this gate long before it shows up as a benchmark
 // regression.
@@ -95,6 +97,21 @@ func TestApplyChunkZeroAlloc(t *testing.T) {
 			}
 			if got := hits2 - hits; got != want {
 				t.Fatalf("reload passes took the memo path %d times, want %d", got, want)
+			}
+			// Two-phase: the first pass grows one record per chunk; after it
+			// neither half allocates.
+			twoPhase := func() {
+				base += 1 << 20
+				for k, first := 0, 0; first < len(g.Edges); k, first = k+1, first+chunk {
+					j.CollectChunk(k, g.Edges[first:min(first+chunk, len(g.Edges))], base, first, cache)
+				}
+				for k := 0; k < chunks; k++ {
+					j.PriceChunk(k, cache, cm)
+				}
+			}
+			twoPhase()
+			if allocs := testing.AllocsPerRun(10, twoPhase); allocs != 0 {
+				t.Fatalf("steady-state CollectChunk+PriceChunk allocated %.1f times per pass over the graph", allocs)
 			}
 		})
 	}

@@ -589,8 +589,9 @@ func CheckWorkEqual(a, b *Result) error {
 // whose cache-access interleaving is schedule-independent — the two models
 // must count every hit and miss identically. Unlike CheckWorkEqual this is
 // intentionally stronger than the cross-schedule contract (LLC counters DO
-// shift with worker interleavings), so only compare runs that used the same
-// serial schedule.
+// shift with worker interleavings at Workers >= 1, where pool workers price
+// concurrently; the serial driver's single owner prices in a fixed order),
+// so only compare runs that used the same serial schedule.
 func CheckSimEqual(a, b *Result) error {
 	if a.CacheHits != b.CacheHits || a.CacheMisses != b.CacheMisses {
 		return fmt.Errorf("scenario: cache-wide LLC counters differ: %d hits/%d misses vs %d/%d",
