@@ -139,8 +139,8 @@ func BenchmarkAblation(b *testing.B) { runExperiment(b, "ablation", 16) }
 func BenchmarkOpenLoop(b *testing.B) { runExperiment(b, "openloop", 12) }
 
 // BenchmarkHotpath runs the chunk-apply hot-path throughput experiment:
-// scanned edges per second (Medges/s) across the serial legacy driver and
-// the executor worker sweep.
+// scanned edges per second (Medges/s) across the serial driver (two-phase
+// under FineSync) and the executor worker sweep.
 func BenchmarkHotpath(b *testing.B) { runExperiment(b, "hotpath", 8) }
 
 // BenchmarkHotpathSerial is the serial-only hot-path variant pinned by the

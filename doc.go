@@ -33,14 +33,16 @@
 // rule are preserved, so workers=1 reproduces the serial driver's work
 // counters; more workers only move work earlier in wall-clock time. The
 // serial driver (workers=0, the default, which every figure runs) streams
-// a partition in two phases instead: each attending job computes all of
-// its chunks on its own goroutine, in parallel, through
-// engine.Job.CollectChunk, and the last one to finish becomes the
-// partition's single owner, pricing every attendee's chunks against the
-// simulated LLC (engine.Job.PriceChunk) in lockstep order — each chunk's
-// Formula (4) leader first, then ascending job ID. Job goroutines park once
-// per partition rather than twice per chunk, and every simulated number is
-// independent of goroutine interleaving.
+// a partition in two phases instead, a window of chunks at a time: each
+// attending job computes the window's chunks on its own goroutine, in
+// parallel, through engine.Job.CollectChunk, and the last one to finish
+// becomes the window's single owner, pricing every attendee's chunks
+// against the simulated LLC in lockstep order — each chunk's Formula (4)
+// leader first, then ascending job ID, every attendee's scan of the chunk
+// (engine.Job.PriceStream) before any attendee's state accesses
+// (engine.Job.PriceChunk). Job goroutines park once per window rather than
+// twice per chunk, and every simulated number is independent of goroutine
+// interleaving.
 // The `parallel` bench experiment sweeps the worker count and CI gates
 // ns/op regressions against the committed BENCH_baseline.json (see
 // README.md, "CI").

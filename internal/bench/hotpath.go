@@ -11,8 +11,9 @@ import (
 // hot path: the Twitter rotation workload under GraphM, reporting scanned
 // edges per second of wall-clock (Medges/s) — the quantity the run-length
 // LLC accounting, batched counter flushing and per-partition lockstep
-// wakeups buy. The serial row (workers=0, the legacy driver every
-// simulated-time experiment uses) is the pinned perf-gate variant; the
+// wakeups buy. The serial row (workers=0, the serial driver, two-phase
+// under FineSync, that every simulated-time experiment uses) is the pinned
+// perf-gate variant; the
 // worker sweep shows how the executor's real concurrency stacks on top
 // (its wall-clock scales with the runner's cores, so it stays out of the
 // gate, like BenchmarkParallelExecutor).
@@ -61,7 +62,7 @@ func (h *Harness) hotpathRowsAlgo(workerSweep []int, algo string) ([]*Table, err
 		Headers: []string{"driver", "wall", "scanned edges", "Medges/s", "LLC miss rate"},
 		Notes: []string{
 			"Medges/s: scanned edges per second of real wall-clock — the hot-path throughput the LLC simulation permits",
-			"serial is the legacy workers=0 driver of every simulated-time experiment (the perf-gate variant)",
+			"serial is the workers=0 serial driver (two-phase under FineSync) of every simulated-time experiment (the perf-gate variant)",
 		},
 	}
 	for _, w := range workerSweep {

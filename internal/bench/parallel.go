@@ -32,7 +32,7 @@ func (h *Harness) parallel() ([]*Table, error) {
 			fmt.Sprintf("speedup: wall-clock of workers=1 over this row (>1.5x expected at 4 workers given >=4 cores; GOMAXPROCS here: %d)", runtime.GOMAXPROCS(0)),
 			"peak streams: chunk applications in flight at once — the pool's real concurrency, which cores turn into speedup",
 			"sim makespan prices counted work and must stay ~flat across the sweep",
-			"workers=1 streams the executor's chunk schedule serially; the figure experiments use the legacy driver (workers=0), which matches it",
+			"workers=1 streams the executor's chunk schedule serially; the figure experiments use the serial driver (workers=0, two-phase under FineSync), whose work counters match it",
 		},
 	}
 	var base time.Duration

@@ -43,7 +43,7 @@ func (s *System) ChunkBytes() int64 { return s.stats.ChunkBytes }
 func (s *System) ResolvedCores() int { return s.cores }
 
 // Workers returns the streaming executor's real-concurrency width (0 means
-// the legacy serial driver).
+// the serial driver, two-phase under FineSync).
 func (s *System) Workers() int { return s.workers }
 
 // ActivePartitions reports which partitions a job with the given active

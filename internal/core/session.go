@@ -307,9 +307,10 @@ func (sp *SharedPartition) Process() {
 // round's worker pool — the FineSync lockstep and per-job serialization are
 // preserved, but real concurrency across attending jobs is bounded by the
 // worker count instead of one goroutine per job. Under the serial driver
-// with FineSync the partition streams in two phases (twophase.go): the job
-// computes all of its chunks on the calling goroutine, and one attendee
-// then prices every attendee's chunks in lockstep order. Share-only
+// with FineSync the partition streams in two phases (twophase.go), a window
+// of chunks at a time: the job computes the window's chunks on the calling
+// goroutine, and one attendee then prices every attendee's chunks of the
+// window in lockstep order. Share-only
 // (FineSync off) streams the chunks back to back. Call Barrier afterwards
 // as usual; drivers that need custom per-chunk handling keep using
 // Next/Process/Edges directly, which interoperates with both kinds of

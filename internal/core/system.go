@@ -23,10 +23,11 @@ type Config struct {
 	// the number of OS goroutines that apply chunk work items each round.
 	// Zero keeps the serial driver, the mode every simulated-time
 	// experiment runs in: under FineSync each Session.ProcessAll caller
-	// computes all of its chunks of a partition on its own goroutine, in
-	// parallel with the other attendees, and then the last one to finish
-	// prices the whole partition's LLC accesses alone, chunk by chunk in
-	// the lockstep order (the chunk's leader first, then ascending job ID),
+	// computes a window of its chunks of a partition on its own goroutine,
+	// in parallel with the other attendees, and then the last one to finish
+	// prices the window's LLC accesses alone, chunk by chunk in the
+	// lockstep order (the chunk's leader first, then ascending job ID;
+	// every attendee's scan of the chunk before any state access),
 	// so every simulated number is independent of goroutine interleaving.
 	// Workers >= 1 routes Submit-driven jobs (and Session.ProcessAll
 	// callers) through the per-round worker pool with async partition
@@ -187,6 +188,9 @@ type System struct {
 	// cfg.Workers verbatim (0 = serial driver).
 	cores   int
 	workers int
+	// window is the two-phase streaming window in chunks: twoPhaseWindow,
+	// which tests shrink to stream a partition in many windows.
+	window int
 
 	mu sync.Mutex
 	// Wakeups are split by concern so the chunk lockstep never wakes
@@ -272,9 +276,9 @@ type jobState struct {
 	prof      profiler
 	curSample profSample
 	// collected is the open partition whose chunks the job collected inside
-	// ProcessAll (serial driver, FineSync) for the partition's owner to
-	// price; the owner also runs the job's profiling-phase observation, so
-	// the job's own Barrier skips it and clears the field.
+	// ProcessAll (serial driver, FineSync) for its windows' owners to
+	// price; the last window's owner also runs the job's profiling-phase
+	// observation, so the job's own Barrier skips it and clears the field.
 	collected *curPartition
 }
 
@@ -306,15 +310,17 @@ type curPartition struct {
 	// so a chunk that opens or fills with nobody waiting on it wakes nobody.
 	chunkWaiters int
 
-	// Two-phase streaming (serial driver, FineSync; see streamTwoPhase).
-	// declared counts attendees that picked a way to stream the partition:
-	// a ProcessAll caller once its chunks are collected, a self-driven one
-	// at its first Next. Once every attendee has declared, no chunk can
-	// still be collected, and the ProcessAll caller that sees it becomes
-	// the partition's single owner (owned) and prices it; priced releases
-	// the other ProcessAll callers.
-	declared      int
-	owned, priced bool
+	// Two-phase streaming (serial driver, FineSync; see streamTwoPhase),
+	// which collects and prices the partition in windows of chunks.
+	// streaming counts self-driven attendees, which declare once, at their
+	// first Next; declared counts ProcessAll callers that have collected the
+	// current window. Once the two sum to the attendance, no chunk of the
+	// window can still be collected, and the ProcessAll caller that sees it
+	// becomes the window's single owner (owned) and prices it; priced, the
+	// count of windows priced, releases the other ProcessAll callers.
+	declared, streaming int
+	owned               bool
+	priced              int
 
 	// Pool-driven attendees (executor mode): jobs whose chunk loop runs as
 	// work items on the round's worker pool rather than in their own
@@ -390,6 +396,7 @@ func NewSystem(layout Layout, mem *storage.Memory, cache *memsim.Cache, cfg Conf
 		// bounds real concurrency with its worker count instead.
 		s.sem = make(chan struct{}, cfg.Cores)
 	}
+	s.window = twoPhaseWindow
 	s.stats.ChunkBytes = sc
 	for _, p := range s.parts {
 		set := chunk.Label(p.ID, p.Edges, sc)
@@ -433,8 +440,8 @@ func (s *System) Submit(j *engine.Job) {
 
 // drive is the built-in driver loop for one session: the StreamEdges loop of
 // Figure 6(b), over the session API. ProcessAll applies the partition's
-// chunks — serially here, or as work items on the round's worker pool when
-// Config.Workers >= 1.
+// chunks — on the serial driver (two-phase under FineSync), or as work
+// items on the round's worker pool when Config.Workers >= 1.
 func (s *System) drive(sess *Session) {
 	defer sess.Close()
 	for sess.BeginIteration() {
@@ -511,8 +518,12 @@ func (s *System) beginIteration(js *jobState) bool {
 	// Barrier-waiters take precedence over mid-round attachment: if any job
 	// is already waiting for a fresh round, attaching would keep extending
 	// the in-flight round and starve it, so the joiner queues at the
-	// barrier too and the round is allowed to drain.
-	if js.joinMidRound && s.roundActive && s.readyCount == 0 {
+	// barrier too and the round is allowed to drain. So does a round whose
+	// last partition is open: attaching there only appends the joiner's
+	// whole iteration to the round's tail, and whether an attendee of that
+	// partition ends its iteration before or after the round does would
+	// depend on which of its co-attendees the scheduler runs first.
+	if js.joinMidRound && s.roundActive && s.readyCount == 0 && s.pos+1 < len(s.order) {
 		s.attachMidRoundLocked(js)
 		return true
 	}
@@ -921,8 +932,8 @@ func (s *System) awaitChunk(js *jobState, cp *curPartition, k int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if k == 0 {
-		cp.declared++
-		if cp.declared == len(cp.attend) {
+		cp.streaming++
+		if cp.declared+cp.streaming == len(cp.attend) {
 			// The last attendee to declare may complete the owner election of
 			// ProcessAll callers waiting in streamTwoPhase.
 			cp.cond.Broadcast()

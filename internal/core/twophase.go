@@ -7,23 +7,31 @@ package core
 // pulls chunk k into the cache, the other attendees reuse it, and chunk k
 // closes before k+1 opens. That order only matters to the simulated cache;
 // a job's compute reads and writes nothing but its own vertex state. So the
-// partition is streamed in two phases:
+// partition is streamed in two phases, one window of consecutive chunks
+// (twoPhaseWindow) at a time:
 //
-//  1. Collect. Each ProcessAll attendee computes all of its chunks of the
-//     partition on its own goroutine (engine.Job.CollectChunk into
-//     consecutive record slots), in parallel with the others, without
-//     touching the cache or the lockstep.
+//  1. Collect. Each ProcessAll attendee computes the window's chunks on its
+//     own goroutine (engine.Job.CollectChunk into consecutive record
+//     slots), in parallel with the others, without touching the cache or
+//     the lockstep.
 //  2. Price. Once every attendee has declared how it streams (a ProcessAll
-//     caller when its collection ends, a self-driven Next/Process caller at
-//     its first Next), the ProcessAll caller that completes the count
-//     becomes the partition's single owner. It prices chunk by chunk
-//     (engine.Job.PriceChunk): the chunk's Formula (4) leader first, then
-//     the other attendees in ascending job ID, closing each chunk through
-//     the ordinary lockstep before opening the next. It records every
-//     attendee's samples, runs their profiling-phase observations in
-//     ascending job ID, and wakes them once.
+//     caller when its collection of the window ends, a self-driven
+//     Next/Process caller once, at its first Next), the ProcessAll caller
+//     that completes the count becomes the window's single owner. It
+//     prices chunk by chunk, in a fixed order: the chunk's Formula (4)
+//     leader first, then the other attendees in ascending job ID. Every
+//     attendee's stream phase (engine.Job.PriceStream) comes before any
+//     attendee's state phase (engine.Job.PriceChunk), so the followers
+//     scan the chunk the leader just pulled into the LLC. Each chunk closes
+//     through the ordinary lockstep before the next opens. The owner
+//     records every attendee's samples, after the partition's last window
+//     runs their profiling-phase observations in ascending job ID, and
+//     wakes them once.
 //
-// A job's goroutine therefore parks once per partition instead of twice per
+// The window bounds the collected-but-unpriced records a job holds to a
+// few dozen chunks' state accesses instead of a whole partition's.
+//
+// A job's goroutine therefore parks once per window instead of twice per
 // chunk, the cache has one writer, and with only ProcessAll attendees (the
 // built-in driver and the admission service) every simulated number of a
 // run is independent of goroutine interleaving. Self-driven attendees keep
@@ -32,27 +40,51 @@ package core
 // leader to fill the chunk and for the chunk to close, so the two kinds mix
 // on one partition (the cache order among them then follows wall clock).
 
-// streamTwoPhase applies every chunk of cp for js in the two phases above
-// and returns once the partition's owner has priced them, or once the
-// system failed before an owner was elected. It never returns while an
-// owner may still read the job's chunk records, so the caller may release
-// the job's arena as soon as it regains control.
+// twoPhaseWindow is how many chunks a two-phase attendee collects before
+// they are priced. It bounds what a job holds between its collection and
+// the pricing (about a kilobyte of set-grouped state accesses per chunk on
+// uk-union) while the job's goroutine still parks once per window instead
+// of twice per chunk.
+const twoPhaseWindow = 32
+
+// streamTwoPhase applies every chunk of cp for js in the two phases above,
+// one window of chunks at a time, and returns once the owners have priced
+// them, or once the system failed. It never returns while an owner may
+// still read the job's chunk records, so the caller may release the job's
+// arena as soon as it regains control.
 func (s *System) streamTwoPhase(js *jobState, cp *curPartition) {
-	if s.sem != nil {
-		s.sem <- struct{}{}
-	}
-	for k := range cp.set.Chunks {
-		edges, base, first := s.chunkEdges(js, cp, k)
-		if s.cfg.PerEdgeSim {
-			js.job.CollectChunkPerEdge(k, edges, base, first)
-		} else {
-			js.job.CollectChunk(k, edges, base, first, s.cache)
+	n := len(cp.set.Chunks)
+	for w, lo := 0, 0; ; w, lo = w+1, lo+s.window {
+		hi := min(lo+s.window, n)
+		s.collectWindow(js, cp, lo, hi)
+		if !s.awaitPriced(js, cp, w, lo, hi) || hi == n {
+			return
 		}
 	}
-	if s.sem != nil {
-		<-s.sem
-	}
+}
 
+// collectWindow collects chunks [lo, hi) of cp for js into record slots
+// 0..hi-lo-1.
+func (s *System) collectWindow(js *jobState, cp *curPartition, lo, hi int) {
+	if s.sem != nil {
+		s.sem <- struct{}{}
+		defer func() { <-s.sem }()
+	}
+	for k := lo; k < hi; k++ {
+		edges, base, first := s.chunkEdges(js, cp, k)
+		if s.cfg.PerEdgeSim {
+			js.job.CollectChunkPerEdge(k-lo, edges, base, first)
+		} else {
+			js.job.CollectChunk(k-lo, edges, base, first, s.cache)
+		}
+	}
+}
+
+// awaitPriced declares that js has collected window w (chunks [lo, hi))
+// and returns once the window is priced — by js itself when its
+// declaration completes the count — reporting whether the system is still
+// healthy.
+func (s *System) awaitPriced(js *jobState, cp *curPartition, w, lo, hi int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	js.collected = cp
@@ -60,27 +92,31 @@ func (s *System) streamTwoPhase(js *jobState, cp *curPartition) {
 	// Attendance only shrinks while collections run (a pending attendee
 	// detaching), and detachLocked broadcasts cond, so a waiter re-checks
 	// the election whenever it can have become due.
-	for !cp.priced {
+	for cp.priced <= w {
 		if !cp.owned {
 			if s.err != nil {
-				return
+				return false
 			}
-			if cp.declared == len(cp.attend) {
+			if cp.declared+cp.streaming == len(cp.attend) {
 				cp.owned = true
-				s.priceLocked(cp)
-				cp.priced = true
+				s.priceLocked(cp, lo, hi)
+				cp.owned, cp.declared = false, 0
+				cp.priced++
 				cp.cond.Broadcast()
-				return
+				break
 			}
 		}
 		cp.cond.Wait()
 	}
+	return s.err == nil
 }
 
-// priceLocked is the owner's pricing pass over cp. It is called and returns
-// with s.mu held, and drops the lock while it prices. No attendee is
-// pending once an owner exists, so cp.attend is fixed throughout.
-func (s *System) priceLocked(cp *curPartition) {
+// priceLocked is the owner's pricing pass over chunks [lo, hi) of cp; after
+// the partition's last chunk it also runs the attendees' profiling-phase
+// observations. It is called and returns with s.mu held, and drops the lock
+// while it prices. No attendee is pending once an owner exists, so
+// cp.attend is fixed throughout.
+func (s *System) priceLocked(cp *curPartition, lo, hi int) {
 	var owned []*jobState // ascending job ID, as cp.attend is
 	for _, a := range cp.attend {
 		if a.collected == cp {
@@ -88,7 +124,7 @@ func (s *System) priceLocked(cp *curPartition) {
 		}
 	}
 	order := make([]*jobState, 0, len(owned))
-	for k := range cp.set.Chunks {
+	for k := lo; k < hi; k++ {
 		// Chunk k opens once the owner's own completions close k-1, unless a
 		// self-driven attendee is still streaming it; a self-driven leader
 		// must fill the LLC before anyone follows.
@@ -115,16 +151,23 @@ func (s *System) priceLocked(cp *curPartition) {
 			}
 		}
 		s.mu.Unlock()
+		// The leader's scan pulls the chunk into the LLC and the followers'
+		// scans reuse it before any state phase competes for the sets.
 		for _, a := range order {
-			s.recordSample(a, a.job.PriceChunk(k, s.cache, s.cost))
+			a.job.PriceStream(k-lo, s.cache)
+		}
+		for _, a := range order {
+			s.recordSample(a, a.job.PriceChunk(k-lo, s.cache, s.cost))
 		}
 		s.mu.Lock()
 		for _, a := range order {
 			s.chunkDoneLocked(a, cp, false)
 		}
 	}
-	for _, a := range owned {
-		s.observeLocked(a)
+	if hi == len(cp.set.Chunks) {
+		for _, a := range owned {
+			s.observeLocked(a)
+		}
 	}
 }
 

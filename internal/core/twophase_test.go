@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -111,5 +112,183 @@ func TestTwoPhaseOwnerElectionOnAttendanceChange(t *testing.T) {
 				t.Fatal("the detach was never honored")
 			}
 		})
+	}
+}
+
+// TestTwoPhaseWindowsPriceIdentically holds the two-phase window to what it
+// is for: a bound on what a job holds between collecting a chunk and the
+// owner pricing it, never a change to the pricing order. An 8-job batch on
+// the serial driver must report the same simulated numbers — cache-wide
+// hits and misses, every job's LLC counters and Metrics — whether each
+// partition streams in one window, in windows of three chunks (so the last
+// window of a partition is short), or one chunk at a time.
+func TestTwoPhaseWindowsPriceIdentically(t *testing.T) {
+	g, err := graph.GenerateRMAT(graph.DefaultRMAT("windows", 1200, 12000, 29))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type jobSim struct {
+		Hits, Misses uint64
+		Met          engine.Metrics
+	}
+	type outcome struct {
+		Hits, Misses uint64
+		Jobs         []jobSim
+	}
+	run := func(window int) outcome {
+		disk := storage.NewDisk()
+		cfg := DefaultConfig(16 << 10)
+		cache, err := memsim.NewCache(memsim.DefaultConfig(cfg.LLCBytes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSystem(stressLayout(g, 3, disk), storage.NewMemory(disk, 64<<20), cache, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.window = window
+		if window == 3 {
+			uneven := false
+			for pid := range s.parts {
+				uneven = uneven || s.ChunkCount(pid) > 3 && s.ChunkCount(pid)%3 != 0
+			}
+			if !uneven {
+				t.Fatal("no partition spans several windows of three with a short last one")
+			}
+		}
+		var jobs []*engine.Job
+		for id := 1; id <= 8; id++ {
+			var p engine.Program
+			switch id % 4 {
+			case 0:
+				pr := algorithms.NewPageRank(0.85, 3)
+				pr.Tolerance = -1
+				p = pr
+			case 1:
+				p = algorithms.NewWCC(100)
+			case 2:
+				p = algorithms.NewBFS(graph.VertexID(id))
+			default:
+				p = algorithms.NewSSSP(graph.VertexID(id))
+			}
+			jobs = append(jobs, engine.NewJob(id, p, int64(id)))
+		}
+		if err := s.Run(jobs); err != nil {
+			t.Fatal(err)
+		}
+		o := outcome{Hits: cache.TotalHits(), Misses: cache.TotalMisses()}
+		for _, j := range jobs {
+			o.Jobs = append(o.Jobs, jobSim{j.Ctr.Hits.Load(), j.Ctr.Misses.Load(), j.Met})
+		}
+		return o
+	}
+	want := run(1 << 30)
+	for _, window := range []int{3, 1} {
+		got := run(window)
+		if got.Hits != want.Hits || got.Misses != want.Misses {
+			t.Fatalf("window %d: cache totals %d hits/%d misses, one window per partition %d/%d",
+				window, got.Hits, got.Misses, want.Hits, want.Misses)
+		}
+		for k := range want.Jobs {
+			if !reflect.DeepEqual(got.Jobs[k], want.Jobs[k]) {
+				t.Fatalf("window %d: job %d simulated numbers %+v, one window per partition %+v",
+					window, k+1, got.Jobs[k], want.Jobs[k])
+			}
+		}
+	}
+}
+
+// TestJoinerQueuesWhileLastPartitionOpen pins the other side of mid-round
+// admission: once the round's last partition is open, a JoinMidRound job
+// queues for the next round instead of attaching. Attaching there would
+// only append the joiner's whole iteration to the round's tail, and when
+// the joiner is an attendee of that partition ending its iteration, whether
+// it attaches would depend on which co-attendee the scheduler runs first —
+// under two-phase streaming, the window owner. A one-partition layout
+// makes the held partition the round's last.
+func TestJoinerQueuesWhileLastPartitionOpen(t *testing.T) {
+	g, err := graph.GenerateRMAT(graph.DefaultRMAT("lastpart", 600, 5000, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk := storage.NewDisk()
+	cfg := DefaultConfig(64 << 10)
+	cache, err := memsim.NewCache(memsim.DefaultConfig(cfg.LLCBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSystem(stressLayout(g, 1, disk), storage.NewMemory(disk, 64<<20), cache, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := algorithms.NewPageRank(0.85, 3)
+	long.Tolerance = -1
+	sessLong, err := s.OpenSession(engine.NewJob(1, long, 21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sessLong.BeginIteration() {
+		t.Fatal("long job refused its first iteration")
+	}
+	held := sessLong.Sharing()
+	if held == nil {
+		t.Fatal("long job's first iteration has no partitions")
+	}
+
+	bfs := algorithms.NewBFS(3)
+	sessLate, err := s.OpenSessionWith(engine.NewJob(2, bfs, 22), SessionOptions{JoinMidRound: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	began := make(chan bool, 1)
+	go func() { began <- sessLate.BeginIteration() }()
+	// Wait for the joiner to settle: queued at the round barrier, or (the
+	// defect) attached to the round in flight.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.Lock()
+		queued, joins := s.readyCount == 1, s.stats.MidRoundJoins
+		s.mu.Unlock()
+		if joins != 0 {
+			t.Fatal("the joiner attached to a round whose last partition is open")
+		}
+		if queued {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the joiner never reached the round barrier")
+		}
+		runtime.Gosched()
+	}
+
+	for held.Next() {
+		held.Process()
+	}
+	held.Barrier()
+	if sessLong.Sharing() != nil {
+		t.Fatal("the one-partition round had a second partition")
+	}
+	sessLong.EndIteration()
+	go s.drive(sessLong)
+	if !<-began {
+		t.Fatal("the queued joiner never began its iteration")
+	}
+	for sp := sessLate.Sharing(); sp != nil; sp = sessLate.Sharing() {
+		sp.ProcessAll()
+		sp.Barrier()
+	}
+	sessLate.EndIteration()
+	s.drive(sessLate)
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	want := algorithms.ReferenceBFS(g, 3)
+	for v, d := range bfs.Dist() {
+		if d != want[v] {
+			t.Fatalf("queued BFS dist[%d] = %d, want %d", v, d, want[v])
+		}
+	}
+	if n := s.StatsSnapshot().MidRoundJoins; n != 0 {
+		t.Fatalf("%d mid-round joins, want 0", n)
 	}
 }

@@ -17,7 +17,8 @@ import (
 // TestCollectPriceMatchesApplyChunk holds the two halves of ApplyChunk to
 // the whole: for every batched algorithm, a job that collects a full pass
 // over the graph into consecutive record slots and only then prices the
-// slots in order — the serial driver's two-phase partition streaming — must
+// slots in order — the serial driver's two-phase partition streaming, with
+// every other chunk's stream phase priced by a separate PriceStream — must
 // end every iteration with exactly the per-chunk StreamStats, job counters,
 // Metrics, cache-wide totals, LRU state and program state of a twin that
 // applies each chunk in turn. The passes mix memo misses, memo hits (the
@@ -99,6 +100,12 @@ func TestCollectPriceMatchesApplyChunk(t *testing.T) {
 					jb.CollectChunk(k, g.Edges[first:min(first+chunk, len(g.Edges))], base, first, cacheB)
 				}
 				for k := range stA {
+					if k%2 == 1 {
+						// An early stream phase leaves the chunk's pricing
+						// unchanged when nothing else touches the cache
+						// between the two halves.
+						jb.PriceStream(k, cacheB)
+					}
 					if st := jb.PriceChunk(k, cacheB, cm); st != stA[k] {
 						t.Fatalf("iteration %d chunk %d: Collect+Price stats %+v, ApplyChunk %+v", iter, k, st, stA[k])
 					}

@@ -122,10 +122,15 @@ type chunkArena struct {
 
 	// recs holds one record per collected-but-unpriced chunk, indexed by
 	// the slot the driver collected it into. Records are reused across
-	// chunks: their grouping buffers keep their capacity, and PriceChunk
-	// drops every reference into the chunk (edges, frontier, memo entry),
-	// so a priced record pins no chunk version.
+	// chunks, and PriceChunk drops every reference into the chunk (edges,
+	// frontier, memo entry), so a priced record pins no chunk version.
 	recs []chunkRecord
+	// held stores the non-memoized groupings of the chunks collected since
+	// slot 0 was last collected, back to back; records locate theirs by
+	// span. One buffer per job keeps the retained memory at the largest
+	// run of slots the job's driver collects before pricing them, rather
+	// than at the sum of every slot's largest chunk.
+	held memsim.GroupedEntries
 }
 
 // chunkRecord is one chunk's compute outcome, held between CollectChunk and
@@ -139,14 +144,22 @@ type chunkRecord struct {
 	allActive bool
 	// perEdge marks a record collected for the per-edge reference model.
 	perEdge bool
-	// grouped says g holds the state phase's set-major grouping; false
-	// sends pricing down the in-order fallback.
+	// grouped says the state phase has a set-major grouping; false sends
+	// pricing down the in-order fallback.
 	grouped bool
 	st      StreamStats // Scanned, Processed, Activated of the compute
-	// g is the grouping to settle: a memo entry, or own.
+	// g is the grouping to settle when it lives outside the arena's held
+	// buffer: a memo entry, or the scratch view of a chunk priced by the
+	// call that collected it.
 	g memsim.GroupedEntries
-	// own is the record's reusable copy of a non-memoized grouping.
-	own memsim.GroupedEntries
+	// inHeld says the grouping lives in the arena's held buffer instead, at
+	// Sets/Ends[span[0]:span[1]] and Eg[span[2]:span[3]]; the buffer may move
+	// as later chunks are collected, so the view is cut at pricing.
+	inHeld bool
+	span   [4]int
+	// streamed says PriceStream has priced the stream phase into tally.
+	streamed bool
+	tally    memsim.Tally
 }
 
 // chunkKey identifies a chunk by its edge slice: the address of its first
@@ -216,13 +229,14 @@ func (j *Job) AddMetrics(delta Metrics) {
 // (edges[0] is record first of the buffer at baseAddr) through the program
 // with full LLC instrumentation and metric accounting, and returns per-call
 // stats for the synchronization manager's profiler. It is CollectChunk then
-// PriceChunk on slot 0, the form every driver that prices a chunk the
-// moment it computes it uses (the baseline engines, the executor pool, a
-// session's Process). All job bookkeeping (Met, Ctr) is synchronized;
-// vertex-state safety is the caller's contract — drivers serialize a job's
-// chunk work (only ever one Collect or Price call in flight per job),
-// because ProcessEdge mutates per-vertex state that disjoint chunks may
-// share through common destinations.
+// PriceChunk on slot 0, except that the grouping is priced straight from
+// the collection scratch instead of being copied — the form every driver
+// that prices a chunk the moment it computes it uses (the baseline engines,
+// the executor pool, a session's Process). All job bookkeeping (Met, Ctr)
+// is synchronized; vertex-state safety is the caller's contract — drivers
+// serialize a job's chunk work (only ever one Collect or Price call in
+// flight per job), because ProcessEdge mutates per-vertex state that
+// disjoint chunks may share through common destinations.
 //
 // The simulated access order is canonical across both accounting models, in
 // two phases per chunk. Stream phase: every edge record is scanned in
@@ -251,7 +265,7 @@ func (j *Job) AddMetrics(delta Metrics) {
 // canonical sequence; under a serial schedule the two produce identical
 // counters — the scenario harness's sim-equality invariant proves it.
 func (j *Job) ApplyChunk(edges []graph.Edge, baseAddr uint64, first int, cache *memsim.Cache, cm CostModel) StreamStats {
-	j.CollectChunk(0, edges, baseAddr, first, cache)
+	j.collect(0, edges, baseAddr, first, cache, false)
 	return j.PriceChunk(0, cache, cm)
 }
 
@@ -259,18 +273,26 @@ func (j *Job) ApplyChunk(edges []graph.Edge, baseAddr uint64, first int, cache *
 // compute and records in the arena's record slot what PriceChunk needs to
 // price it. It touches no cache state (GroupEntries only reads the cache's
 // geometry), so the collections of different jobs may run in parallel, and
-// one job may collect a whole partition into consecutive slots before any
-// of it is priced: the frontier a record keeps is the iteration's, which
+// one job may collect a run of chunks into consecutive slots before any of
+// it is priced: the frontier a record keeps is the iteration's, which
 // no ProcessEdge call mutates. Pricing a job's records in slot order after
 // collecting them yields exactly the tallies, StreamStats, Metrics and
-// program state of ApplyChunk on each chunk in turn.
+// program state of ApplyChunk on each chunk in turn. Collecting slot 0
+// starts a new run of slots: every record collected before must have been
+// priced.
 func (j *Job) CollectChunk(slot int, edges []graph.Edge, baseAddr uint64, first int, cache *memsim.Cache) {
-	r := j.record(slot)
-	active := j.Prog.Active()
+	j.collect(slot, edges, baseAddr, first, cache, true)
+}
+
+// collect is CollectChunk; keep says whether a non-memoized grouping must
+// outlive the next collection (copied into the held buffer) or is priced
+// before it (left as a view into the scratch).
+func (j *Job) collect(slot int, edges []graph.Edge, baseAddr uint64, first int, cache *memsim.Cache, keep bool) {
+	r := j.newRecord(slot, edges, baseAddr, first)
+	active := r.active
 	allActive := active.Full()
 	bp, _ := j.Prog.(BatchProgram)
-	*r = chunkRecord{edges: edges, active: active, baseAddr: baseAddr, first: first,
-		allActive: allActive, st: StreamStats{Scanned: uint64(len(edges))}, own: r.own}
+	r.allActive = allActive
 	// Memoized fast path: a full-active batch program touches every edge, so
 	// its per-line aggregates depend only on the chunk itself — and drivers
 	// re-apply the same chunks every iteration. After the first visit the
@@ -299,30 +321,32 @@ func (j *Job) CollectChunk(slot int, edges []graph.Edge, baseAddr uint64, first 
 		return
 	}
 	// The grouping is a view into the arena's scratch, which the job's next
-	// collection overwrites: keep it in the memo or in the record's own
-	// buffers.
+	// collection overwrites: keep it in the memo or in the held buffer when
+	// it must outlive that.
 	r.grouped = true
-	if memoize && len(j.arena.memo) < memoCap {
+	switch {
+	case memoize && len(j.arena.memo) < memoCap:
 		r.g = memsim.GroupedEntries{Sets: slices.Clone(g.Sets), Ends: slices.Clone(g.Ends), Eg: slices.Clone(g.Eg)}
 		j.arena.memo[keyOf(edges)] = r.g
-		return
+	case keep:
+		h := &j.arena.held
+		r.inHeld = true
+		r.span = [4]int{len(h.Sets), len(h.Sets) + len(g.Sets), len(h.Eg), len(h.Eg) + len(g.Eg)}
+		h.Sets = append(h.Sets, g.Sets...)
+		h.Ends = append(h.Ends, g.Ends...)
+		h.Eg = append(h.Eg, g.Eg...)
+	default:
+		r.g = g
 	}
-	r.own = memsim.GroupedEntries{
-		Sets: append(r.own.Sets[:0], g.Sets...),
-		Ends: append(r.own.Ends[:0], g.Ends...),
-		Eg:   append(r.own.Eg[:0], g.Eg...),
-	}
-	r.g = r.own
 }
 
 // CollectChunkPerEdge is CollectChunk for the per-edge reference model: it
 // runs the compute through ProcessEdge one active-source edge at a time and
 // records the chunk for PriceChunk to price one Cache.Touch per access.
 func (j *Job) CollectChunkPerEdge(slot int, edges []graph.Edge, baseAddr uint64, first int) {
-	r := j.record(slot)
-	active := j.Prog.Active()
-	*r = chunkRecord{edges: edges, active: active, baseAddr: baseAddr, first: first,
-		perEdge: true, st: StreamStats{Scanned: uint64(len(edges))}, own: r.own}
+	r := j.newRecord(slot, edges, baseAddr, first)
+	active := r.active
+	r.perEdge = true
 	// ProcessEdge touches no simulated line, so running the compute ahead of
 	// the pricing leaves the access sequence unchanged.
 	for _, e := range edges {
@@ -336,39 +360,79 @@ func (j *Job) CollectChunkPerEdge(slot int, edges []graph.Edge, baseAddr uint64,
 	}
 }
 
+// PriceStream prices the stream phase of the chunk collected into slot:
+// one access per edge record, in storage order. It is optional — PriceChunk
+// runs it when it has not run — and lets a driver that prices several jobs'
+// copies of one chunk scan the chunk for all of them before any of their
+// state phases, as the lockstep's leader pulls the chunk into the LLC for
+// its followers.
+func (j *Job) PriceStream(slot int, cache *memsim.Cache) {
+	r := &j.arena.recs[slot]
+	if r.perEdge {
+		for k := range r.edges {
+			j.touch(cache, r.baseAddr+uint64(r.first+k)*graph.EdgeSize, &r.tally)
+		}
+	} else {
+		cache.ScanChunk(r.baseAddr, r.first, len(r.edges), graph.EdgeSize, &r.tally)
+	}
+	r.streamed = true
+}
+
 // PriceChunk is the pricing half of ApplyChunk: it replays the canonical
-// LLC access sequence of the chunk collected into slot against cache,
-// commits the chunk's metrics and returns its stats. It runs no program
-// code, so a driver may price a job's collected chunks from any goroutine
-// while the job's own goroutine is parked. Afterwards the record keeps no
-// reference into the chunk.
+// LLC access sequence of the chunk collected into slot against cache (the
+// stream phase unless PriceStream already priced it, then the state
+// phase), commits the chunk's metrics and returns its stats. It runs no
+// program code, so a driver may price a job's collected chunks from any
+// goroutine while the job's own goroutine is parked. Afterwards the record
+// keeps no reference into the chunk.
 func (j *Job) PriceChunk(slot int, cache *memsim.Cache, cm CostModel) StreamStats {
 	r := &j.arena.recs[slot]
-	st := r.st
-	var tally memsim.Tally
-	if r.perEdge {
-		j.touchPerEdge(r, cache, &tally)
-	} else {
-		cache.ScanChunk(r.baseAddr, r.first, len(r.edges), graph.EdgeSize, &tally)
-		if r.grouped {
-			cache.TouchGrouped(&r.g, &tally)
-		} else {
-			j.touchStateInOrder(r.edges, r.active, r.allActive, cache, &tally)
-		}
-		cache.FlushTally(tally, &j.Ctr, j.ID)
+	if !r.streamed {
+		j.PriceStream(slot, cache)
 	}
-	j.priceChunk(&st, tally, cm)
+	st, tally := r.st, &r.tally
+	switch {
+	case r.perEdge:
+		for _, e := range r.edges {
+			if r.active.Has(int(e.Src)) {
+				j.touch(cache, j.StateBase+uint64(e.Src)*j.VertexPay, tally)
+				j.touch(cache, j.StateBase+uint64(e.Dst)*j.VertexPay, tally)
+			}
+		}
+	case r.grouped:
+		g := r.g
+		if r.inHeld {
+			h, sp := &j.arena.held, r.span
+			g = memsim.GroupedEntries{Sets: h.Sets[sp[0]:sp[1]], Ends: h.Ends[sp[0]:sp[1]], Eg: h.Eg[sp[2]:sp[3]]}
+		}
+		cache.TouchGrouped(&g, tally)
+	default:
+		j.touchStateInOrder(r.edges, r.active, r.allActive, cache, tally)
+	}
+	if !r.perEdge {
+		cache.FlushTally(*tally, &j.Ctr, j.ID)
+	}
+	j.priceChunk(&st, *tally, cm)
 	r.edges, r.active, r.g = nil, nil, memsim.GroupedEntries{}
 	return st
 }
 
-// record returns the arena's record for slot, growing the record list to
-// cover it.
-func (j *Job) record(slot int) *chunkRecord {
+// newRecord resets the arena's record for slot to a fresh collection of
+// the chunk under the job's current frontier, growing the record list to
+// cover the slot. Slot 0 opens a new run of slots, so it also empties the
+// held grouping buffer.
+func (j *Job) newRecord(slot int, edges []graph.Edge, baseAddr uint64, first int) *chunkRecord {
 	for len(j.arena.recs) <= slot {
 		j.arena.recs = append(j.arena.recs, chunkRecord{})
 	}
-	return &j.arena.recs[slot]
+	if slot == 0 {
+		h := &j.arena.held
+		h.Sets, h.Ends, h.Eg = h.Sets[:0], h.Ends[:0], h.Eg[:0]
+	}
+	r := &j.arena.recs[slot]
+	*r = chunkRecord{edges: edges, active: j.Prog.Active(), baseAddr: baseAddr, first: first,
+		st: StreamStats{Scanned: uint64(len(edges))}}
+	return r
 }
 
 // collectChunk runs the chunk's compute and folds its state accesses into
@@ -506,24 +570,13 @@ func (j *Job) ApplyChunkPerEdge(edges []graph.Edge, baseAddr uint64, first int, 
 	return j.PriceChunk(0, cache, cm)
 }
 
-// touchPerEdge prices a per-edge record: every edge record, then every
-// active-source edge's two endpoints, one Cache.Touch each.
-func (j *Job) touchPerEdge(r *chunkRecord, cache *memsim.Cache, tally *memsim.Tally) {
-	touch := func(addr uint64) {
-		if cache.Touch(addr, &j.Ctr) {
-			tally.Misses++
-		} else {
-			tally.Hits++
-		}
-	}
-	for k := range r.edges {
-		touch(r.baseAddr + uint64(r.first+k)*graph.EdgeSize)
-	}
-	for _, e := range r.edges {
-		if r.active.Has(int(e.Src)) {
-			touch(j.StateBase + uint64(e.Src)*j.VertexPay)
-			touch(j.StateBase + uint64(e.Dst)*j.VertexPay)
-		}
+// touch prices one access of the per-edge reference model: one
+// Cache.Touch, counted in the job's Counters and in tally.
+func (j *Job) touch(cache *memsim.Cache, addr uint64, tally *memsim.Tally) {
+	if cache.Touch(addr, &j.Ctr) {
+		tally.Misses++
+	} else {
+		tally.Hits++
 	}
 }
 

@@ -106,12 +106,13 @@ func TestApplyChunkZeroAlloc(t *testing.T) {
 					j.CollectChunk(k, g.Edges[first:min(first+chunk, len(g.Edges))], base, first, cache)
 				}
 				for k := 0; k < chunks; k++ {
+					j.PriceStream(k, cache)
 					j.PriceChunk(k, cache, cm)
 				}
 			}
 			twoPhase()
 			if allocs := testing.AllocsPerRun(10, twoPhase); allocs != 0 {
-				t.Fatalf("steady-state CollectChunk+PriceChunk allocated %.1f times per pass over the graph", allocs)
+				t.Fatalf("steady-state CollectChunk+PriceStream+PriceChunk allocated %.1f times per pass over the graph", allocs)
 			}
 		})
 	}

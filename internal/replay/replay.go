@@ -78,7 +78,7 @@ type Config struct {
 	// LLCBytes, MemBudget size the simulated memory substrate.
 	LLCBytes, MemBudget int64
 	// Cores and Workers configure the underlying core.System (Workers 0 =
-	// legacy serial driver).
+	// serial driver, two-phase under FineSync).
 	Cores, Workers int
 }
 

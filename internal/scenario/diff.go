@@ -81,7 +81,7 @@ type diffVariant struct {
 //
 //   - CheckClean on every run (no pins, prefetch leaks, or orphaned
 //     snapshot overrides);
-//   - CheckWorkEqual and CheckOutputsEqual between the legacy serial driver
+//   - CheckWorkEqual and CheckOutputsEqual between the serial driver
 //     and the worker-pool executor (widths 1 and Workers), static vs
 //     adaptive chunk labelling, and the combination;
 //   - for single-job scripts additionally CheckSimEqual between the

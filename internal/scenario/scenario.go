@@ -43,14 +43,16 @@
 //
 // Under those rules the schedule-independent work counters
 // (engine.Metrics.Work) and the algorithm outputs are identical across the
-// legacy serial driver, any executor worker count, and static vs adaptive
+// serial driver, any executor worker count, and static vs adaptive
 // chunk labelling — which is exactly what CheckWorkEqual and
 // CheckOutputsEqual assert. Controller-level counters (Rounds,
 // MidRoundJoins, SharedLoads, Relabels) are NOT part of the deterministic
 // contract: a JoinMidRound job reaching its iteration boundary races the
 // next round's formation — it either queues into the forming round or
 // re-attaches mid-round a moment later — which moves those counters without
-// moving any work.
+// moving any work. (Once the round's last partition is open a joiner always
+// queues, so an attendee of that partition ending its iteration first no
+// longer re-attaches.)
 package scenario
 
 import (

@@ -290,7 +290,13 @@ func TestBackpressureRejectsFloods(t *testing.T) {
 
 func TestTenantFairnessRoundRobin(t *testing.T) {
 	sys := newSystem(t, 400, 3000)
-	svc := service.New(sys, service.Config{MaxInFlight: 1, MaxQueuedPerTenant: 32, Seed: 6})
+	// The gate job holds its slot until every submission below has queued,
+	// so the admission order is round-robin's alone, not a race between the
+	// submissions and how fast the gate job streams.
+	release := make(chan struct{})
+	var holdGate sync.Once
+	svc := service.New(sys, service.Config{MaxInFlight: 1, MaxQueuedPerTenant: 32, Seed: 6,
+		FinishGate: func(*service.Ticket) { holdGate.Do(func() { <-release }) }})
 
 	// The first submission occupies the single slot; everything after
 	// queues. A flood from "noisy" then one job from "quiet": round-robin
@@ -311,6 +317,7 @@ func TestTenantFairnessRoundRobin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	close(release)
 	if err := svc.Drain(); err != nil {
 		t.Fatal(err)
 	}
