@@ -33,10 +33,10 @@
 // rule are preserved, so workers=1 reproduces the serial driver's work
 // counters; more workers only move work earlier in wall-clock time. The
 // serial driver (workers=0, the default, which every figure runs) streams
-// a partition in two phases instead, a window of chunks at a time: each
-// attending job computes the window's chunks on its own goroutine, in
-// parallel, through engine.Job.CollectChunk, and the last one to finish
-// becomes the window's single owner, pricing every attendee's chunks
+// a partition in two phases instead, a window of chunks at a time: the
+// last attending job to reach the window becomes its owner and computes
+// every attendee's chunks of it through engine.Job.CollectChunk, while a
+// pricing goroutine prices each collected chunk of every attendee
 // against the simulated LLC in lockstep order — each chunk's Formula (4)
 // leader first, then ascending job ID, every attendee's scan of the chunk
 // (engine.Job.PriceStream) before any attendee's state accesses

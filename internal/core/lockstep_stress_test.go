@@ -43,8 +43,9 @@ func stressLayout(g *graph.Graph, parts int, disk *storage.Disk) Layout {
 // partition, with attendees parked on the chunk barrier and ProcessAll work
 // in flight. At workers=2 the ProcessAll jobs run on the executor's pool;
 // at workers=0 they stream two-phase in windows of two chunks, so a
-// self-driven job is a partition's leader while the ProcessAll jobs
-// collect, and each window's owner prices beside self-driven attendees.
+// self-driven job is a partition's leader while the window owner collects
+// the ProcessAll jobs' chunks, and its pricer prices beside self-driven
+// attendees.
 // Every driver must return within the bound at GOMAXPROCS 1, 2 and 4; run
 // it under -race. The Share-only variant (FineSync off) has no lockstep, so
 // there the pool jobs' ProcessAll depends on the finished wake alone.
@@ -100,7 +101,7 @@ func runLockstepStress(t *testing.T, g *graph.Graph, workers int, fineSync, inje
 			t.Fatalf("partition %d has %d chunks — the stress needs multi-chunk lockstep", pid, n)
 		}
 	}
-	// Two-phase attendees collect and park once per window of two chunks,
+	// Two-phase attendees park once per window of two chunks,
 	// so every partition streams in several windows.
 	s.window = 2
 

@@ -22,13 +22,13 @@ type Config struct {
 	// Workers sets the real-concurrency width of the streaming executor:
 	// the number of OS goroutines that apply chunk work items each round.
 	// Zero keeps the serial driver, the mode every simulated-time
-	// experiment runs in: under FineSync each Session.ProcessAll caller
-	// computes a window of its chunks of a partition on its own goroutine,
-	// in parallel with the other attendees, and then the last one to finish
-	// prices the window's LLC accesses alone, chunk by chunk in the
-	// lockstep order (the chunk's leader first, then ascending job ID;
-	// every attendee's scan of the chunk before any state access),
-	// so every simulated number is independent of goroutine interleaving.
+	// experiment runs in: under FineSync the last Session.ProcessAll caller
+	// to reach a window of a partition's chunks computes every attendee's
+	// chunks of it on its own goroutine, while one pricing goroutine prices
+	// each collected chunk's LLC accesses in the lockstep order (the
+	// chunk's leader first, then ascending job ID; every attendee's scan
+	// of the chunk before any state access), so every simulated number is
+	// independent of goroutine interleaving.
 	// Workers >= 1 routes Submit-driven jobs (and Session.ProcessAll
 	// callers) through the per-round worker pool with async partition
 	// prefetch; workers=1 executes the same chunk schedule serially, so
@@ -275,10 +275,11 @@ type jobState struct {
 
 	prof      profiler
 	curSample profSample
-	// collected is the open partition whose chunks the job collected inside
+	// collected is the open partition whose chunks the job declared inside
 	// ProcessAll (serial driver, FineSync) for its windows' owners to
-	// price; the last window's owner also runs the job's profiling-phase
-	// observation, so the job's own Barrier skips it and clears the field.
+	// collect and price; the last window's pricer also runs the job's
+	// profiling-phase observation, so the job's own Barrier skips it and
+	// clears the field.
 	collected *curPartition
 }
 
@@ -313,11 +314,11 @@ type curPartition struct {
 	// Two-phase streaming (serial driver, FineSync; see streamTwoPhase),
 	// which collects and prices the partition in windows of chunks.
 	// streaming counts self-driven attendees, which declare once, at their
-	// first Next; declared counts ProcessAll callers that have collected the
-	// current window. Once the two sum to the attendance, no chunk of the
-	// window can still be collected, and the ProcessAll caller that sees it
-	// becomes the window's single owner (owned) and prices it; priced, the
-	// count of windows priced, releases the other ProcessAll callers.
+	// first Next; declared counts ProcessAll callers that have reached the
+	// current window. Once the two sum to the attendance, the ProcessAll
+	// caller that sees it becomes the window's single owner (owned), which
+	// collects and prices it; priced, the count of windows priced, releases
+	// the other ProcessAll callers.
 	declared, streaming int
 	owned               bool
 	priced              int

@@ -8,26 +8,32 @@ package core
 // closes before k+1 opens. That order only matters to the simulated cache;
 // a job's compute reads and writes nothing but its own vertex state. So the
 // partition is streamed in two phases, one window of consecutive chunks
-// (twoPhaseWindow) at a time:
+// (twoPhaseWindow) at a time, and the two phases run as a pipeline:
 //
-//  1. Collect. Each ProcessAll attendee computes the window's chunks on its
-//     own goroutine (engine.Job.CollectChunk into consecutive record
-//     slots), in parallel with the others, without touching the cache or
-//     the lockstep.
-//  2. Price. Once every attendee has declared how it streams (a ProcessAll
-//     caller when its collection of the window ends, a self-driven
+//  1. Collect. Once every attendee has declared how it streams (a
+//     ProcessAll caller when it arrives at the window, a self-driven
 //     Next/Process caller once, at its first Next), the ProcessAll caller
 //     that completes the count becomes the window's single owner. It
-//     prices chunk by chunk, in a fixed order: the chunk's Formula (4)
-//     leader first, then the other attendees in ascending job ID. Every
-//     attendee's stream phase (engine.Job.PriceStream) comes before any
-//     attendee's state phase (engine.Job.PriceChunk), so the followers
-//     scan the chunk the leader just pulled into the LLC. Each chunk closes
-//     through the ordinary lockstep before the next opens. The owner
-//     records every attendee's samples, after the partition's last window
-//     runs their profiling-phase observations in ascending job ID, and
-//     wakes them once.
+//     computes every declared attendee's chunks on its own goroutine,
+//     chunk by chunk in ascending job ID (engine.Job.CollectChunk into
+//     consecutive record slots), without touching the cache or the
+//     lockstep; the other ProcessAll callers stay parked.
+//  2. Price. A pricing goroutine the owner starts for the window prices
+//     each chunk as soon as every attendee's copy of it is collected, in a
+//     fixed order: the chunk's Formula (4) leader first, then the other
+//     attendees in ascending job ID. Every attendee's stream phase
+//     (engine.Job.PriceStream) comes before any attendee's state phase
+//     (engine.Job.PriceChunk), so the followers scan the chunk the leader
+//     just pulled into the LLC. Each chunk closes through the ordinary
+//     lockstep before the next opens. The pricer records every attendee's
+//     samples and, after the partition's last window, runs their
+//     profiling-phase observations in ascending job ID; the owner then
+//     wakes the attendees once.
 //
+// Collection and pricing each run on one goroutine, so a window keeps two
+// cores busy for its whole length whatever the attendance, instead of a
+// burst of short per-job collections followed by a serial pricing pass,
+// whose overlap depended on how fast the Go scheduler woke an idle core.
 // The window bounds the collected-but-unpriced records a job holds to a
 // few dozen chunks' state accesses instead of a whole partition's.
 //
@@ -35,16 +41,16 @@ package core
 // chunk, the cache has one writer, and with only ProcessAll attendees (the
 // built-in driver and the admission service) every simulated number of a
 // run is independent of goroutine interleaving. Self-driven attendees keep
-// streaming through awaitChunk/chunkDone: the owner prices its attendees'
+// streaming through awaitChunk/chunkDone: the pricer prices its attendees'
 // share of each chunk within the same lockstep, waiting for a self-driven
 // leader to fill the chunk and for the chunk to close, so the two kinds mix
 // on one partition (the cache order among them then follows wall clock).
 
-// twoPhaseWindow is how many chunks a two-phase attendee collects before
-// they are priced. It bounds what a job holds between its collection and
-// the pricing (about a kilobyte of set-grouped state accesses per chunk on
-// uk-union) while the job's goroutine still parks once per window instead
-// of twice per chunk.
+// twoPhaseWindow is how many chunks an owner collects before the window
+// is priced to its end. It bounds what a job holds between its collection
+// and the pricing (about a kilobyte of set-grouped state accesses per
+// chunk on uk-union) while the job's goroutine still parks once per window
+// instead of twice per chunk.
 const twoPhaseWindow = 32
 
 // streamTwoPhase applies every chunk of cp for js in the two phases above,
@@ -56,40 +62,21 @@ func (s *System) streamTwoPhase(js *jobState, cp *curPartition) {
 	n := len(cp.set.Chunks)
 	for w, lo := 0, 0; ; w, lo = w+1, lo+s.window {
 		hi := min(lo+s.window, n)
-		s.collectWindow(js, cp, lo, hi)
-		if !s.awaitPriced(js, cp, w, lo, hi) || hi == n {
+		if !s.awaitWindow(js, cp, w, lo, hi) || hi == n {
 			return
 		}
 	}
 }
 
-// collectWindow collects chunks [lo, hi) of cp for js into record slots
-// 0..hi-lo-1.
-func (s *System) collectWindow(js *jobState, cp *curPartition, lo, hi int) {
-	if s.sem != nil {
-		s.sem <- struct{}{}
-		defer func() { <-s.sem }()
-	}
-	for k := lo; k < hi; k++ {
-		edges, base, first := s.chunkEdges(js, cp, k)
-		if s.cfg.PerEdgeSim {
-			js.job.CollectChunkPerEdge(k-lo, edges, base, first)
-		} else {
-			js.job.CollectChunk(k-lo, edges, base, first, s.cache)
-		}
-	}
-}
-
-// awaitPriced declares that js has collected window w (chunks [lo, hi))
-// and returns once the window is priced — by js itself when its
-// declaration completes the count — reporting whether the system is still
-// healthy.
-func (s *System) awaitPriced(js *jobState, cp *curPartition, w, lo, hi int) bool {
+// awaitWindow declares js for window w (chunks [lo, hi)) and returns once
+// the window is collected and priced — by js itself when its declaration
+// completes the count — reporting whether the system is still healthy.
+func (s *System) awaitWindow(js *jobState, cp *curPartition, w, lo, hi int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	js.collected = cp
 	cp.declared++
-	// Attendance only shrinks while collections run (a pending attendee
+	// Attendance only shrinks while an election is open (a pending attendee
 	// detaching), and detachLocked broadcasts cond, so a waiter re-checks
 	// the election whenever it can have become due.
 	for cp.priced <= w {
@@ -99,7 +86,7 @@ func (s *System) awaitPriced(js *jobState, cp *curPartition, w, lo, hi int) bool
 			}
 			if cp.declared+cp.streaming == len(cp.attend) {
 				cp.owned = true
-				s.priceLocked(cp, lo, hi)
+				s.streamWindowLocked(cp, lo, hi)
 				cp.owned, cp.declared = false, 0
 				cp.priced++
 				cp.cond.Broadcast()
@@ -111,18 +98,61 @@ func (s *System) awaitPriced(js *jobState, cp *curPartition, w, lo, hi int) bool
 	return s.err == nil
 }
 
-// priceLocked is the owner's pricing pass over chunks [lo, hi) of cp; after
-// the partition's last chunk it also runs the attendees' profiling-phase
-// observations. It is called and returns with s.mu held, and drops the lock
-// while it prices. No attendee is pending once an owner exists, so
-// cp.attend is fixed throughout.
-func (s *System) priceLocked(cp *curPartition, lo, hi int) {
+// streamWindowLocked is the owner's pass over chunks [lo, hi) of cp: it
+// collects the chunks of every attendee that declared the window into
+// record slots 0..hi-lo-1, chunk by chunk in ascending job ID, while a
+// pricing goroutine it starts prices each chunk as soon as every attendee's
+// copy is collected (priceLocked), and returns once both are done. It is
+// called and returns with s.mu held, and drops the lock meanwhile. No
+// attendee is pending once an owner exists, so cp.attend is fixed
+// throughout.
+func (s *System) streamWindowLocked(cp *curPartition, lo, hi int) {
 	var owned []*jobState // ascending job ID, as cp.attend is
 	for _, a := range cp.attend {
 		if a.collected == cp {
 			owned = append(owned, a)
 		}
 	}
+	s.mu.Unlock()
+	for _, a := range owned {
+		a.job.ReserveSlots(hi - lo)
+	}
+	// collected carries one token per chunk whose copies are all collected;
+	// it holds the whole window, so the collection never blocks on pricing.
+	collected := make(chan struct{}, hi-lo)
+	priced := make(chan struct{})
+	go func() {
+		s.mu.Lock()
+		s.priceLocked(cp, owned, lo, hi, collected)
+		s.mu.Unlock()
+		close(priced)
+	}()
+	if s.sem != nil {
+		s.sem <- struct{}{}
+	}
+	for k := lo; k < hi; k++ {
+		for _, a := range owned {
+			edges, base, first := s.chunkEdges(a, cp, k)
+			if s.cfg.PerEdgeSim {
+				a.job.CollectChunkPerEdge(k-lo, edges, base, first)
+			} else {
+				a.job.CollectChunk(k-lo, edges, base, first, s.cache)
+			}
+		}
+		collected <- struct{}{}
+	}
+	if s.sem != nil {
+		<-s.sem
+	}
+	<-priced
+	s.mu.Lock()
+}
+
+// priceLocked prices chunks [lo, hi) of cp for the owned attendees, taking
+// one token from collected before each chunk; after the partition's last
+// chunk it also runs their profiling-phase observations. It is called and
+// returns with s.mu held, and drops the lock while it prices.
+func (s *System) priceLocked(cp *curPartition, owned []*jobState, lo, hi int, collected <-chan struct{}) {
 	order := make([]*jobState, 0, len(owned))
 	for k := lo; k < hi; k++ {
 		// Chunk k opens once the owner's own completions close k-1, unless a
@@ -151,6 +181,7 @@ func (s *System) priceLocked(cp *curPartition, lo, hi int) {
 			}
 		}
 		s.mu.Unlock()
+		<-collected
 		// The leader's scan pulls the chunk into the LLC and the followers'
 		// scans reuse it before any state phase competes for the sets.
 		for _, a := range order {

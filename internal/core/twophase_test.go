@@ -16,7 +16,7 @@ import (
 )
 
 // TestTwoPhaseOwnerElectionOnAttendanceChange parks two ProcessAll
-// attendees of the serial driver after their collection, while a third
+// attendees of the serial driver once they declared a window, while a third
 // attendee of the same partition has not picked it up yet, so no owner can
 // be elected. Then the third one either withdraws (its Sharing call unhooks
 // it from the partition's attendance) or the system fails. Either change
@@ -60,7 +60,7 @@ func TestTwoPhaseOwnerElectionOnAttendanceChange(t *testing.T) {
 			if !late.BeginIteration() {
 				t.Fatal("the late job never joined the round")
 			}
-			// Wait until both ProcessAll attendees have collected the open
+			// Wait until both ProcessAll attendees have reached the open
 			// partition and parked: two of its three attendees declared.
 			deadline := time.Now().Add(10 * time.Second)
 			for {

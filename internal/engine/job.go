@@ -126,10 +126,12 @@ type chunkArena struct {
 	// frontier, memo entry), so a priced record pins no chunk version.
 	recs []chunkRecord
 	// held stores the non-memoized groupings of the chunks collected since
-	// slot 0 was last collected, back to back; records locate theirs by
-	// span. One buffer per job keeps the retained memory at the largest
-	// run of slots the job's driver collects before pricing them, rather
-	// than at the sum of every slot's largest chunk.
+	// slot 0 was last collected, back to back; each record keeps a view of
+	// its own. Growing the buffer leaves earlier views on the old array,
+	// whose elements no later collection writes. One buffer per job keeps
+	// the retained memory at the largest run of slots the job's driver
+	// collects before pricing them, rather than at the sum of every slot's
+	// largest chunk.
 	held memsim.GroupedEntries
 }
 
@@ -148,15 +150,10 @@ type chunkRecord struct {
 	// pricing down the in-order fallback.
 	grouped bool
 	st      StreamStats // Scanned, Processed, Activated of the compute
-	// g is the grouping to settle when it lives outside the arena's held
-	// buffer: a memo entry, or the scratch view of a chunk priced by the
-	// call that collected it.
+	// g is the grouping to settle: a memo entry, a view into the arena's
+	// held buffer, or the scratch view of a chunk priced by the call that
+	// collected it.
 	g memsim.GroupedEntries
-	// inHeld says the grouping lives in the arena's held buffer instead, at
-	// Sets/Ends[span[0]:span[1]] and Eg[span[2]:span[3]]; the buffer may move
-	// as later chunks are collected, so the view is cut at pricing.
-	inHeld bool
-	span   [4]int
 	// streamed says PriceStream has priced the stream phase into tally.
 	streamed bool
 	tally    memsim.Tally
@@ -279,7 +276,8 @@ func (j *Job) ApplyChunk(edges []graph.Edge, baseAddr uint64, first int, cache *
 // collecting them yields exactly the tallies, StreamStats, Metrics and
 // program state of ApplyChunk on each chunk in turn. Collecting slot 0
 // starts a new run of slots: every record collected before must have been
-// priced.
+// priced. Once ReserveSlots has covered the run, a driver may price a slot
+// from another goroutine while the job collects later ones.
 func (j *Job) CollectChunk(slot int, edges []graph.Edge, baseAddr uint64, first int, cache *memsim.Cache) {
 	j.collect(slot, edges, baseAddr, first, cache, true)
 }
@@ -330,11 +328,12 @@ func (j *Job) collect(slot int, edges []graph.Edge, baseAddr uint64, first int, 
 		j.arena.memo[keyOf(edges)] = r.g
 	case keep:
 		h := &j.arena.held
-		r.inHeld = true
-		r.span = [4]int{len(h.Sets), len(h.Sets) + len(g.Sets), len(h.Eg), len(h.Eg) + len(g.Eg)}
+		s, e := len(h.Sets), len(h.Eg)
 		h.Sets = append(h.Sets, g.Sets...)
 		h.Ends = append(h.Ends, g.Ends...)
 		h.Eg = append(h.Eg, g.Eg...)
+		r.g = memsim.GroupedEntries{Sets: h.Sets[s:len(h.Sets):len(h.Sets)],
+			Ends: h.Ends[s:len(h.Ends):len(h.Ends)], Eg: h.Eg[e:len(h.Eg):len(h.Eg)]}
 	default:
 		r.g = g
 	}
@@ -383,8 +382,9 @@ func (j *Job) PriceStream(slot int, cache *memsim.Cache) {
 // stream phase unless PriceStream already priced it, then the state
 // phase), commits the chunk's metrics and returns its stats. It runs no
 // program code, so a driver may price a job's collected chunks from any
-// goroutine while the job's own goroutine is parked. Afterwards the record
-// keeps no reference into the chunk.
+// goroutine while the job's own goroutine is parked, and, within a run of
+// slots ReserveSlots covered, while later slots are being collected.
+// Afterwards the record keeps no reference into the chunk.
 func (j *Job) PriceChunk(slot int, cache *memsim.Cache, cm CostModel) StreamStats {
 	r := &j.arena.recs[slot]
 	if !r.streamed {
@@ -400,12 +400,7 @@ func (j *Job) PriceChunk(slot int, cache *memsim.Cache, cm CostModel) StreamStat
 			}
 		}
 	case r.grouped:
-		g := r.g
-		if r.inHeld {
-			h, sp := &j.arena.held, r.span
-			g = memsim.GroupedEntries{Sets: h.Sets[sp[0]:sp[1]], Ends: h.Ends[sp[0]:sp[1]], Eg: h.Eg[sp[2]:sp[3]]}
-		}
-		cache.TouchGrouped(&g, tally)
+		cache.TouchGrouped(&r.g, tally)
 	default:
 		j.touchStateInOrder(r.edges, r.active, r.allActive, cache, tally)
 	}
@@ -417,14 +412,21 @@ func (j *Job) PriceChunk(slot int, cache *memsim.Cache, cm CostModel) StreamStat
 	return st
 }
 
+// ReserveSlots grows the arena's record list to at least n slots, so that
+// collecting slots below n never moves the records: a driver can then
+// price slot i on one goroutine while another collects slot i+1.
+func (j *Job) ReserveSlots(n int) {
+	if n > len(j.arena.recs) {
+		j.arena.recs = append(j.arena.recs, make([]chunkRecord, n-len(j.arena.recs))...)
+	}
+}
+
 // newRecord resets the arena's record for slot to a fresh collection of
 // the chunk under the job's current frontier, growing the record list to
 // cover the slot. Slot 0 opens a new run of slots, so it also empties the
 // held grouping buffer.
 func (j *Job) newRecord(slot int, edges []graph.Edge, baseAddr uint64, first int) *chunkRecord {
-	for len(j.arena.recs) <= slot {
-		j.arena.recs = append(j.arena.recs, chunkRecord{})
-	}
+	j.ReserveSlots(slot + 1)
 	if slot == 0 {
 		h := &j.arena.held
 		h.Sets, h.Ends, h.Eg = h.Sets[:0], h.Ends[:0], h.Eg[:0]
