@@ -45,7 +45,6 @@ import (
 	"graphm/internal/profiles"
 	"graphm/internal/server"
 	"graphm/internal/service"
-	"graphm/internal/shard"
 	"graphm/internal/storage"
 )
 
@@ -62,7 +61,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "real-concurrency width of the streaming executor (0 = serial driver: one goroutine computes each partition window for its jobs while another prices the simulated LLC in a fixed order)")
 		adaptive  = flag.Bool("adaptive", false, "re-label chunks at partition barriers as the attending-job count moves (Formula 1 with N = live attendees)")
 		relabelF  = flag.Float64("relabel-factor", 0, "adaptive chunking hysteresis factor (0 = default 2): re-label only on >= factor-x chunk-size drift")
-		shards    = flag.Int("shards", 0, "partition the graph across N shards, each its own streaming system (0 = single system); sharded mode is memory-only")
 		seed      = flag.Int64("seed", 42, "arrival and parameter seed")
 		quietFlag = flag.Bool("q", false, "suppress the per-ticket table")
 		cpuPro    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -85,9 +83,6 @@ func main() {
 	if *dataDir != "" && *listen == "" {
 		fatal(fmt.Errorf("-data-dir requires daemon mode (-listen)"))
 	}
-	if *shards > 0 && *dataDir != "" {
-		fatal(fmt.Errorf("-shards is memory-only: the durable store (WAL, checkpoints) covers a single system, not a partitioned group"))
-	}
 	stop, err := profiles.Start(*cpuPro, *memPro)
 	if err != nil {
 		fatal(err)
@@ -104,24 +99,14 @@ func main() {
 	cfg.Workers = *workers
 	cfg.AdaptiveChunking = *adaptive
 	cfg.RelabelFactor = *relabelF
-	var backend server.Backend
-	if *shards > 0 {
-		grp, err := shard.New(env.Grid.AsLayout(), *shards, env.Spec.MemBudget, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		backend = grp
-	} else {
-		mem := storage.NewMemory(env.Disk, env.Spec.MemBudget)
-		cache, err := memsim.NewCache(memsim.DefaultConfig(env.Spec.LLCBytes))
-		if err != nil {
-			fatal(err)
-		}
-		sys, err := core.NewSystem(env.Grid.AsLayout(), mem, cache, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		backend = sys
+	mem := storage.NewMemory(env.Disk, env.Spec.MemBudget)
+	cache, err := memsim.NewCache(memsim.DefaultConfig(env.Spec.LLCBytes))
+	if err != nil {
+		fatal(err)
+	}
+	sys, err := core.NewSystem(env.Grid.AsLayout(), mem, cache, cfg)
+	if err != nil {
+		fatal(err)
 	}
 	svcCfg := service.Config{
 		MaxInFlight:        *inflight,
@@ -131,10 +116,6 @@ func main() {
 
 	fmt.Printf("dataset %s: %d vertices, %d edges, grid %dx%d\n",
 		env.Spec.Name, env.Spec.NumV, env.Spec.NumE, env.GridP, env.GridP)
-	if grp, ok := backend.(*shard.Group); ok {
-		fmt.Printf("sharded: %d shards over %d partitions (scatter/gather rounds, byte-metered cross-shard handoffs)\n",
-			grp.Shards(), env.GridP*env.GridP)
-	}
 
 	if *listen != "" {
 		var store *storage.Store
@@ -159,7 +140,7 @@ func main() {
 			}
 			svcCfg.TicketLog = store
 		}
-		runDaemon(backend, svcCfg, server.Config{
+		runDaemon(sys, svcCfg, server.Config{
 			RatePerSec: *rateLimit,
 			Burst:      *burst,
 			SLOWindow:  *sloWindow,
@@ -167,7 +148,7 @@ func main() {
 		return
 	}
 
-	svc := service.NewWithBackend(backend, svcCfg)
+	svc := service.New(sys, svcCfg)
 	fmt.Printf("serving %d jobs at ~%.0f jobs/s across %d tenants (max in-flight %d)\n\n",
 		*nJobs, *rate, *tenants, *inflight)
 
@@ -242,8 +223,8 @@ func main() {
 // terminated cleanly. With a store, startup first replays the directory
 // (checkpoint + WAL + pending-ticket re-admission), and a housekeeping loop
 // writes checkpoints as the record cadence comes due.
-func runDaemon(sys server.Backend, svcCfg service.Config, cfg server.Config, addr string, store *storage.Store, recovery *storage.Recovery) {
-	srv := server.NewWithBackend(sys, svcCfg, cfg)
+func runDaemon(sys *core.System, svcCfg service.Config, cfg server.Config, addr string, store *storage.Store, recovery *storage.Recovery) {
+	srv := server.New(sys, svcCfg, cfg)
 	if store != nil {
 		if recovery.HasCheckpoint || recovery.WALRecords > 0 || recovery.Counts.Submitted > 0 {
 			rec, err := srv.Restore(store, recovery)

@@ -40,7 +40,7 @@ func TestExperimentsRegistryComplete(t *testing.T) {
 		"table4", "ablation", "openloop", "parallel", "adaptive", "replay", "hotpath", "hotpath-serial",
 		"hotpath-serial-wcc", "hotpath-serial-bfs", "hotpath-serial-sssp", "hotpath-serial-kcore",
 		"hotpath-serial-labelprop", "hotpath-serial-ppr",
-		"serve-http", "sharding", "durability"}
+		"serve-http", "durability"}
 	if len(names) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(names), len(want))
 	}

@@ -87,7 +87,6 @@ var experiments = []experiment{
 	{"hotpath-serial-labelprop", "serial hot path, homogeneous label-propagation jobs (per-algorithm gate)", func(h *Harness) ([]*Table, error) { return h.hotpathSerialAlgo("labelprop") }},
 	{"hotpath-serial-ppr", "serial hot path, homogeneous PPR jobs (per-algorithm gate)", func(h *Harness) ([]*Table, error) { return h.hotpathSerialAlgo("ppr") }},
 	{"serve-http", "Figure-2 trace through the HTTP daemon over a loopback socket", (*Harness).serveHTTP},
-	{"sharding", "scale-out width sweep: the same service workload over 1/2/4/8 shards, work asserted identical", (*Harness).sharding},
 	{"durability", "WAL overhead, group-commit coalescing, checkpoint compression + crash recovery", (*Harness).durability},
 }
 

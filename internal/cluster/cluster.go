@@ -92,8 +92,7 @@ func New(n int, memBudget int64) (*Cluster, error) {
 
 // GroupSizes splits n items into g contiguous groups as evenly as possible:
 // every group gets n/g items and the first n%g groups get one extra, so the
-// sizes sum to exactly n. It is the single splitting rule shared by Groups
-// and the shard package's partition placement.
+// sizes sum to exactly n. It is the splitting rule Groups uses.
 func GroupSizes(n, g int) ([]int, error) {
 	if g <= 0 || g > n {
 		return nil, fmt.Errorf("cluster: cannot split %d into %d groups", n, g)

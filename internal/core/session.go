@@ -51,23 +51,12 @@ type SessionOptions struct {
 	// extending the in-flight round. Batch drivers keep this off so every
 	// round starts from a clean global table.
 	JoinMidRound bool
-	// GroupDriver marks the session as one member of a scatter/gather job
-	// that spans several Systems (the shard package's scale-out mode). The
-	// group driver owns the job's logical lifecycle, so the session skips
-	// the per-iteration program hooks (BeforeIteration / AfterIteration /
-	// Iterations++ — the group runs them exactly once per logical
-	// iteration) and skips Job.Bind (the group binds the shared program
-	// once). BeginIteration publishes the active set and returns without
-	// waiting for the round to form; Sharing performs the deferred wait.
-	// The group begins every member of its round from one goroutine, so a
-	// begin that blocked at the round barrier would deadlock it.
-	GroupDriver bool
 }
 
 // JobDriver is the session surface a streaming driver needs, satisfied by
-// *Session and by the shard package's scatter/gather session. The admission
-// service drives jobs through it, so a sharded group drops in for a single
-// System.
+// *Session. The admission service drives jobs through it rather than through
+// *Session, so a test or benchmark harness can wrap each session (to time or
+// trace its calls) without changing the service.
 type JobDriver interface {
 	// BeginIteration runs the program's BeforeIteration and joins the next
 	// round; false means converged, detached or failed.
@@ -89,8 +78,8 @@ type JobDriver interface {
 }
 
 // OpenJobSession is OpenSessionWith returning the driver interface — the
-// form service backends implement (shard.Group offers the same signature
-// over a partitioned group of Systems).
+// form service backends implement, so a wrapping backend can hand out
+// wrapped drivers.
 func (s *System) OpenJobSession(j *engine.Job, opts SessionOptions) (JobDriver, error) {
 	return s.OpenSessionWith(j, opts)
 }
@@ -105,15 +94,13 @@ func (s *System) OpenSession(j *engine.Job) (*Session, error) {
 
 // OpenSessionWith is OpenSession with explicit options.
 func (s *System) OpenSessionWith(j *engine.Job, opts SessionOptions) (*Session, error) {
-	if !opts.GroupDriver {
-		j.Bind(s.g)
-	}
+	j.Bind(s.g)
 	state := j.Prog.StateBytes()
 	j.StateBase = s.mem.AllocAddr(state)
 	s.mem.ReserveJobData(state)
 
 	js := &jobState{job: j, born: s.snaps.currentVersion(),
-		joinMidRound: opts.JoinMidRound, deferBarrier: opts.GroupDriver}
+		joinMidRound: opts.JoinMidRound}
 	s.mu.Lock()
 	if _, dup := s.jobs[j.ID]; dup {
 		s.mu.Unlock()
@@ -134,13 +121,7 @@ func (sess *Session) BeginIteration() bool {
 	if sess.closed {
 		return false
 	}
-	if sess.js.deferBarrier {
-		// Group-driver member: the group already ran BeforeIteration once
-		// for the logical job and decides convergence itself.
-		if sess.s.Err() != nil {
-			return false
-		}
-	} else if !sess.js.job.Prog.BeforeIteration(sess.iter) || sess.s.Err() != nil {
+	if !sess.js.job.Prog.BeforeIteration(sess.iter) || sess.s.Err() != nil {
 		return false
 	}
 	if !sess.s.beginIteration(sess.js) {
@@ -211,12 +192,8 @@ func (sess *Session) EndIteration() {
 	if sess.closed || !sess.inIteration {
 		return
 	}
-	if !sess.js.deferBarrier {
-		// Group-driver members skip the program hook and the iteration
-		// count: the group commits the logical iteration exactly once.
-		sess.js.job.Prog.AfterIteration(sess.iter)
-		sess.js.job.Met.Iterations++
-	}
+	sess.js.job.Prog.AfterIteration(sess.iter)
+	sess.js.job.Met.Iterations++
 	sess.iter++
 	sess.js.job.Iter = sess.iter
 	sess.inIteration = false

@@ -253,11 +253,6 @@ type jobState struct {
 	// joinMidRound lets the job attach to a round already in flight instead
 	// of waiting at the round barrier (SessionOptions.JoinMidRound).
 	joinMidRound bool
-	// deferBarrier makes beginIteration return without waiting for the round
-	// to form; sharing() performs the wait instead (SessionOptions.
-	// GroupDriver). A scatter/gather group begins every member of its round
-	// from one goroutine, so no begin may block inside the round barrier.
-	deferBarrier bool
 	// detachWanted asks the job to withdraw from sharing; the job's next
 	// sharing() call (or its current suspended one) unhooks it from the
 	// controller and returns nil. detached records that the unhook ran.
@@ -532,13 +527,6 @@ func (s *System) beginIteration(js *jobState) bool {
 	s.readyCount++
 	waitRound := s.round
 	s.maybeStartRoundLocked()
-	if js.deferBarrier {
-		// Group-driver sessions publish their active set and leave: the
-		// round forms once every job on this system is ready, and sharing()
-		// parks until then. Waiting here would deadlock the shard group,
-		// which begins every member of its round from one goroutine.
-		return true
-	}
 	for s.err == nil && s.round == waitRound {
 		if js.detachWanted {
 			// Still waiting at the barrier: withdraw before the round forms,
@@ -872,23 +860,6 @@ func (s *System) sharing(js *jobState) *curPartition {
 		if s.err != nil {
 			js.inRound = false
 			return nil
-		}
-		if js.ready {
-			// Deferred round barrier (deferBarrier): beginIteration marked
-			// the job ready without waiting, so park here until the round
-			// forms (startRoundLocked flips ready to inRound). Checked
-			// before the processed/active comparison — a ready job with an
-			// empty active set has not attended its (empty) round yet. A
-			// withdrawal here must unwind the ready count, or the barrier
-			// it was counted toward never fills.
-			if js.detachWanted {
-				js.ready = false
-				s.readyCount--
-				s.markDetachedLocked(js)
-				return nil
-			}
-			s.roundCond.Wait()
-			continue
 		}
 		if len(js.processed) >= len(js.active) {
 			// Iteration complete. Checked before detachWanted: a Detach

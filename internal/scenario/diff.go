@@ -162,110 +162,3 @@ func DiffCheck(gs GenScript, o DiffOptions) error {
 	}
 	return nil
 }
-
-// stripJobs returns a shallow copy of res without the dropped job IDs, so
-// a comparison can scope itself to the jobs whose behaviour is contractually
-// identical between two configurations.
-func stripJobs(res *Result, drop map[int]bool) *Result {
-	if len(drop) == 0 {
-		return res
-	}
-	out := *res
-	out.Jobs = make(map[int]*JobResult, len(res.Jobs))
-	for id, j := range res.Jobs {
-		if !drop[id] {
-			out.Jobs[id] = j
-		}
-	}
-	return &out
-}
-
-// ShardDiffCheck is the scale-out half of the differential matrix. The same
-// script is replayed at every count in shardCounts, and every pair of group
-// runs must do identical schedule-independent work and produce bit-identical
-// outputs — the shard package's determinism contract, with the first count
-// (canonically 1) as the reference. An unsharded core.System run is checked
-// alongside: every job that was present from the start must match it in
-// work and output bits; jobs attached mid-stream are excluded there — a
-// single system splices a joiner into the round in flight (appendix
-// order), while a group queues it for the next round (ascending order), so
-// a joiner is the one place the group is order-faithful to itself rather
-// than to the single system.
-// All runs use the Formula (5) scheduler off, matching what shard.New
-// forces (per-shard priority orders do not concatenate to any single-system
-// order), and every run must exit clean.
-func ShardDiffCheck(gs GenScript, o DiffOptions, shardCounts []int) error {
-	o = o.withDefaults()
-	script, err := gs.Script()
-	if err != nil {
-		return fmt.Errorf("scenario: compile: %w", err)
-	}
-	if env, err := o.NewEnv(); err != nil {
-		return err
-	} else if p := env.NonEmptyPartitions(); p != gs.Partitions {
-		return fmt.Errorf("scenario: script planned for %d partitions but the environment has %d — regenerate the corpus entry",
-			gs.Partitions, p)
-	}
-	if len(shardCounts) == 0 {
-		return fmt.Errorf("scenario: ShardDiffCheck needs at least one shard count")
-	}
-	cfg := core.DefaultConfig(o.LLCBytes)
-	cfg.Cores = 1
-	cfg.Scheduler = false
-
-	// Jobs attached mid-stream are excluded from the vs-unsharded
-	// comparison (not from the cross-count one): the single system splices
-	// them into the round in flight, so their first iteration streams
-	// partitions in appendix order — which shifts their outputs bit-wise
-	// and, for programs that propagate state in place within an iteration
-	// (WCC), even their convergence round count.
-	attached := make(map[int]bool)
-	for _, e := range gs.Events {
-		if e.Kind == Attach {
-			attached[e.Job.ID] = true
-		}
-	}
-
-	env, err := o.NewEnv()
-	if err != nil {
-		return err
-	}
-	unsharded, err := Run(env, cfg, script)
-	if err != nil {
-		return fmt.Errorf("scenario: unsharded reference: %w", err)
-	}
-	if err := CheckClean(env, unsharded); err != nil {
-		return fmt.Errorf("scenario: unsharded reference: %w", err)
-	}
-	var base *Result
-	for _, n := range shardCounts {
-		env, err := o.NewEnv()
-		if err != nil {
-			return err
-		}
-		res, err := RunSharded(env, cfg, script, n)
-		if err != nil {
-			return fmt.Errorf("scenario: shards=%d: %w", n, err)
-		}
-		if err := CheckClean(env, res); err != nil {
-			return fmt.Errorf("scenario: shards=%d: %w", n, err)
-		}
-		if err := CheckWorkEqual(stripJobs(unsharded, attached), stripJobs(res, attached)); err != nil {
-			return fmt.Errorf("scenario: shards=%d vs unsharded: %w", n, err)
-		}
-		if err := CheckOutputsEqual(stripJobs(unsharded, attached), stripJobs(res, attached)); err != nil {
-			return fmt.Errorf("scenario: shards=%d vs unsharded: %w", n, err)
-		}
-		if base == nil {
-			base = res
-			continue
-		}
-		if err := CheckWorkEqual(base, res); err != nil {
-			return fmt.Errorf("scenario: shards=%d vs shards=%d: %w", n, shardCounts[0], err)
-		}
-		if err := CheckOutputsEqual(base, res); err != nil {
-			return fmt.Errorf("scenario: shards=%d vs shards=%d: %w", n, shardCounts[0], err)
-		}
-	}
-	return nil
-}

@@ -67,23 +67,8 @@ import (
 	"graphm/internal/graph"
 	"graphm/internal/gridgraph"
 	"graphm/internal/memsim"
-	"graphm/internal/shard"
 	"graphm/internal/storage"
 )
-
-// backend is the system surface a scripted run drives: session admission,
-// graph mutation, and the counters the invariant checks read. *core.System
-// and *shard.Group both satisfy it, which is what lets the same script
-// replay unsharded and sharded for the differential matrix.
-type backend interface {
-	OpenJobSession(j *engine.Job, opts core.SessionOptions) (core.JobDriver, error)
-	StatsSnapshot() core.Stats
-	Err() error
-	Wait() error
-	AddEdges(edges []graph.Edge) (int, error)
-	AddEdgesFor(jobID int, edges []graph.Edge) error
-	OverrideChunks() int
-}
 
 // JobSpec describes one job in a script. New must build a fresh Program:
 // programs are stateful and bound to the graph at admission.
@@ -209,19 +194,16 @@ type Result struct {
 	CacheMisses uint64
 	CacheHits   uint64
 
-	sys backend
-	// pins scans the run's memory pool(s) for leaked partition pins — set by
-	// Run (the env's single pool) and RunSharded (every shard node's pool).
-	pins func() error
+	sys *core.System
 }
 
 // runner executes one script.
 type runner struct {
-	sys    backend
+	sys    *core.System
 	script Script
 
 	mu       sync.Mutex
-	sessions map[int]core.JobDriver
+	sessions map[int]*core.Session
 	progs    map[int]engine.Program
 	jobs     map[int]*engine.Job
 	detached map[int]bool
@@ -244,65 +226,10 @@ func Run(env Env, cc core.Config, script Script) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := replay(sys, script)
-	if err != nil {
-		return nil, err
-	}
-	res.CacheMisses = env.Cache.TotalMisses()
-	res.CacheHits = env.Cache.TotalHits()
-	res.pins = func() error { return pinScan(env.Mem, env.Layout.Partitions()) }
-	return res, nil
-}
-
-// RunSharded replays the script against a shard.Group built over env.Layout
-// — the same partitions env's single-system run streams, split across
-// `shards` systems on private cluster nodes, each with env's full memory
-// budget (the group re-hosts partition blobs per shard, so budgets do not
-// meaningfully compose across counts). The scenario differential matrix
-// compares its Results against Run's with CheckWorkEqual and
-// CheckOutputsEqual; see the shard package comment for what is and is not
-// preserved.
-func RunSharded(env Env, cc core.Config, script Script, shards int) (*Result, error) {
-	if err := validate(script); err != nil {
-		return nil, err
-	}
-	grp, err := shard.New(env.Layout, shards, env.Mem.Budget(), cc)
-	if err != nil {
-		return nil, err
-	}
-	res, err := replay(grp, script)
-	if err != nil {
-		return nil, err
-	}
-	res.CacheHits, res.CacheMisses = grp.CacheTotals()
-	res.pins = func() error {
-		for si := 0; si < grp.Shards(); si++ {
-			if err := pinScan(grp.Node(si).Mem, grp.PartitionsOf(si)); err != nil {
-				return fmt.Errorf("shard %d: %w", si, err)
-			}
-		}
-		return nil
-	}
-	return res, nil
-}
-
-// pinScan checks every partition buffer is unpinned in mem after a run.
-func pinScan(mem *storage.Memory, parts []*core.Partition) error {
-	for _, p := range parts {
-		if n := mem.PinCount(p.DiskName); n != 0 {
-			return fmt.Errorf("scenario: partition %s still pinned %d times after the run", p.DiskName, n)
-		}
-	}
-	return nil
-}
-
-// replay drives a validated script against sys and collects everything but
-// the substrate-specific cache counters and pin scan.
-func replay(sys backend, script Script) (*Result, error) {
 	r := &runner{
 		sys:      sys,
 		script:   script,
-		sessions: make(map[int]core.JobDriver),
+		sessions: make(map[int]*core.Session),
 		progs:    make(map[int]engine.Program),
 		jobs:     make(map[int]*engine.Job),
 		detached: make(map[int]bool),
@@ -341,7 +268,13 @@ func replay(sys backend, script Script) (*Result, error) {
 	if r.pending > 0 {
 		return nil, fmt.Errorf("scenario: %d event(s) never fired — anchors unreachable: %v", r.pending, r.unfiredLocked())
 	}
-	res := &Result{Jobs: make(map[int]*JobResult), Stats: sys.StatsSnapshot(), sys: sys}
+	res := &Result{
+		Jobs:        make(map[int]*JobResult),
+		Stats:       sys.StatsSnapshot(),
+		CacheMisses: env.Cache.TotalMisses(),
+		CacheHits:   env.Cache.TotalHits(),
+		sys:         sys,
+	}
 	for id, j := range r.jobs {
 		res.Jobs[id] = &JobResult{
 			Spec:      specByID(script, id),
@@ -354,6 +287,16 @@ func replay(sys backend, script Script) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// pinScan checks every partition buffer is unpinned in mem after a run.
+func pinScan(mem *storage.Memory, parts []*core.Partition) error {
+	for _, p := range parts {
+		if n := mem.PinCount(p.DiskName); n != 0 {
+			return fmt.Errorf("scenario: partition %s still pinned %d times after the run", p.DiskName, n)
+		}
+	}
+	return nil
 }
 
 func validate(s Script) error {
@@ -411,10 +354,10 @@ func specByID(s Script, id int) JobSpec {
 }
 
 // open registers a session for spec; caller must not hold r.mu.
-func (r *runner) open(spec JobSpec, opts core.SessionOptions) (core.JobDriver, error) {
+func (r *runner) open(spec JobSpec, opts core.SessionOptions) (*core.Session, error) {
 	prog := spec.New()
 	j := engine.NewJob(spec.ID, prog, spec.Seed)
-	sess, err := r.sys.OpenJobSession(j, opts)
+	sess, err := r.sys.OpenSessionWith(j, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -532,13 +475,7 @@ func (r *Result) OverrideChunks() int { return r.sys.OverrideChunks() }
 // CheckClean verifies the run left no residue: every partition buffer
 // unpinned, prefetch accounting exact, no leaked snapshot overrides.
 func CheckClean(env Env, res *Result) error {
-	if res.pins != nil {
-		// The run knows its own memory pools (a sharded run pins on its
-		// shard nodes' pools, not env.Mem).
-		if err := res.pins(); err != nil {
-			return err
-		}
-	} else if err := pinScan(env.Mem, env.Layout.Partitions()); err != nil {
+	if err := pinScan(env.Mem, env.Layout.Partitions()); err != nil {
 		return err
 	}
 	st := res.Stats

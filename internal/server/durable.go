@@ -36,7 +36,7 @@ type RecoveredState struct {
 // checkpoint triggering.
 func (s *Server) Restore(st *storage.Store, rec *storage.Recovery) (RecoveredState, error) {
 	if s.dsys == nil {
-		return RecoveredState{}, fmt.Errorf("restore: backend has no durable surface (sharded mode is memory-only)")
+		return RecoveredState{}, fmt.Errorf("restore: backend has no durable surface (only a *core.System is durable)")
 	}
 	if rec.HasCheckpoint {
 		if err := s.dsys.RestorePartitions(rec.Partitions); err != nil {
@@ -71,8 +71,7 @@ func (s *Server) Restore(st *storage.Store, rec *storage.Recovery) (RecoveredSta
 
 // AttachStore wires a store without recovery (fresh data directory): evolve
 // mutations are logged and /metrics exports the WAL counters. Panics on a
-// non-durable (sharded) backend — the CLI refuses -data-dir with -shards
-// before getting here.
+// backend that is not a *core.System.
 func (s *Server) AttachStore(st *storage.Store) {
 	if s.dsys == nil {
 		panic("server: AttachStore on a backend without a durable surface")

@@ -52,24 +52,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("graphm_relabels_total", "Adaptive chunk re-labellings applied.", stats.Relabels)
 	counter("graphm_relabel_skips_total", "Re-labellings suppressed by hysteresis.", stats.RelabelSkips)
 
-	// Sharded scale-out: shard count, per-shard round/load counters (the
-	// aggregate counters above sum these), and the simulated cluster
-	// network cross-shard job-state handoffs are metered on.
-	if sb, ok := s.sys.(ShardedBackend); ok {
-		gauge("graphm_shards", "Shard systems behind this daemon.", float64(sb.Shards()))
-		fmt.Fprintf(&b, "# HELP graphm_shard_rounds_total Streaming rounds completed on one shard.\n# TYPE graphm_shard_rounds_total counter\n")
-		for i := 0; i < sb.Shards(); i++ {
-			fmt.Fprintf(&b, "graphm_shard_rounds_total{shard=\"%d\"} %d\n", i, sb.System(i).StatsSnapshot().Rounds)
-		}
-		fmt.Fprintf(&b, "# HELP graphm_shard_shared_loads_total Partition loads served to more than one job on one shard.\n# TYPE graphm_shard_shared_loads_total counter\n")
-		for i := 0; i < sb.Shards(); i++ {
-			fmt.Fprintf(&b, "graphm_shard_shared_loads_total{shard=\"%d\"} %d\n", i, sb.System(i).StatsSnapshot().SharedLoads)
-		}
-		net := sb.Network()
-		counter("graphm_network_bytes_total", "Bytes shipped across the simulated cluster network.", net.Bytes())
-		counter("graphm_network_messages_total", "Transfers metered on the simulated cluster network.", net.Messages())
-	}
-
 	// Durable storage: the live snapshot version (bumps on every global
 	// evolve update and restore), recovery facts, and the WAL's group-commit
 	// economics (syncs << appends is the batching win).

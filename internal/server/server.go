@@ -44,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"graphm/internal/cluster"
 	"graphm/internal/core"
 	"graphm/internal/graph"
 	"graphm/internal/service"
@@ -97,7 +96,8 @@ func (c Config) withDefaults() Config {
 
 // Backend is the streaming substrate the daemon fronts: the admission
 // surface (service.Backend) plus the graph-mutation API the evolve
-// endpoints expose. Satisfied by *core.System and by *shard.Group.
+// endpoints expose. Satisfied by *core.System, and by any wrapper around one
+// that a test or benchmark harness substitutes to time or trace its calls.
 type Backend interface {
 	service.Backend
 	AddEdges(edges []graph.Edge) (int, error)
@@ -107,24 +107,15 @@ type Backend interface {
 	SnapshotVersion() int
 }
 
-// ShardedBackend is the optional sharding surface a Backend may offer;
-// /metrics exports per-shard counters and the cluster network totals when
-// the backend provides it (shard.Group does).
-type ShardedBackend interface {
-	Shards() int
-	System(i int) *core.System
-	Network() *cluster.Network
-}
-
 // Server is the HTTP front end over one admission service. It implements
 // http.Handler; all methods are safe for concurrent use.
 type Server struct {
 	svc *service.Service
 	sys Backend
 	// dsys is the durable-capable concrete system — non-nil only when the
-	// backend is a single core.System. The durable paths (Restore,
-	// AttachStore, checkpoints) require it; sharded backends run in-memory
-	// only.
+	// backend is a *core.System itself. The durable paths (Restore,
+	// AttachStore, checkpoints) require it; a wrapping backend runs
+	// in-memory only.
 	dsys *core.System
 	cfg  Config
 	mux  *http.ServeMux
@@ -161,9 +152,9 @@ func New(sys *core.System, svcCfg service.Config, cfg Config) *Server {
 }
 
 // NewWithBackend is New over any Backend. A *core.System backend keeps the
-// full durable surface; any other backend (a shard.Group) serves the same
-// HTTP API in memory-only mode — Restore/AttachStore must not be called and
-// checkpoints are never due.
+// full durable surface; any other backend (a harness's wrapper around a
+// System) serves the same HTTP API in memory-only mode — Restore/AttachStore
+// must not be called and checkpoints are never due.
 func NewWithBackend(sys Backend, svcCfg service.Config, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{

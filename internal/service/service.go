@@ -27,14 +27,14 @@ import (
 	"graphm/internal/engine"
 )
 
-// Backend is the streaming substrate the service admits jobs to: one
-// core.System, or the shard package's partitioned group of them. Everything
-// the admission path needs is session opening plus the observability pair.
+// Backend is the streaming substrate the service admits jobs to: a
+// core.System, or a wrapper around one that a test or benchmark harness
+// substitutes to time or trace its calls. Everything the admission path
+// needs is session opening plus the observability pair.
 type Backend interface {
 	// OpenJobSession registers a job and returns its streaming driver.
 	OpenJobSession(j *engine.Job, opts core.SessionOptions) (core.JobDriver, error)
-	// StatsSnapshot returns the controller counters (aggregated across
-	// shards for a group).
+	// StatsSnapshot returns the controller counters.
 	StatsSnapshot() core.Stats
 	// Err returns the backend's first failure, if any.
 	Err() error
@@ -165,8 +165,8 @@ func New(sys *core.System, cfg Config) *Service {
 	return NewWithBackend(sys, cfg)
 }
 
-// NewWithBackend is New over any Backend — the daemon's sharded mode passes
-// a shard.Group here and every admission, ticket and stats path works
+// NewWithBackend is New over any Backend, such as a harness's wrapper
+// around a core.System; every admission, ticket and stats path works
 // unchanged.
 func NewWithBackend(sys Backend, cfg Config) *Service {
 	s := &Service{
