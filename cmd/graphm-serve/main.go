@@ -243,6 +243,11 @@ func runDaemon(sys *core.System, svcCfg service.Config, cfg server.Config, addr 
 	fmt.Printf("daemon listening on %s (max in-flight %d, SLO window %v); SIGTERM drains\n",
 		addr, svcCfg.MaxInFlight, cfg.SLOWindow)
 
+	// Catch SIGTERM before the listener opens: a client that sees /healthz
+	// answer may stop the daemon at once, and a signal that lands before
+	// Notify kills the process instead of draining it.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 
@@ -277,8 +282,6 @@ func runDaemon(sys *core.System, svcCfg service.Config, cfg server.Config, addr 
 		}()
 	}
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
 	select {
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "graphm-serve: caught %v, draining\n", sig)
