@@ -1,7 +1,5 @@
 # The serial pinned benchmark subset: the perf-gate benches whose ns/op is
 # baselined in BENCH_baseline.json and whose profile feeds default.pgo.
-# BenchmarkParallelExecutor and the hotpath worker sweep stay out — their
-# wall-clock scales with the runner's core count.
 PINNED_SERIAL = ^(BenchmarkTable3Preprocess|BenchmarkFig03Motivation|BenchmarkAblation|BenchmarkHotpathSerial|BenchmarkHotpathSerialWCC|BenchmarkHotpathSerialBFS|BenchmarkHotpathSerialSSSP|BenchmarkHotpathSerialKCore|BenchmarkHotpathSerialLabelProp|BenchmarkHotpathSerialPPR)$$
 
 .PHONY: test bench-baseline pgo release allocs print-pinned

@@ -44,11 +44,6 @@ func runExperiment(b *testing.B, name string, jobs int) {
 // service-era successor of the Figure 15 trace replay.
 func BenchmarkReplay(b *testing.B) { runExperiment(b, "replay", 16) }
 
-// BenchmarkParallelExecutor runs the streaming-executor worker sweep: the
-// out-of-core workload at 1/2/4/8 real workers, reporting wall-clock
-// speedup, peak in-flight streams and the (flat) simulated makespan.
-func BenchmarkParallelExecutor(b *testing.B) { runExperiment(b, "parallel", 8) }
-
 // BenchmarkAdaptive runs the adaptive chunk re-labelling experiment: the
 // deterministic attach/detach ramp under static vs partition-barrier
 // re-labelled chunking, comparing simulated LLC misses with bit-identical
@@ -138,15 +133,9 @@ func BenchmarkAblation(b *testing.B) { runExperiment(b, "ablation", 16) }
 // density drives load sharing.
 func BenchmarkOpenLoop(b *testing.B) { runExperiment(b, "openloop", 12) }
 
-// BenchmarkHotpath runs the chunk-apply hot-path throughput experiment:
-// scanned edges per second (Medges/s) across the serial driver (two-phase
-// under FineSync) and the executor worker sweep.
-func BenchmarkHotpath(b *testing.B) { runExperiment(b, "hotpath", 8) }
-
-// BenchmarkHotpathSerial is the serial-only hot-path variant pinned by the
-// perf regression gate (the worker sweep's wall-clock scales with the
-// runner's core count, so only the serial row is baselined — the same
-// caveat that keeps BenchmarkParallelExecutor out of the baseline).
+// BenchmarkHotpathSerial runs the chunk-apply hot-path throughput
+// experiment, pinned by the perf regression gate: scanned edges per second
+// (Medges/s) of the streaming driver (two-phase under FineSync).
 func BenchmarkHotpathSerial(b *testing.B) { runExperiment(b, "hotpath-serial", 8) }
 
 // The per-algorithm serial hot-path gates: one homogeneous 8-job rotation

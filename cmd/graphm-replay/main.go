@@ -27,7 +27,6 @@ func main() {
 		tenants  = flag.Int("tenants", 4, "number of tenants arrivals are spread across")
 		inflight = flag.Int("inflight", 0, "admission cap (0 = default 24)")
 		joblen   = flag.Float64("joblen", 0, "mean virtual job duration in hours (0 = default 2.0)")
-		workers  = flag.Int("workers", 0, "streaming-executor width (0 = serial driver, two-phase under FineSync)")
 		queue    = flag.Int("queue", 0, "per-tenant queue bound (0 = service default)")
 		showLog  = flag.Bool("log", false, "print the full deterministic ticket log before the summary")
 	)
@@ -38,7 +37,6 @@ func main() {
 		Tenants:            *tenants,
 		MaxInFlight:        *inflight,
 		JobHours:           *joblen,
-		Workers:            *workers,
 		MaxQueuedPerTenant: *queue,
 	}
 	if err := run(cfg, *showLog, os.Stdout); err != nil {

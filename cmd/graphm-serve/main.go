@@ -58,7 +58,6 @@ func main() {
 		inflight  = flag.Int("max-inflight", 8, "admission bound on concurrently streaming jobs")
 		queueCap  = flag.Int("queue", 64, "per-tenant queue capacity (backpressure beyond it)")
 		cores     = flag.Int("cores", 8, "simulated core count")
-		workers   = flag.Int("workers", 0, "real-concurrency width of the streaming executor (0 = serial driver: one goroutine computes each partition window for its jobs while another prices the simulated LLC in a fixed order)")
 		adaptive  = flag.Bool("adaptive", false, "re-label chunks at partition barriers as the attending-job count moves (Formula 1 with N = live attendees)")
 		relabelF  = flag.Float64("relabel-factor", 0, "adaptive chunking hysteresis factor (0 = default 2): re-label only on >= factor-x chunk-size drift")
 		seed      = flag.Int64("seed", 42, "arrival and parameter seed")
@@ -96,7 +95,6 @@ func main() {
 	}
 	cfg := core.DefaultConfig(env.Spec.LLCBytes)
 	cfg.Cores = *cores
-	cfg.Workers = *workers
 	cfg.AdaptiveChunking = *adaptive
 	cfg.RelabelFactor = *relabelF
 	mem := storage.NewMemory(env.Disk, env.Spec.MemBudget)

@@ -20,31 +20,22 @@
 //
 //	go run ./cmd/graphm-bench -list
 //
-// # The parallel streaming executor
+// # The streaming driver
 //
 // Simulated time (the figures) is priced from counted work and does not
-// depend on real parallelism. Real wall-clock does: with
-// core.Config.Workers >= 1 the round controller stops letting each job's
-// goroutine stream its own chunks serially and instead hands (job, chunk)
-// work items to a per-round pool of Workers goroutines, while an async
-// prefetcher double-buffers the next scheduled partition's load from
-// storage under the current partition's compute. The FineSync
-// chunk-lockstep across attending jobs and the one-in-flight-chunk-per-job
-// rule are preserved, so workers=1 reproduces the serial driver's work
-// counters; more workers only move work earlier in wall-clock time. The
-// serial driver (workers=0, the default, which every figure runs) streams
-// a partition in two phases instead, a window of chunks at a time: the
-// last attending job to reach the window becomes its owner and computes
-// every attendee's chunks of it through engine.Job.CollectChunk, while a
-// pricing goroutine prices each collected chunk of every attendee
-// against the simulated LLC in lockstep order — each chunk's Formula (4)
-// leader first, then ascending job ID, every attendee's scan of the chunk
+// depend on real parallelism. Every job's partitions stream through
+// core.SharedPartition.ProcessAll, which under FineSync streams a
+// partition in two phases, a window of chunks at a time: the last
+// attending job to reach the window becomes its owner and computes every
+// attendee's chunks of it through engine.Job.CollectChunk, while a pricing
+// goroutine prices each collected chunk of every attendee against the
+// simulated LLC in lockstep order — each chunk's Formula (4) leader first,
+// then ascending job ID, every attendee's scan of the chunk
 // (engine.Job.PriceStream) before any attendee's state accesses
 // (engine.Job.PriceChunk). Job goroutines park once per window rather than
-// twice per chunk, and every simulated number is independent of goroutine
-// interleaving.
-// The `parallel` bench experiment sweeps the worker count and CI gates
-// ns/op regressions against the committed BENCH_baseline.json (see
+// twice per chunk, the collection and the pricing keep two cores busy, and
+// every simulated number is independent of goroutine interleaving. CI
+// gates ns/op regressions against the committed BENCH_baseline.json (see
 // README.md, "CI").
 //
 // # Adaptive chunk re-labelling
@@ -55,8 +46,8 @@
 // sharing controller re-evaluates the formula at every partition open with
 // N = the jobs about to attend, re-running the Algorithm 1 labelling pass
 // when the target size drifts past the RelabelFactor hysteresis (default
-// 2x). Partition-open time is a barrier under both drivers — no chunk in
-// flight — and snapshot chunk keys are rebased onto the new labelling, so
+// 2x). Partition-open time is a barrier — no chunk in flight — and
+// snapshot chunk keys are rebased onto the new labelling, so
 // every job's observed edge stream is unchanged. The `adaptive` bench
 // experiment replays a deterministic attach/detach ramp
 // (internal/scenario) and shows lower simulated LLC misses than static
@@ -81,12 +72,11 @@
 // instead of an interface dispatch per edge. The per-edge reference
 // model survives as engine.Job.ApplyChunkPerEdge (core.Config.PerEdgeSim),
 // and the scenario harness proves the two count every LLC hit and miss
-// identically under the serial driver. On the controller side, the chunk
-// lockstep signals per-partition wait lists instead of one global
-// broadcast, so a chunk barrier wakes its own attendees and nobody else.
-// The `hotpath` bench experiment reports streaming throughput (Medges/s)
-// for the serial driver and the executor sweep; its serial variant is
-// pinned by the CI perf gate.
+// identically. On the controller side, each partition's window waiters
+// park on its own wait list instead of one global broadcast, so a priced
+// window wakes its own attendees and nobody else. The `hotpath-serial`
+// bench experiment reports streaming throughput (Medges/s) and is pinned
+// by the CI perf gate.
 //
 // # Trace replay on a virtual clock
 //
@@ -126,9 +116,8 @@
 //
 // internal/scenario additionally generates its own dynamic-concurrency
 // scripts: GenerateScript draws a valid barrier-anchored timeline from a
-// seed, DiffCheck replays it across executor configurations (serial vs
-// worker pool, static vs adaptive chunking, per-edge vs run-length LLC
-// accounting) and applies every invariant the harness owns, and Minimize
+// seed, DiffCheck replays it across configurations (static vs adaptive
+// chunking, per-edge vs run-length LLC accounting) and applies every invariant the harness owns, and Minimize
 // shrinks failures to corpus-ready counterexamples
 // (internal/scenario/testdata/corpus, replayed as regressions). CI runs 50
 // fixed-seed scripts per push; GRAPHM_FUZZ_SCRIPTS and a native go-fuzz

@@ -187,10 +187,6 @@ func gridP(spec graph.DatasetSpec) int {
 // RunOptions tunes a scheme execution.
 type RunOptions struct {
 	Cores int
-	// Workers sets the real-concurrency width of SchemeM's streaming
-	// executor (core.Config.Workers); 0 keeps the serial driver the
-	// simulated-time experiments run under.
-	Workers int
 	// TimeScale scales workload submission delays into real sleeps; 0
 	// submits everything immediately (SchemeM: as one System.Run batch).
 	TimeScale float64
@@ -253,7 +249,6 @@ func (e *GridEnv) RunScheme(scheme string, wf func() *jobs.Workload, opts RunOpt
 	case SchemeM:
 		cfg := core.DefaultConfig(llc)
 		cfg.Cores = opts.cores()
-		cfg.Workers = opts.Workers
 		cfg.Scheduler = !opts.SchedulerOff
 		cfg.FineSync = !opts.FineSyncOff
 		sys, err := core.NewSystem(e.Grid.AsLayout(), mem, cache, cfg)

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"regexp"
 	"strings"
 	"testing"
 
@@ -37,7 +36,7 @@ func TestExperimentsRegistryComplete(t *testing.T) {
 	names := Experiments()
 	want := []string{"fig2", "fig3", "fig4", "table3", "fig9", "fig10", "fig11", "fig12",
 		"fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21",
-		"table4", "ablation", "openloop", "parallel", "adaptive", "replay", "hotpath", "hotpath-serial",
+		"table4", "ablation", "openloop", "adaptive", "replay", "hotpath-serial",
 		"hotpath-serial-wcc", "hotpath-serial-bfs", "hotpath-serial-sssp", "hotpath-serial-kcore",
 		"hotpath-serial-labelprop", "hotpath-serial-ppr",
 		"serve-http", "durability"}
@@ -175,22 +174,6 @@ func TestGraphChiSchemesRun(t *testing.T) {
 		if res.ScannedEdges == 0 {
 			t.Fatalf("%s: nothing scanned", scheme)
 		}
-	}
-}
-
-func TestParallelExperimentRuns(t *testing.T) {
-	var buf strings.Builder
-	h := smallHarness(&buf)
-	if err := h.Run("parallel"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "parallel executor") || !strings.Contains(out, "prefetch hit/start") {
-		t.Fatalf("parallel table malformed:\n%s", out)
-	}
-	// Four sweep rows (workers 1/2/4/8), each with a speedup cell like "1.00x".
-	if got := len(regexp.MustCompile(`\d+\.\d{2}x`).FindAllString(out, -1)); got != 4 {
-		t.Fatalf("expected 4 speedup cells, found %d in output:\n%s", got, out)
 	}
 }
 

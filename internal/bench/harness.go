@@ -75,11 +75,9 @@ var experiments = []experiment{
 	{"table4", "GraphChi/PowerGraph/Chaos integration", (*Harness).table4},
 	{"ablation", "design-choice ablations (chunk size, fine sync)", (*Harness).ablation},
 	{"openloop", "open-loop arrivals: online admission vs arrival rate", (*Harness).openloop},
-	{"parallel", "streaming-executor worker sweep: wall-clock speedup vs workers", (*Harness).parallel},
 	{"adaptive", "adaptive chunk re-labelling: static vs barrier-relabelled chunking on an attach/detach ramp", (*Harness).adaptive},
 	{"replay", "week-in-the-life trace replay through the admission service on a virtual clock", (*Harness).replayExperiment},
-	{"hotpath", "chunk-apply hot-path throughput (Medges/s), serial + worker sweep", (*Harness).hotpath},
-	{"hotpath-serial", "hot-path throughput, serial driver only (the perf-gate variant)", (*Harness).hotpathSerial},
+	{"hotpath-serial", "chunk-apply hot-path throughput (Medges/s), the perf-gate variant", (*Harness).hotpathSerial},
 	{"hotpath-serial-wcc", "serial hot path, homogeneous WCC jobs (per-algorithm gate)", func(h *Harness) ([]*Table, error) { return h.hotpathSerialAlgo("wcc") }},
 	{"hotpath-serial-bfs", "serial hot path, homogeneous BFS jobs (per-algorithm gate)", func(h *Harness) ([]*Table, error) { return h.hotpathSerialAlgo("bfs") }},
 	{"hotpath-serial-sssp", "serial hot path, homogeneous SSSP jobs (per-algorithm gate)", func(h *Harness) ([]*Table, error) { return h.hotpathSerialAlgo("sssp") }},

@@ -1,9 +1,7 @@
 // Package cluster simulates the 128-node testbed of the paper's distributed
 // experiments (PowerGraph and Chaos, Section 5.1): nodes with private
-// simulated memory, a byte-metered 1-Gigabit network with a contention
-// model, and the grouping policy the paper uses to run jobs in
-// high-throughput mode (nodes divided into groups, jobs assigned to groups
-// in turn).
+// simulated memory and a byte-metered 1-Gigabit network with a contention
+// model. The PowerGraph and Chaos substrates build over a group of nodes.
 package cluster
 
 import (
@@ -88,61 +86,4 @@ func New(n int, memBudget int64) (*Cluster, error) {
 		})
 	}
 	return c, nil
-}
-
-// GroupSizes splits n items into g contiguous groups as evenly as possible:
-// every group gets n/g items and the first n%g groups get one extra, so the
-// sizes sum to exactly n. It is the splitting rule Groups uses.
-func GroupSizes(n, g int) ([]int, error) {
-	if g <= 0 || g > n {
-		return nil, fmt.Errorf("cluster: cannot split %d into %d groups", n, g)
-	}
-	per, extra := n/g, n%g
-	sizes := make([]int, g)
-	for i := range sizes {
-		sizes[i] = per
-		if i < extra {
-			sizes[i]++
-		}
-	}
-	return sizes, nil
-}
-
-// Groups splits the nodes into g contiguous groups (the paper's
-// high-throughput configuration; Section 5.1 lists the group counts per
-// dataset). Jobs are assigned to groups round-robin by the engines. When g
-// does not divide the node count the remainder is distributed one node each
-// across the first len(Nodes)%g groups — every node is assigned to exactly
-// one group. (Earlier versions silently dropped the trailing remainder
-// nodes from all groups.)
-func (c *Cluster) Groups(g int) ([][]*Node, error) {
-	sizes, err := GroupSizes(len(c.Nodes), g)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: cannot split %d nodes into %d groups", len(c.Nodes), g)
-	}
-	out := make([][]*Node, g)
-	next := 0
-	for i, sz := range sizes {
-		out[i] = c.Nodes[next : next+sz]
-		next += sz
-	}
-	return out, nil
-}
-
-// TotalMemUsed sums resident bytes across nodes.
-func (c *Cluster) TotalMemUsed() int64 {
-	var t int64
-	for _, n := range c.Nodes {
-		t += n.Mem.Used()
-	}
-	return t
-}
-
-// TotalMemPeak sums peak resident bytes across nodes.
-func (c *Cluster) TotalMemPeak() int64 {
-	var t int64
-	for _, n := range c.Nodes {
-		t += n.Mem.Peak()
-	}
-	return t
 }

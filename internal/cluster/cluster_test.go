@@ -22,94 +22,6 @@ func TestNewValidatesNodeCount(t *testing.T) {
 	}
 }
 
-func TestGroups(t *testing.T) {
-	c, _ := New(8, 1<<20)
-	groups, err := c.Groups(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 2 || len(groups[0]) != 4 || len(groups[1]) != 4 {
-		t.Fatalf("bad grouping: %d groups", len(groups))
-	}
-	if _, err := c.Groups(0); err == nil {
-		t.Fatal("expected error for 0 groups")
-	}
-	if _, err := c.Groups(9); err == nil {
-		t.Fatal("expected error for more groups than nodes")
-	}
-}
-
-// TestGroupsNonDivisible is the regression test for the remainder-drop bug:
-// Groups used to truncate len(Nodes)%g trailing nodes out of every group.
-// Every node must land in exactly one group, contiguously, with the
-// remainder spread one node each across the first groups.
-func TestGroupsNonDivisible(t *testing.T) {
-	cases := []struct {
-		nodes, groups int
-		wantSizes     []int
-	}{
-		{7, 2, []int{4, 3}},
-		{7, 3, []int{3, 2, 2}},
-		{5, 4, []int{2, 1, 1, 1}},
-		{9, 4, []int{3, 2, 2, 2}},
-		{3, 3, []int{1, 1, 1}},
-		{128, 6, []int{22, 22, 21, 21, 21, 21}},
-	}
-	for _, tc := range cases {
-		c, err := New(tc.nodes, 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		groups, err := c.Groups(tc.groups)
-		if err != nil {
-			t.Fatalf("%d nodes / %d groups: %v", tc.nodes, tc.groups, err)
-		}
-		if len(groups) != tc.groups {
-			t.Fatalf("%d/%d: got %d groups", tc.nodes, tc.groups, len(groups))
-		}
-		next := 0
-		for i, g := range groups {
-			if len(g) != tc.wantSizes[i] {
-				t.Errorf("%d/%d: group %d has %d nodes, want %d",
-					tc.nodes, tc.groups, i, len(g), tc.wantSizes[i])
-			}
-			for _, n := range g {
-				if n.ID != next {
-					t.Fatalf("%d/%d: group %d: node %d out of contiguous order (want %d)",
-						tc.nodes, tc.groups, i, n.ID, next)
-				}
-				next++
-			}
-		}
-		if next != tc.nodes {
-			t.Fatalf("%d/%d: %d nodes assigned, want all %d", tc.nodes, tc.groups, next, tc.nodes)
-		}
-	}
-}
-
-func TestGroupSizes(t *testing.T) {
-	if _, err := GroupSizes(3, 0); err == nil {
-		t.Fatal("expected error for 0 groups")
-	}
-	if _, err := GroupSizes(3, 4); err == nil {
-		t.Fatal("expected error for more groups than items")
-	}
-	sizes, err := GroupSizes(10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for i, sz := range sizes {
-		total += sz
-		if i > 0 && sz > sizes[i-1] {
-			t.Fatalf("sizes %v not non-increasing", sizes)
-		}
-	}
-	if total != 10 {
-		t.Fatalf("sizes %v sum to %d, want 10", sizes, total)
-	}
-}
-
 func TestNetworkMetersBytes(t *testing.T) {
 	n := NewNetwork()
 	ns := n.TransferNS(125e6) // 1 second at full bandwidth, single stream
@@ -138,17 +50,5 @@ func TestNetworkContention(t *testing.T) {
 	after := n.TransferNS(1e6)
 	if after != single {
 		t.Fatalf("contention not released: %d vs %d", after, single)
-	}
-}
-
-func TestTotalMemAccounting(t *testing.T) {
-	c, _ := New(2, 1<<20)
-	c.Nodes[0].Mem.ReserveJobData(100)
-	c.Nodes[1].Mem.ReserveJobData(50)
-	if c.TotalMemUsed() != 150 {
-		t.Fatalf("used = %d", c.TotalMemUsed())
-	}
-	if c.TotalMemPeak() != 150 {
-		t.Fatalf("peak = %d", c.TotalMemPeak())
 	}
 }

@@ -14,7 +14,8 @@ import (
 //	GetActiveVertices() -> ActivePartitions / the beginIteration step of the
 //	                       per-job driver
 //	Sharing()           -> System.sharing via the driver (Algorithm 2)
-//	Start()/Barrier()   -> awaitChunk / partitionBarrier via the driver
+//	Start()/Barrier()   -> SharedPartition.ProcessAll (streamTwoPhase) /
+//	                       partitionBarrier via the driver
 //
 // plus the evolving-graph operations of Section 3.3.2 (MutateChunk /
 // UpdateChunk) and read-side helpers used by examples and tests.
@@ -41,10 +42,6 @@ func (s *System) ChunkBytes() int64 { return s.stats.ChunkBytes }
 // ResolvedCores returns the core count the system was sized for: Config.Cores,
 // with zero resolved to runtime.GOMAXPROCS(0) at NewSystem time.
 func (s *System) ResolvedCores() int { return s.cores }
-
-// Workers returns the streaming executor's real-concurrency width (0 means
-// the serial driver, two-phase under FineSync).
-func (s *System) Workers() int { return s.workers }
 
 // ActivePartitions reports which partitions a job with the given active
 // bitmap would need — the GetActiveVertices() step. It is exposed so engine

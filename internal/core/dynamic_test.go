@@ -22,9 +22,7 @@ func drive(sess *core.Session) {
 // already-obtained shared partition (nil if the iteration has none).
 func finishIteration(sess *core.Session, sp *core.SharedPartition) {
 	for sp != nil {
-		for sp.Next() {
-			sp.Process()
-		}
+		sp.ProcessAll()
 		sp.Barrier()
 		sp = sess.Sharing()
 	}

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,59 +35,65 @@ func stressLayout(g *graph.Graph, parts int, disk *storage.Disk) Layout {
 	return NewLayout(g, out)
 }
 
-// TestLockstepLivenessStress guards the chunk lockstep's wake rule
-// (chunkDoneLocked broadcasts only when a waiter's predicate can have
-// changed and someone waits on it) against lost wakeups: ten self-driven
-// attendees plus two ProcessAll ones stream multi-chunk partitions in
-// lockstep while one job detaches in the middle of a partition, and — in
-// the failure variant — another fails the system in the middle of a
-// partition, with attendees parked on the chunk barrier and ProcessAll work
-// in flight. At workers=2 the ProcessAll jobs run on the executor's pool;
-// at workers=0 they stream two-phase in windows of two chunks, so a
-// self-driven job is a partition's leader while the window owner collects
-// the ProcessAll jobs' chunks, and its pricer prices beside self-driven
-// attendees.
+// hookedProg runs hook from inside the job's compute: once armed with n,
+// the n-th edge the program processes afterwards fires it, on whichever
+// goroutine computes the job's chunk (a window owner under FineSync).
+// Wrapping hides the inner program's batch path, so every edge goes
+// through ProcessEdge.
+type hookedProg struct {
+	engine.Program
+	countdown atomic.Int64
+	hook      func()
+}
+
+func (p *hookedProg) ProcessEdge(e graph.Edge) bool {
+	if p.countdown.Add(-1) == 0 {
+		p.hook()
+	}
+	return p.Program.ProcessEdge(e)
+}
+
+// TestLockstepLivenessStress guards two-phase streaming's wake rules
+// against lost wakeups: twelve ProcessAll attendees stream multi-chunk
+// partitions in windows of two chunks while one job detaches in the middle
+// of a partition and — in the failure variant — another fails the system in
+// the middle of a partition. Both fire from inside the job's compute, in
+// the partition's second window, so the window's owner is collecting and
+// its pricer pricing while the other attendees are parked on the window.
 // Every driver must return within the bound at GOMAXPROCS 1, 2 and 4; run
-// it under -race. The Share-only variant (FineSync off) has no lockstep, so
-// there the pool jobs' ProcessAll depends on the finished wake alone.
+// it under -race. The Share-only variant (FineSync off) streams each job's
+// chunks back to back on its own goroutine, with no window to park on.
 func TestLockstepLivenessStress(t *testing.T) {
 	g, err := graph.GenerateRMAT(graph.DefaultRMAT("lockstep", 1200, 12000, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, procs := range []int{1, 2, 4} {
-		for _, workers := range []int{0, 2} {
-			for _, fineSync := range []bool{true, false} {
-				for _, inject := range []bool{false, true} {
-					// A stalled run leaves its drivers parked; stop rather
-					// than pile more stalled runs on top of them.
-					name := fmt.Sprintf("gomaxprocs=%d/finesync=%v/fail=%v", procs, fineSync, inject)
-					if workers == 0 {
-						name = "workers=0/" + name
-					}
-					if !t.Run(name, func(t *testing.T) {
-						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-						runLockstepStress(t, g, workers, fineSync, inject)
-					}) {
-						return
-					}
+		for _, fineSync := range []bool{true, false} {
+			for _, inject := range []bool{false, true} {
+				// A stalled run leaves its drivers parked; stop rather than
+				// pile more stalled runs on top of them.
+				name := fmt.Sprintf("gomaxprocs=%d/finesync=%v/fail=%v", procs, fineSync, inject)
+				if !t.Run(name, func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					runLockstepStress(t, g, fineSync, inject)
+				}) {
+					return
 				}
 			}
 		}
 	}
 }
 
-func runLockstepStress(t *testing.T, g *graph.Graph, workers int, fineSync, inject bool) {
+func runLockstepStress(t *testing.T, g *graph.Graph, fineSync, inject bool) {
 	const (
-		selfDriven = 10
-		poolDriven = 2
-		detachID   = 4
-		failID     = 8
+		numJobs  = 12
+		detachID = 4
+		failID   = 8
 	)
 	errInjected := errors.New("injected failure")
 	disk := storage.NewDisk()
 	cfg := DefaultConfig(16 << 10)
-	cfg.Workers = workers
 	cfg.FineSync = fineSync
 	cache, err := memsim.NewCache(memsim.DefaultConfig(cfg.LLCBytes))
 	if err != nil {
@@ -98,19 +105,18 @@ func runLockstepStress(t *testing.T, g *graph.Graph, workers int, fineSync, inje
 	}
 	for pid := 0; pid < len(s.parts); pid++ {
 		if n := s.ChunkCount(pid); n < 3 {
-			t.Fatalf("partition %d has %d chunks — the stress needs multi-chunk lockstep", pid, n)
+			t.Fatalf("partition %d has %d chunks — the stress needs multi-window partitions", pid, n)
 		}
 	}
-	// Two-phase attendees park once per window of two chunks,
-	// so every partition streams in several windows.
 	s.window = 2
 
 	type driven struct {
 		sess *Session
 		prog engine.Program
+		hook *hookedProg // the detach or failure trigger, nil for the others
 	}
 	var jobs []driven
-	for id := 1; id <= selfDriven+poolDriven; id++ {
+	for id := 1; id <= numJobs; id++ {
 		var p engine.Program
 		switch id % 4 {
 		case 0:
@@ -124,16 +130,35 @@ func runLockstepStress(t *testing.T, g *graph.Graph, workers int, fineSync, inje
 		default:
 			p = algorithms.NewSSSP(graph.VertexID(id))
 		}
-		sess, err := s.OpenSession(engine.NewJob(id, p, int64(id)))
+		d := driven{prog: p}
+		run := p
+		switch {
+		case id == detachID:
+			d.hook = &hookedProg{Program: p}
+		case id == failID && inject:
+			d.hook = &hookedProg{Program: p, hook: func() { s.fail(errInjected) }}
+		}
+		if d.hook != nil {
+			run = d.hook
+		}
+		d.sess, err = s.OpenSession(engine.NewJob(id, run, int64(id)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs = append(jobs, driven{sess, p})
+		if id == detachID {
+			d.hook.hook = d.sess.Detach
+		}
+		jobs = append(jobs, d)
 	}
 
 	var wg sync.WaitGroup
 	for i, d := range jobs {
-		id, pooled := i+1, i >= selfDriven
+		// The detach fires in the job's first iteration and the failure in
+		// its second, each in its second partition's second window.
+		trigger := 0
+		if i+1 == failID {
+			trigger = 1
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -142,20 +167,11 @@ func runLockstepStress(t *testing.T, g *graph.Graph, workers int, fineSync, inje
 				nth := 0
 				for sp := d.sess.Sharing(); sp != nil; sp = d.sess.Sharing() {
 					nth++
-					if pooled {
-						sp.ProcessAll()
-						sp.Barrier()
-						continue
+					if d.hook != nil && d.sess.iter == trigger && nth == 2 {
+						chunks := sp.cp.set.Chunks
+						d.hook.countdown.Store(int64(chunks[0].NumEdges + chunks[1].NumEdges + 1))
 					}
-					for k := 0; sp.Next(); k++ {
-						sp.Process()
-						switch {
-						case id == detachID && d.sess.iter == 0 && nth == 2 && k == 1:
-							d.sess.Detach()
-						case inject && id == failID && d.sess.iter == 1 && nth == 2 && k == 1:
-							s.fail(errInjected)
-						}
-					}
+					sp.ProcessAll()
 					sp.Barrier()
 				}
 				d.sess.EndIteration()

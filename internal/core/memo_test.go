@@ -58,9 +58,7 @@ func TestMemoKeyedOnChunkAcrossReloads(t *testing.T) {
 		}
 		for sess.BeginIteration() {
 			for sp := sess.Sharing(); sp != nil; sp = sess.Sharing() {
-				for sp.Next() {
-					sp.Process()
-				}
+				sp.ProcessAll()
 				sp.Barrier()
 			}
 			sess.EndIteration()

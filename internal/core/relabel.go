@@ -17,13 +17,12 @@ import "graphm/internal/chunk"
 // every time it opens a partition, using N = the number of jobs about to
 // attend it. Partition-open time is a barrier by construction: the previous
 // partition's attendees have all passed their partition barrier, no chunk
-// work items are queued or in flight, and the new curPartition has not been
-// published — so no streaming pass can observe a half-swapped labelling.
+// is in flight, and the new curPartition has not been published — so no
+// streaming pass can observe a half-swapped labelling.
 // Sets are immutable; a re-label installs a fresh Set (next epoch) and
 // rebases the snapshot store's version/override chunk keys onto it (see
 // snapshotStore.relabelPartition), leaving every job's observed edge stream
-// bit-identical. Prefetch handles are unaffected: they hold raw partition
-// bytes, and chunking is metadata over that stream.
+// bit-identical.
 
 // maybeRelabelLocked applies the adaptive sizing rule for partition pid
 // about to be opened for `attendees` jobs. Caller holds s.mu.

@@ -169,11 +169,10 @@ func TestAdaptiveOffNeverRelabels(t *testing.T) {
 // bit-identical PageRank ranks — re-labelling changes granularity, never
 // results.
 func TestAdaptiveMatchesStaticWork(t *testing.T) {
-	run := func(adaptive bool, workers int) ([]float64, []engine.WorkCounters) {
+	run := func(adaptive bool) ([]float64, []engine.WorkCounters) {
 		cfg := core.DefaultConfig(32 << 10)
 		cfg.Cores = 1
 		cfg.AdaptiveChunking = adaptive
-		cfg.Workers = workers
 		r := newRig(t, 400, 3000, 2, cfg)
 		var jobs []*engine.Job
 		var prs []*algorithms.PageRank
@@ -197,21 +196,16 @@ func TestAdaptiveMatchesStaticWork(t *testing.T) {
 		}
 		return prs[0].Ranks(), work
 	}
-	staticRanks, staticWork := run(false, 0)
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{{"legacy driver", 0}, {"executor w=3", 3}} {
-		ranks, work := run(true, mode.workers)
-		for i := range staticWork {
-			if work[i] != staticWork[i] {
-				t.Fatalf("%s: job %d work %+v != static %+v", mode.name, i+1, work[i], staticWork[i])
-			}
+	staticRanks, staticWork := run(false)
+	ranks, work := run(true)
+	for i := range staticWork {
+		if work[i] != staticWork[i] {
+			t.Fatalf("job %d work %+v != static %+v", i+1, work[i], staticWork[i])
 		}
-		for v := range staticRanks {
-			if ranks[v] != staticRanks[v] {
-				t.Fatalf("%s: rank[%d] %v != static %v (not bit-identical)", mode.name, v, ranks[v], staticRanks[v])
-			}
+	}
+	for v := range staticRanks {
+		if ranks[v] != staticRanks[v] {
+			t.Fatalf("rank[%d] %v != static %v (not bit-identical)", v, ranks[v], staticRanks[v])
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"graphm/internal/engine"
-	"graphm/internal/graph"
 )
 
 // Session is the engine-facing form of the Table 1 API: an engine that owns
@@ -18,9 +17,8 @@ import (
 //	        if sp == nil {             // needed partition is loaded
 //	            break
 //	        }
-//	        for sp.Next() {            // Start(): chunk-lockstep window
-//	            sp.Process()           // or Edges() + custom streaming
-//	        }
+//	        sp.ProcessAll()            // Start(): stream the partition
+//	                                   // in the chunk lockstep
 //	        sp.Barrier()               // Barrier(): partition complete
 //	    }
 //	    sess.EndIteration()
@@ -143,7 +141,7 @@ func (sess *Session) Detach() {
 	s.mu.Lock()
 	sess.js.detachWanted = true
 	// The job could be parked on any wait list (round barrier, sharing, or
-	// the open partition's lockstep); detaches are rare, so wake them all.
+	// the open partition's windows); detaches are rare, so wake them all.
 	s.broadcastAllLocked()
 	s.mu.Unlock()
 }
@@ -184,7 +182,7 @@ func (sess *Session) Sharing() *SharedPartition {
 	if cp == nil {
 		return nil
 	}
-	return &SharedPartition{sess: sess, cp: cp, k: -1}
+	return &SharedPartition{sess: sess, cp: cp}
 }
 
 // EndIteration commits the iteration (AfterIteration + bookkeeping).
@@ -220,7 +218,6 @@ func (sess *Session) Close() {
 type SharedPartition struct {
 	sess *Session
 	cp   *curPartition
-	k    int
 	done bool
 }
 
@@ -230,100 +227,32 @@ func (sp *SharedPartition) ID() int { return sp.cp.part.ID }
 // NumChunks returns the number of logical chunks in the partition.
 func (sp *SharedPartition) NumChunks() int { return len(sp.cp.set.Chunks) }
 
-// Next advances to the next chunk, honouring the fine-grained
-// synchronization barriers (a chunk opens for this job once the elected
-// leader has pulled it into the LLC). It returns false after the last
-// chunk or on system failure.
-func (sp *SharedPartition) Next() bool {
-	if sp.done {
-		return false
-	}
-	s := sp.sess.s
-	if s.cfg.FineSync {
-		if sp.k >= 0 {
-			s.chunkDone(sp.sess.js, sp.cp)
-		}
-		sp.k++
-		if sp.k >= len(sp.cp.set.Chunks) {
-			sp.done = true
-			return false
-		}
-		if !s.awaitChunk(sp.sess.js, sp.cp, sp.k) {
-			sp.done = true
-			return false
-		}
-		return true
-	}
-	sp.k++
-	if sp.k >= len(sp.cp.set.Chunks) {
-		sp.done = true
-		return false
-	}
-	return true
-}
-
-// Edges returns the current chunk exactly as this job observes it through
-// its snapshot (private mutations / versioned updates applied), together
-// with the chunk's simulated base address and the index of its first edge
-// within that address region — the inputs engine.Job.ApplyChunk needs.
-func (sp *SharedPartition) Edges() (edges []graph.Edge, baseAddr uint64, first int) {
-	return sp.sess.s.chunkEdges(sp.sess.js, sp.cp, sp.k)
-}
-
-// Process streams the current chunk through the job's program with the
-// system's LLC instrumentation, feeding the profiling phase.
-func (sp *SharedPartition) Process() {
-	s := sp.sess.s
-	st := s.streamChunk(sp.sess.js, sp.cp, sp.k)
-	s.recordSample(sp.sess.js, st)
-}
-
-// ProcessAll applies every chunk of the partition for this job and returns
-// when the job's share of the partition is fully streamed. With the parallel
-// executor enabled (Config.Workers >= 1) the chunks become work items on the
-// round's worker pool — the FineSync lockstep and per-job serialization are
-// preserved, but real concurrency across attending jobs is bounded by the
-// worker count instead of one goroutine per job. Under the serial driver
-// with FineSync the partition streams in two phases (twophase.go), a window
-// of chunks at a time: the job computes the window's chunks on the calling
-// goroutine, and one attendee then prices every attendee's chunks of the
-// window in lockstep order. Share-only
-// (FineSync off) streams the chunks back to back. Call Barrier afterwards
-// as usual; drivers that need custom per-chunk handling keep using
-// Next/Process/Edges directly, which interoperates with both kinds of
-// ProcessAll attendee on the same lockstep.
+// ProcessAll applies every chunk of the partition for this job (the paper's
+// Start()) and returns when the job's share of the partition is fully
+// streamed, or the system failed. With FineSync the partition streams in
+// two phases (twophase.go), a window of chunks at a time: one attendee
+// computes every attendee's chunks of the window, and one pricing goroutine
+// prices them in the chunk lockstep's order. Share-only (FineSync off)
+// streams the chunks back to back on the calling goroutine. Call Barrier
+// afterwards.
 func (sp *SharedPartition) ProcessAll() {
 	if sp.done {
 		return
 	}
 	sp.done = true
 	s, js := sp.sess.s, sp.sess.js
-	switch {
-	case s.execEnabled():
-		s.processAll(js, sp.cp)
-	case s.cfg.FineSync:
+	if s.cfg.FineSync {
 		s.streamTwoPhase(js, sp.cp)
-	default:
-		for k := range sp.cp.set.Chunks {
-			s.recordSample(js, s.streamChunk(js, sp.cp, k))
-		}
+		return
 	}
-}
-
-// Report feeds externally measured streaming stats to the profiler, for
-// engines that consumed Edges() directly instead of calling Process.
-func (sp *SharedPartition) Report(st engine.StreamStats) {
-	sp.sess.s.recordSample(sp.sess.js, st)
+	for k := range sp.cp.set.Chunks {
+		s.recordSample(js, s.streamChunk(js, sp.cp, k))
+	}
 }
 
 // Barrier marks the partition complete for this job (Table 1's Barrier()),
 // letting the controller advance once every attending job arrives. It must
-// be called exactly once, after Next has returned false (or to abandon the
-// remaining chunks only when the system has failed).
+// be called exactly once, after ProcessAll.
 func (sp *SharedPartition) Barrier() {
-	// Drain remaining chunk barriers if the caller bailed early on error.
-	if s := sp.sess.s; s.cfg.FineSync && !sp.done && s.Err() != nil {
-		sp.done = true
-	}
 	sp.sess.s.partitionBarrier(sp.sess.js, sp.cp)
 }

@@ -28,19 +28,30 @@ func TestSessionDrivenEngine(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		defer sess.Close()
 		for sess.BeginIteration() {
 			for {
 				sp := sess.Sharing()
 				if sp == nil {
 					break
 				}
-				for sp.Next() {
-					sp.Process()
+				if sp.ID() < 0 || sp.ID() >= r.sys.NumPartitions() {
+					t.Errorf("partition ID %d out of range", sp.ID())
 				}
+				if sp.NumChunks() != r.sys.ChunkCount(sp.ID()) {
+					t.Errorf("NumChunks %d != ChunkCount %d", sp.NumChunks(), r.sys.ChunkCount(sp.ID()))
+				}
+				sp.ProcessAll()
 				sp.Barrier()
 			}
+			// Profiled costs become available after the first partitions.
+			if _, te, ok := r.sys.ProfiledCosts(j.ID); ok && te < 0 {
+				t.Errorf("profiled T(E) negative: %v", te)
+			}
 			sess.EndIteration()
+		}
+		sess.Close()
+		if _, _, ok := r.sys.ProfiledCosts(j.ID); ok {
+			t.Error("ProfiledCosts should report unknown after the job left")
 		}
 	}
 
@@ -71,72 +82,6 @@ func TestSessionDrivenEngine(t *testing.T) {
 	}
 }
 
-// TestSessionCustomStreaming consumes chunk edges through Edges() and
-// reports stats manually — the advanced integration for engines with their
-// own edge loop representation.
-func TestSessionCustomStreaming(t *testing.T) {
-	r := newRig(t, 300, 2000, 2, core.DefaultConfig(64<<10))
-	wcc := algorithms.NewWCC(1000)
-	j := engine.NewJob(1, wcc, 1)
-	sess, err := r.sys.OpenSession(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scanned := 0
-	for sess.BeginIteration() {
-		for {
-			sp := sess.Sharing()
-			if sp == nil {
-				break
-			}
-			if sp.ID() < 0 || sp.ID() >= r.sys.NumPartitions() {
-				t.Fatalf("partition ID %d out of range", sp.ID())
-			}
-			if sp.NumChunks() != r.sys.ChunkCount(sp.ID()) {
-				t.Fatalf("NumChunks %d != ChunkCount %d", sp.NumChunks(), r.sys.ChunkCount(sp.ID()))
-			}
-			for sp.Next() {
-				edges, _, _ := sp.Edges()
-				var st engine.StreamStats
-				for _, e := range edges {
-					st.Scanned++
-					scanned++
-					if wcc.Active().Has(int(e.Src)) {
-						wcc.ProcessEdge(e)
-						st.Processed++
-					}
-				}
-				sp.Report(st)
-			}
-			sp.Barrier()
-		}
-		// Profiled costs become available after the first partitions.
-		if _, te, ok := r.sys.ProfiledCosts(j.ID); ok && te < 0 {
-			t.Fatalf("profiled T(E) negative: %v", te)
-		}
-		sess.EndIteration()
-	}
-	sess.Close()
-	if _, _, ok := r.sys.ProfiledCosts(j.ID); ok {
-		t.Fatal("ProfiledCosts should report unknown after the job left")
-	}
-	if err := r.sys.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if scanned == 0 {
-		t.Fatal("custom streaming scanned nothing")
-	}
-	if r.sys.OverrideChunks() != 0 {
-		t.Fatal("no overrides were created, count should be 0")
-	}
-	want := algorithms.ReferenceWCC(r.g)
-	for v := range want {
-		if wcc.Labels()[v] != want[v] {
-			t.Fatalf("label[%d] = %d, want %d", v, wcc.Labels()[v], want[v])
-		}
-	}
-}
-
 // TestSessionMixedWithSubmit runs one session-driven job concurrently with
 // Submit-driven jobs; the controller must coordinate both identically.
 func TestSessionMixedWithSubmit(t *testing.T) {
@@ -157,9 +102,7 @@ func TestSessionMixedWithSubmit(t *testing.T) {
 			if sp == nil {
 				break
 			}
-			for sp.Next() {
-				sp.Process()
-			}
+			sp.ProcessAll()
 			sp.Barrier()
 		}
 		sess.EndIteration()

@@ -19,27 +19,16 @@ type Config struct {
 	// (N of Formula 1). Zero resolves to runtime.GOMAXPROCS(0); negative
 	// values are rejected by NewSystem.
 	Cores int
-	// Workers sets the real-concurrency width of the streaming executor:
-	// the number of OS goroutines that apply chunk work items each round.
-	// Zero keeps the serial driver, the mode every simulated-time
-	// experiment runs in: under FineSync the last Session.ProcessAll caller
-	// to reach a window of a partition's chunks computes every attendee's
-	// chunks of it on its own goroutine, while one pricing goroutine prices
-	// each collected chunk's LLC accesses in the lockstep order (the
-	// chunk's leader first, then ascending job ID; every attendee's scan
-	// of the chunk before any state access), so every simulated number is
-	// independent of goroutine interleaving.
-	// Workers >= 1 routes Submit-driven jobs (and Session.ProcessAll
-	// callers) through the per-round worker pool with async partition
-	// prefetch; workers=1 executes the same chunk schedule serially, so
-	// simulated work counters match the serial driver while wall-clock
-	// scales with Workers beyond it. Negative values are rejected by
-	// NewSystem.
+	// Workers must be 0. Every partition streams on the calling job's
+	// goroutine: under FineSync the last Session.ProcessAll caller to reach
+	// a window of a partition's chunks computes every attendee's chunks of
+	// it, while one pricing goroutine prices each collected chunk's LLC
+	// accesses in the lockstep order (the chunk's Formula (4) leader first,
+	// then ascending job ID; every attendee's scan of the chunk before any
+	// state access), so every simulated number is independent of goroutine
+	// interleaving. The field remains for callers that set it explicitly;
+	// NewSystem rejects any other value.
 	Workers int
-	// DisablePrefetch turns off the executor's async partition prefetcher
-	// (double-buffering the next scheduled partition's load). Only
-	// meaningful when Workers >= 1; used by ablations and tests.
-	DisablePrefetch bool
 	// LLCBytes is C_LLC of Formula (1) — the simulated LLC capacity.
 	LLCBytes int64
 	// Reserved is r of Formula (1).
@@ -110,19 +99,11 @@ type Stats struct {
 	// not once per admission.
 	MidRoundJoins uint64
 	Detaches      uint64 // jobs that withdrew from sharing before converging
-	// Prefetches counts async partition loads started by the executor's
-	// prefetcher; PrefetchHits the ones claimed by the partition they were
-	// started for; PrefetchCancels the ones invalidated before use (the
-	// scheduler reordered the round, the partition lost its attendees, or
-	// the round ended).
-	Prefetches      uint64
-	PrefetchHits    uint64
-	PrefetchCancels uint64
-	// PeakParallelStreams is the high-water mark of chunk applications in
-	// flight at once on the executor's worker pool — the structural proof
-	// of real concurrency (wall-clock speedup additionally needs the cores
-	// to run them on). Zero under the serial driver.
-	PeakParallelStreams int
+	// Prefetches and PrefetchHits are always 0: partitions load
+	// synchronously when they open. They remain for readers that report a
+	// prefetch hit ratio.
+	Prefetches   uint64
+	PrefetchHits uint64
 	// Relabels counts adaptive chunk re-labellings: partition-barrier
 	// re-evaluations of Formula (1) whose target size drifted beyond the
 	// hysteresis threshold and rewrote the partition's chunk tables.
@@ -135,32 +116,27 @@ type Stats struct {
 
 // Sub returns the counter deltas accumulated between old and s. Sizing
 // fields that describe the graph rather than accumulate (ChunkBytes,
-// NumChunks, MetadataBytes) and high-water marks (PeakParallelStreams) are
-// carried over unchanged.
+// NumChunks, MetadataBytes) are carried over unchanged.
 func (s Stats) Sub(old Stats) Stats {
 	return Stats{
-		ChunkBytes:          s.ChunkBytes,
-		NumChunks:           s.NumChunks,
-		MetadataBytes:       s.MetadataBytes,
-		PeakParallelStreams: s.PeakParallelStreams,
-		Rounds:              s.Rounds - old.Rounds,
-		Suspensions:         s.Suspensions - old.Suspensions,
-		Resumes:             s.Resumes - old.Resumes,
-		SharedLoads:         s.SharedLoads - old.SharedLoads,
-		MidRoundJoins:       s.MidRoundJoins - old.MidRoundJoins,
-		Detaches:            s.Detaches - old.Detaches,
-		Prefetches:          s.Prefetches - old.Prefetches,
-		PrefetchHits:        s.PrefetchHits - old.PrefetchHits,
-		PrefetchCancels:     s.PrefetchCancels - old.PrefetchCancels,
-		Relabels:            s.Relabels - old.Relabels,
-		RelabelSkips:        s.RelabelSkips - old.RelabelSkips,
+		ChunkBytes:    s.ChunkBytes,
+		NumChunks:     s.NumChunks,
+		MetadataBytes: s.MetadataBytes,
+		Rounds:        s.Rounds - old.Rounds,
+		Suspensions:   s.Suspensions - old.Suspensions,
+		Resumes:       s.Resumes - old.Resumes,
+		SharedLoads:   s.SharedLoads - old.SharedLoads,
+		MidRoundJoins: s.MidRoundJoins - old.MidRoundJoins,
+		Detaches:      s.Detaches - old.Detaches,
+		Relabels:      s.Relabels - old.Relabels,
+		RelabelSkips:  s.RelabelSkips - old.RelabelSkips,
 	}
 }
 
 // System is one GraphM instance bound to an engine layout. It is the
 // "GraphM Architecture" box of Figure 5: graph preprocessor (NewSystem),
 // graph sharing controller (sharing/advancePartition), and synchronization
-// manager (awaitChunk/chunkDone with the profiling phase).
+// manager (the two-phase chunk lockstep with the profiling phase).
 type System struct {
 	cfg    Config
 	layout Layout
@@ -184,26 +160,19 @@ type System struct {
 	snaps *snapshotStore
 	sem   chan struct{}
 
-	// cores is cfg.Cores resolved (0 -> runtime.GOMAXPROCS(0)); workers is
-	// cfg.Workers verbatim (0 = serial driver).
-	cores   int
-	workers int
+	// cores is cfg.Cores resolved (0 -> runtime.GOMAXPROCS(0)).
+	cores int
 	// window is the two-phase streaming window in chunks: twoPhaseWindow,
 	// which tests shrink to stream a partition in many windows.
 	window int
 
 	mu sync.Mutex
-	// Wakeups are split by concern so the chunk lockstep never wakes
+	// Wakeups are split by concern so a window's completion never wakes
 	// bystanders: roundCond serves round-lifecycle waiters (jobs queued at
 	// the round barrier in beginIteration, jobs suspended in sharing until a
-	// partition they need opens); workCond serves the executor pool's idle
-	// workers; and each curPartition carries its own cond for the chunk
-	// lockstep, so chunkDone/leader events reach only that partition's
-	// attendees. All three share mu. The seed used one global cond whose
-	// every Broadcast woke every goroutine in the system — O(jobs) spurious
-	// wakeups per chunk.
+	// partition they need opens), and each curPartition carries its own
+	// cond for its attendees' windows. Both share mu.
 	roundCond *sync.Cond
-	workCond  *sync.Cond
 	err       error
 
 	jobs       map[int]*jobState
@@ -215,17 +184,6 @@ type System struct {
 	order       []int
 	pos         int
 	cur         *curPartition
-
-	// execQueue holds dispatched chunk work items awaiting a pool worker;
-	// inFlight counts items currently being applied. Both guarded by mu
-	// (see executor.go).
-	execQueue []execItem
-	inFlight  int
-
-	// pf is the in-flight async load of partition pfPID, double-buffering
-	// the next scheduled partition while the current one streams.
-	pf    *storage.PrefetchHandle
-	pfPID int
 
 	// evolveSink, when set, receives one WAL record per evolve operation;
 	// evolveMu serializes whole evolve operations (multi-partition scans
@@ -271,15 +229,14 @@ type jobState struct {
 	prof      profiler
 	curSample profSample
 	// collected is the open partition whose chunks the job declared inside
-	// ProcessAll (serial driver, FineSync) for its windows' owners to
-	// collect and price; the last window's pricer also runs the job's
-	// profiling-phase observation, so the job's own Barrier skips it and
-	// clears the field.
+	// ProcessAll (FineSync) for its windows' owners to collect and price;
+	// the last window's owner also runs the job's profiling-phase
+	// observation, so the job's own Barrier skips it and clears the field.
 	collected *curPartition
 }
 
 // curPartition is the partition currently being streamed by the sharing
-// controller, with the chunk-barrier state of the synchronization manager.
+// controller, with the window state of two-phase streaming.
 type curPartition struct {
 	part    *Partition
 	set     *chunk.Set
@@ -287,43 +244,22 @@ type curPartition struct {
 	attend  []*jobState
 	pending map[int]bool // jobs that have not yet picked the partition up
 
-	// cond (on System.mu) is the partition's private wait list: attendees
-	// blocked in awaitChunk for the lockstep window, and pool-driven
-	// attendees blocked in processAll for their last chunk. Only chunk-level
-	// events of this partition (and system failure / detach rewrites)
-	// broadcast it, so a chunk barrier wakes its own attendees and nobody
-	// else.
+	// cond (on System.mu) is the partition's private wait list: ProcessAll
+	// callers parked in awaitWindow. Only this partition's window events
+	// (and system failure / detach rewrites) broadcast it.
 	cond *sync.Cond
 
-	remaining  int // jobs that have not finished the partition
-	chunkIdx   int
-	leaderID   int
-	leaderDone bool
-	doneCount  int
+	remaining int // jobs that have not finished the partition
 
-	// chunkWaiters counts goroutines parked on cond for a chunk event —
-	// self-driven attendees in awaitChunk and an owner pricing beside them —
-	// so a chunk that opens or fills with nobody waiting on it wakes nobody.
-	chunkWaiters int
-
-	// Two-phase streaming (serial driver, FineSync; see streamTwoPhase),
-	// which collects and prices the partition in windows of chunks.
-	// streaming counts self-driven attendees, which declare once, at their
-	// first Next; declared counts ProcessAll callers that have reached the
-	// current window. Once the two sum to the attendance, the ProcessAll
-	// caller that sees it becomes the window's single owner (owned), which
-	// collects and prices it; priced, the count of windows priced, releases
-	// the other ProcessAll callers.
-	declared, streaming int
-	owned               bool
-	priced              int
-
-	// Pool-driven attendees (executor mode): jobs whose chunk loop runs as
-	// work items on the round's worker pool rather than in their own
-	// goroutine. execJobs keeps arrival order for deterministic dispatch at
-	// workers=1; execByID indexes it by job ID.
-	execJobs []*execJob
-	execByID map[int]*execJob
+	// Two-phase streaming (FineSync; see streamTwoPhase), which collects
+	// and prices the partition in windows of chunks. declared counts
+	// ProcessAll callers that have reached the current window. Once it
+	// equals the attendance, the caller that sees it becomes the window's
+	// single owner (owned), which collects and prices it; priced, the count
+	// of windows priced, releases the other callers.
+	declared int
+	owned    bool
+	priced   int
 }
 
 // NewSystem is GraphM's Init(): it sizes chunks with Formula (1) and labels
@@ -340,8 +276,8 @@ func NewSystem(layout Layout, mem *storage.Memory, cache *memsim.Cache, cfg Conf
 	if cfg.Cores < 0 {
 		return nil, fmt.Errorf("core: Cores must be >= 0 (0 means GOMAXPROCS-unbounded), got %d", cfg.Cores)
 	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("core: Workers must be >= 0 (0 means the serial driver), got %d", cfg.Workers)
+	if cfg.Workers != 0 {
+		return nil, fmt.Errorf("core: Workers must be 0 (partitions stream on the jobs' own goroutines), got %d", cfg.Workers)
 	}
 	if cfg.RelabelFactor != 0 && cfg.RelabelFactor < 1 {
 		return nil, fmt.Errorf("core: RelabelFactor must be >= 1 (0 means the default of 2), got %v", cfg.RelabelFactor)
@@ -380,16 +316,12 @@ func NewSystem(layout Layout, mem *storage.Memory, cache *memsim.Cache, cfg Conf
 		snaps:         newSnapshotStore(),
 		jobs:          make(map[int]*jobState),
 		cores:         cores,
-		workers:       cfg.Workers,
-		pfPID:         -1,
 	}
 	s.roundCond = sync.NewCond(&s.mu)
-	s.workCond = sync.NewCond(&s.mu)
 	s.evolveCond = sync.NewCond(&s.mu)
-	if cfg.Cores > 0 && !s.execEnabled() {
-		// The serial driver throttles concurrent chunk streams (two-phase
-		// collections, self-driven chunks) with a semaphore; the executor
-		// bounds real concurrency with its worker count instead.
+	if cfg.Cores > 0 {
+		// Throttle concurrent chunk streams (two-phase collections, Share-only
+		// chunks) to Cores.
 		s.sem = make(chan struct{}, cfg.Cores)
 	}
 	s.window = twoPhaseWindow
@@ -436,8 +368,7 @@ func (s *System) Submit(j *engine.Job) {
 
 // drive is the built-in driver loop for one session: the StreamEdges loop of
 // Figure 6(b), over the session API. ProcessAll applies the partition's
-// chunks — on the serial driver (two-phase under FineSync), or as work
-// items on the round's worker pool when Config.Workers >= 1.
+// chunks (two-phase under FineSync).
 func (s *System) drive(sess *Session) {
 	defer sess.Close()
 	for sess.BeginIteration() {
@@ -543,12 +474,11 @@ func (s *System) beginIteration(js *jobState) bool {
 }
 
 // broadcastAllLocked wakes every waiter in the system: round-barrier and
-// sharing waiters, idle pool workers, and the open partition's lockstep
-// attendees. Reserved for the rare events whose effect cannot be scoped to
-// one wait list — system failure and externally requested detaches.
+// sharing waiters, and the open partition's window attendees. Reserved for
+// the rare events whose effect cannot be scoped to one wait list — system
+// failure and externally requested detaches.
 func (s *System) broadcastAllLocked() {
 	s.roundCond.Broadcast()
-	s.workCond.Broadcast()
 	if s.cur != nil {
 		s.cur.cond.Broadcast()
 	}
@@ -598,9 +528,6 @@ func (s *System) attachMidRoundLocked(js *jobState) {
 	sort.Ints(missed)
 	s.order = append(upcoming, missed...)
 	s.pos = -1
-	// The rewrite may have changed which partition streams next: re-aim the
-	// prefetcher (canceling an invalidated in-flight load).
-	s.startPrefetchLocked()
 	s.roundCond.Broadcast()
 }
 
@@ -608,9 +535,10 @@ func (s *System) attachMidRoundLocked(js *jobState) {
 // only called from sharing(), i.e. at a partition barrier from the job's
 // perspective: the job is never streaming a partition at this point, so the
 // only controller state that can reference it is the pending set of the
-// partition currently open (opened after the job's last barrier). Removing
-// the job there re-evaluates the chunk barrier and the partition's remaining
-// count exactly as if the job had never attended.
+// partition currently open (opened after the job's last barrier). While
+// any attendee is pending no window can have an owner, so removing the job
+// there is the whole unhook: the parked ProcessAll callers re-check the
+// owner election against the smaller attendance.
 func (s *System) detachLocked(js *jobState) {
 	js.inRound = false
 	s.markDetachedLocked(js)
@@ -631,17 +559,6 @@ func (s *System) detachLocked(js *jobState) {
 		// The job was the partition's only outstanding attendee.
 		s.advancePartitionLocked()
 		return
-	}
-	if cp.chunkIdx < len(cp.set.Chunks) {
-		if cp.leaderID == js.job.ID && !cp.leaderDone {
-			s.electLeaderLocked(cp)
-			s.dispatchLocked(cp)
-		}
-		// The job never contributed chunkDone calls, so its departure may
-		// satisfy the chunk barrier for the remaining attendees.
-		if cp.doneCount == len(cp.attend) {
-			s.advanceChunkLocked(cp)
-		}
 	}
 	cp.cond.Broadcast()
 }
@@ -677,17 +594,13 @@ func (s *System) startRoundLocked() {
 	s.order = orderPartitions(attend, jobNP, s.cfg.Scheduler)
 	s.pos = -1
 	s.roundActive = true
-	s.startWorkersLocked()
 	s.advancePartitionLocked()
 	s.roundCond.Broadcast()
 }
 
 // advancePartitionLocked releases the current shared buffer and opens the
 // next partition in the round's order that still has attending jobs; when
-// the order is exhausted the round ends. In executor mode it claims the
-// prefetched buffer when the pipeline predicted correctly, cancels it when
-// the round was reordered under it, and kicks off the next prefetch before
-// handing the partition to the pool.
+// the order is exhausted the round ends.
 func (s *System) advancePartitionLocked() {
 	if s.cur != nil {
 		s.cur.buf.Release()
@@ -697,11 +610,8 @@ func (s *System) advancePartitionLocked() {
 		s.pos++
 		if s.pos >= len(s.order) {
 			s.roundActive = false
-			s.cancelPrefetchLocked()
-			// Round over: suspended jobs re-evaluate their iteration, and the
-			// round's pool workers see roundActive drop and exit.
+			// Round over: suspended jobs re-evaluate their iteration.
 			s.roundCond.Broadcast()
-			s.workCond.Broadcast()
 			return
 		}
 		pid := s.order[s.pos]
@@ -712,39 +622,18 @@ func (s *System) advancePartitionLocked() {
 			}
 		}
 		if len(att) == 0 {
-			// A prefetch for a partition whose attendees all detached or
-			// finished is useless: drop it before skipping the partition.
-			if s.pf != nil && s.pfPID == pid {
-				s.cancelPrefetchLocked()
-			}
 			continue
 		}
-		// Deterministic attendee order: leader tie-breaks and workers=1
-		// dispatch order must not depend on map iteration.
+		// Deterministic attendee order: leader tie-breaks and the pricing
+		// order must not depend on map iteration.
 		sort.Slice(att, func(i, j int) bool { return att[i].job.ID < att[j].job.ID })
 		// The partition barrier is the one point where no chunk of pid is in
-		// flight under either driver, so the adaptive sizing rule may swap
-		// the partition's labelling before any job captures it.
+		// flight, so the adaptive sizing rule may swap the partition's
+		// labelling before any job captures it.
 		s.maybeRelabelLocked(pid, len(att))
 		part := s.partByID[pid]
-		// Algorithm 2, lines 8–13: one shared buffer per partition — claimed
-		// from the prefetcher when it loaded the right one, synchronously
-		// otherwise.
-		var (
-			buf *storage.Buffer
-			io  storage.IOKind
-			err error
-		)
-		if s.pf != nil && s.pfPID == pid {
-			buf, io, err = s.pf.Claim()
-			s.pf, s.pfPID = nil, -1
-			if err == nil {
-				s.stats.PrefetchHits++
-			}
-		} else {
-			s.cancelPrefetchLocked()
-			buf, io, err = s.mem.Load(part.DiskName, part.DiskName)
-		}
+		// Algorithm 2, lines 8–13: one shared buffer per partition.
+		buf, io, err := s.mem.Load(part.DiskName, part.DiskName)
 		if err != nil {
 			s.failLocked(fmt.Errorf("core: loading partition %d: %w", pid, err))
 			return
@@ -769,61 +658,17 @@ func (s *System) advancePartitionLocked() {
 			attend:    att,
 			pending:   make(map[int]bool, len(att)),
 			remaining: len(att),
-			execByID:  make(map[int]*execJob, len(att)),
 			cond:      sync.NewCond(&s.mu),
 		}
 		for _, js := range att {
 			cp.pending[js.job.ID] = true
 			js.job.AddMetrics(engine.Metrics{PartitionLoads: 1})
 		}
-		s.electLeaderLocked(cp)
 		s.cur = cp
-		s.startPrefetchLocked()
 		// Only jobs suspended in sharing care that a partition opened.
 		s.roundCond.Broadcast()
 		return
 	}
-}
-
-// startPrefetchLocked double-buffers the pipeline: it begins the async load
-// of the next partition in the round order that still has an attending job,
-// canceling a stale in-flight prefetch first. No-op outside executor mode.
-func (s *System) startPrefetchLocked() {
-	if !s.prefetchEnabled() {
-		return
-	}
-	next := -1
-	for i := s.pos + 1; i < len(s.order); i++ {
-		if s.hasAttendeeLocked(s.order[i]) {
-			next = s.order[i]
-			break
-		}
-	}
-	if next < 0 {
-		s.cancelPrefetchLocked()
-		return
-	}
-	if s.pf != nil {
-		if s.pfPID == next {
-			return
-		}
-		s.cancelPrefetchLocked()
-	}
-	part := s.partByID[next]
-	s.pf = s.mem.Prefetch(part.DiskName, part.DiskName)
-	s.pfPID = next
-	s.stats.Prefetches++
-}
-
-// cancelPrefetchLocked abandons the in-flight prefetch, if any, returning
-// its pinned buffer to the pool.
-func (s *System) cancelPrefetchLocked() {
-	if s.pf == nil {
-		return
-	}
-	s.pf.Cancel()
-	s.pf, s.pfPID = nil, -1
-	s.stats.PrefetchCancels++
 }
 
 // attendsLocked is the single source of truth for partition attendance:
@@ -831,21 +676,9 @@ func (s *System) cancelPrefetchLocked() {
 // detach exclusion means a withdrawing job is never billed a share of a
 // load opened after its request — and makes the detach's effect on
 // attendance deterministic (the flag is set strictly before the open,
-// wherever the job's own goroutine is). advancePartitionLocked and the
-// prefetcher's hasAttendeeLocked both use it, so the prefetch target can
-// never disagree with actual attendance.
+// wherever the job's own goroutine is).
 func (s *System) attendsLocked(js *jobState, pid int) bool {
 	return js.inRound && !js.detachWanted && js.active[pid] && !js.processed[pid]
-}
-
-// hasAttendeeLocked reports whether any job attends pid.
-func (s *System) hasAttendeeLocked(pid int) bool {
-	for _, js := range s.jobs {
-		if s.attendsLocked(js, pid) {
-			return true
-		}
-	}
-	return false
 }
 
 // sharing is the Sharing() API of Table 1 / Algorithm 2 from the job's side:
@@ -893,118 +726,6 @@ func (s *System) sharing(js *jobState) *curPartition {
 			s.stats.Suspensions++
 		}
 		s.roundCond.Wait()
-	}
-}
-
-// awaitChunk blocks until chunk k is open for this job: either the job is
-// the chunk's leader, or the leader has filled the LLC. Returns false if the
-// system failed. The wait parks on the partition's own cond, so only this
-// partition's chunk events (or a system-wide broadcast) wake it.
-func (s *System) awaitChunk(js *jobState, cp *curPartition, k int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if k == 0 {
-		cp.streaming++
-		if cp.declared+cp.streaming == len(cp.attend) {
-			// The last attendee to declare may complete the owner election of
-			// ProcessAll callers waiting in streamTwoPhase.
-			cp.cond.Broadcast()
-		}
-	}
-	for s.err == nil && !(cp.chunkIdx == k && (cp.leaderID == js.job.ID || cp.leaderDone)) {
-		s.waitChunkLocked(cp)
-	}
-	return s.err == nil
-}
-
-// waitChunkLocked parks the caller on cp's cond until the next chunk event,
-// counted in chunkWaiters so chunkDoneLocked knows someone is listening.
-func (s *System) waitChunkLocked(cp *curPartition) {
-	cp.chunkWaiters++
-	cp.cond.Wait()
-	cp.chunkWaiters--
-}
-
-// chunkDone is the per-chunk barrier: the last attending job to finish chunk
-// k advances the partition's chunk cursor and re-elects a leader.
-func (s *System) chunkDone(js *jobState, cp *curPartition) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.chunkDoneLocked(js, cp, false)
-}
-
-// chunkDoneLocked records one job's completion of the current chunk. It is
-// shared by the self-driven Next/Process path, the executor's work items
-// and the two-phase owner, so every kind of attendee interoperates on one
-// lockstep.
-//
-// Wake rule: the partition's cond is broadcast only when a predicate its
-// waiters test can have changed and someone tests it. Chunk waiters
-// (awaitChunk, an owner pricing beside self-driven attendees) read
-// chunkIdx, leaderID and leaderDone, so a leader finishing or a chunk
-// closing wakes them only when chunkWaiters says one is parked. processAll
-// reads only its execJob's finished and running flags (the executor passes
-// finished=true when the former just flipped), and two-phase attendees
-// wait for priced, which no chunk event sets. A follower finishing the chunk
-// without closing it changes nothing anyone reads, so the N-1 follower
-// completions of a chunk wake nobody. Jobs queued at the round barrier and
-// jobs suspended on other work never wake for a chunk event.
-func (s *System) chunkDoneLocked(js *jobState, cp *curPartition, finished bool) {
-	if s.err != nil {
-		// A failed system's lockstep is over: every waiter returns on err.
-		// Electing a leader now would read the frontiers of attendees whose
-		// drivers have already unwound and may be rewriting them; the
-		// broadcast only releases a processAll waiting out its last item.
-		cp.cond.Broadcast()
-		return
-	}
-	wake := finished
-	if cp.leaderID == js.job.ID && !cp.leaderDone {
-		cp.leaderDone = true
-		wake = wake || cp.chunkWaiters > 0
-		// The leader pulled the chunk into the LLC: followers may stream it
-		// now, including any pool-driven ones awaiting dispatch.
-		s.dispatchLocked(cp)
-	}
-	cp.doneCount++
-	if cp.doneCount == len(cp.attend) {
-		s.advanceChunkLocked(cp)
-		wake = wake || cp.chunkWaiters > 0
-	}
-	if wake {
-		cp.cond.Broadcast()
-	}
-}
-
-// advanceChunkLocked closes the current chunk (every attendee done), opens
-// the next one, and re-elects its leader.
-func (s *System) advanceChunkLocked(cp *curPartition) {
-	cp.doneCount = 0
-	cp.chunkIdx++
-	cp.leaderDone = false
-	s.electLeaderLocked(cp)
-	s.dispatchLocked(cp)
-}
-
-// electLeaderLocked picks the attending job with the highest Formula (4)
-// lead time for the upcoming chunk; unprofiled jobs use optimistic defaults,
-// matching the paper where new jobs are profiled on their first partitions.
-func (s *System) electLeaderLocked(cp *curPartition) {
-	if cp.chunkIdx >= len(cp.set.Chunks) {
-		return
-	}
-	t := cp.set.Chunks[cp.chunkIdx]
-	best := -1.0
-	for _, js := range cp.attend {
-		tF, tE := js.prof.tF, js.prof.tE
-		if !js.prof.profiled {
-			tF, tE = s.cost.WorkNS*js.job.Prog.EdgeCost(), s.cost.ScanNS
-		}
-		lt := chunkLeadTime(tF, tE, t, js.job.Prog.Active())
-		if lt > best {
-			best = lt
-			cp.leaderID = js.job.ID
-		}
 	}
 }
 
@@ -1108,6 +829,5 @@ func (s *System) failLocked(err error) {
 		s.err = err
 	}
 	s.roundActive = false
-	s.cancelPrefetchLocked()
 	s.broadcastAllLocked()
 }

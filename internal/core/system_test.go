@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"graphm/internal/algorithms"
@@ -9,6 +10,7 @@ import (
 	"graphm/internal/engine"
 	"graphm/internal/graph"
 	"graphm/internal/gridgraph"
+	"graphm/internal/jobs"
 	"graphm/internal/memsim"
 	"graphm/internal/storage"
 )
@@ -49,6 +51,58 @@ func newRigWithGraph(t *testing.T, g *graph.Graph, p int, cfg core.Config) *test
 		t.Fatal(err)
 	}
 	return &testRig{g: g, grid: grid, disk: disk, mem: mem, cache: cache, sys: sys}
+}
+
+// newRigErr is newRigWithGraph without the fatal-on-error behaviour, for
+// validation tests.
+func newRigErr(t *testing.T, g *graph.Graph, cfg core.Config) (*core.System, error) {
+	t.Helper()
+	disk := storage.NewDisk()
+	grid, err := gridgraph.Build(g, 4, disk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := storage.NewMemory(disk, 64<<20)
+	cache, err := memsim.NewCache(memsim.DefaultConfig(64 << 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.NewSystem(grid.AsLayout(), mem, cache, cfg)
+}
+
+// rotationJobs builds a deterministic 4-algorithm rotation.
+func rotationJobs(n int, seed int64) []*engine.Job {
+	return jobs.Rotation(n, seed).Jobs
+}
+
+func TestConfigValidation(t *testing.T) {
+	g, err := graph.GenerateRMAT(graph.DefaultRMAT("v", 128, 800, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig(64 << 10)
+	cfg.Cores = -1
+	if _, err := newRigErr(t, g, cfg); err == nil {
+		t.Fatal("negative Cores accepted")
+	}
+	// Partitions stream on the jobs' own goroutines: Workers stays 0.
+	for _, w := range []int{-2, 1} {
+		cfg = core.DefaultConfig(64 << 10)
+		cfg.Workers = w
+		if _, err := newRigErr(t, g, cfg); err == nil {
+			t.Fatalf("Workers=%d accepted", w)
+		}
+	}
+	// Cores == 0 resolves to GOMAXPROCS(0) instead of erroring.
+	cfg = core.DefaultConfig(64 << 10)
+	cfg.Cores = 0
+	sys, err := newRigErr(t, g, cfg)
+	if err != nil {
+		t.Fatalf("Cores=0 rejected: %v", err)
+	}
+	if got, want := sys.ResolvedCores(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("Cores=0 resolved to %d, want GOMAXPROCS %d", got, want)
+	}
 }
 
 func TestInitLabelsAllEdges(t *testing.T) {

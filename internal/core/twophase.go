@@ -1,7 +1,8 @@
 package core
 
-// Two-phase partition streaming: the serial driver's (Workers == 0)
-// SharedPartition.ProcessAll under FineSync.
+import "graphm/internal/chunk"
+
+// Two-phase partition streaming: SharedPartition.ProcessAll under FineSync.
 //
 // The chunk lockstep of Section 3.4 orders the LLC: the elected leader
 // pulls chunk k into the cache, the other attendees reuse it, and chunk k
@@ -10,25 +11,22 @@ package core
 // partition is streamed in two phases, one window of consecutive chunks
 // (twoPhaseWindow) at a time, and the two phases run as a pipeline:
 //
-//  1. Collect. Once every attendee has declared how it streams (a
-//     ProcessAll caller when it arrives at the window, a self-driven
-//     Next/Process caller once, at its first Next), the ProcessAll caller
-//     that completes the count becomes the window's single owner. It
-//     computes every declared attendee's chunks on its own goroutine,
-//     chunk by chunk in ascending job ID (engine.Job.CollectChunk into
-//     consecutive record slots), without touching the cache or the
-//     lockstep; the other ProcessAll callers stay parked.
+//  1. Collect. Once every attendee has reached the window, the ProcessAll
+//     caller that completes the count becomes the window's single owner. It
+//     computes every attendee's chunks on its own goroutine, chunk by chunk
+//     in ascending job ID (engine.Job.CollectChunk into consecutive record
+//     slots), without touching the cache; the other callers stay parked.
 //  2. Price. A pricing goroutine the owner starts for the window prices
-//     each chunk as soon as every attendee's copy of it is collected, in a
-//     fixed order: the chunk's Formula (4) leader first, then the other
-//     attendees in ascending job ID. Every attendee's stream phase
+//     each chunk as soon as every attendee's copy of it is collected. The
+//     pricer's loop is the lockstep: for each chunk it elects the Formula
+//     (4) leader, then prices the leader first and the other attendees in
+//     ascending job ID. Every attendee's stream phase
 //     (engine.Job.PriceStream) comes before any attendee's state phase
 //     (engine.Job.PriceChunk), so the followers scan the chunk the leader
-//     just pulled into the LLC. Each chunk closes through the ordinary
-//     lockstep before the next opens. The pricer records every attendee's
-//     samples and, after the partition's last window, runs their
-//     profiling-phase observations in ascending job ID; the owner then
-//     wakes the attendees once.
+//     just pulled into the LLC. The pricer records every attendee's
+//     samples; after the partition's last window the owner runs their
+//     profiling-phase observations in ascending job ID and then wakes the
+//     attendees once.
 //
 // Collection and pricing each run on one goroutine, so a window keeps two
 // cores busy for its whole length whatever the attendance, instead of a
@@ -38,13 +36,8 @@ package core
 // few dozen chunks' state accesses instead of a whole partition's.
 //
 // A job's goroutine therefore parks once per window instead of twice per
-// chunk, the cache has one writer, and with only ProcessAll attendees (the
-// built-in driver and the admission service) every simulated number of a
-// run is independent of goroutine interleaving. Self-driven attendees keep
-// streaming through awaitChunk/chunkDone: the pricer prices its attendees'
-// share of each chunk within the same lockstep, waiting for a self-driven
-// leader to fill the chunk and for the chunk to close, so the two kinds mix
-// on one partition (the cache order among them then follows wall clock).
+// chunk, the cache has one writer, and every simulated number of a run is
+// independent of goroutine interleaving.
 
 // twoPhaseWindow is how many chunks an owner collects before the window
 // is priced to its end. It bounds what a job holds between its collection
@@ -84,7 +77,7 @@ func (s *System) awaitWindow(js *jobState, cp *curPartition, w, lo, hi int) bool
 			if s.err != nil {
 				return false
 			}
-			if cp.declared+cp.streaming == len(cp.attend) {
+			if cp.declared == len(cp.attend) {
 				cp.owned = true
 				s.streamWindowLocked(cp, lo, hi)
 				cp.owned, cp.declared = false, 0
@@ -99,20 +92,14 @@ func (s *System) awaitWindow(js *jobState, cp *curPartition, w, lo, hi int) bool
 }
 
 // streamWindowLocked is the owner's pass over chunks [lo, hi) of cp: it
-// collects the chunks of every attendee that declared the window into
-// record slots 0..hi-lo-1, chunk by chunk in ascending job ID, while a
-// pricing goroutine it starts prices each chunk as soon as every attendee's
-// copy is collected (priceLocked), and returns once both are done. It is
-// called and returns with s.mu held, and drops the lock meanwhile. No
-// attendee is pending once an owner exists, so cp.attend is fixed
-// throughout.
+// collects every attendee's chunks into record slots 0..hi-lo-1, chunk by
+// chunk in ascending job ID, while a pricing goroutine it starts prices
+// each chunk as soon as every attendee's copy is collected (priceWindow),
+// and returns once both are done. It is called and returns with s.mu held,
+// and drops the lock meanwhile. No attendee is pending once an owner
+// exists, so cp.attend is fixed throughout.
 func (s *System) streamWindowLocked(cp *curPartition, lo, hi int) {
-	var owned []*jobState // ascending job ID, as cp.attend is
-	for _, a := range cp.attend {
-		if a.collected == cp {
-			owned = append(owned, a)
-		}
-	}
+	owned := cp.attend // ascending job ID
 	s.mu.Unlock()
 	for _, a := range owned {
 		a.job.ReserveSlots(hi - lo)
@@ -122,9 +109,7 @@ func (s *System) streamWindowLocked(cp *curPartition, lo, hi int) {
 	collected := make(chan struct{}, hi-lo)
 	priced := make(chan struct{})
 	go func() {
-		s.mu.Lock()
-		s.priceLocked(cp, owned, lo, hi, collected)
-		s.mu.Unlock()
+		s.priceWindow(cp, owned, lo, hi, collected)
 		close(priced)
 	}()
 	if s.sem != nil {
@@ -146,42 +131,31 @@ func (s *System) streamWindowLocked(cp *curPartition, lo, hi int) {
 	}
 	<-priced
 	s.mu.Lock()
+	if hi == len(cp.set.Chunks) {
+		for _, a := range owned {
+			s.observeLocked(a)
+		}
+	}
 }
 
-// priceLocked prices chunks [lo, hi) of cp for the owned attendees, taking
-// one token from collected before each chunk; after the partition's last
-// chunk it also runs their profiling-phase observations. It is called and
-// returns with s.mu held, and drops the lock while it prices.
-func (s *System) priceLocked(cp *curPartition, owned []*jobState, lo, hi int, collected <-chan struct{}) {
+// priceWindow prices chunks [lo, hi) of cp for the owned attendees in
+// lockstep order, taking one token from collected before each chunk. It
+// runs without s.mu: while the window is owned nothing else reads or
+// writes the owned attendees' profiles, samples or chunk records.
+func (s *System) priceWindow(cp *curPartition, owned []*jobState, lo, hi int, collected <-chan struct{}) {
 	order := make([]*jobState, 0, len(owned))
 	for k := lo; k < hi; k++ {
-		// Chunk k opens once the owner's own completions close k-1, unless a
-		// self-driven attendee is still streaming it; a self-driven leader
-		// must fill the LLC before anyone follows.
-		lead := -1
-		for s.err == nil {
-			if cp.chunkIdx == k {
-				lead = indexOfJob(owned, cp.leaderID)
-				if lead >= 0 || cp.leaderDone {
-					break
-				}
-			}
-			s.waitChunkLocked(cp)
-		}
-		if s.err != nil {
-			break
-		}
-		order = order[:0]
-		if lead >= 0 {
-			order = append(order, owned[lead])
-		}
+		// Elect after the token: the collection's first frontier read of an
+		// iteration caches the bitmap's fullness, and the token orders that
+		// write before the election's read.
+		<-collected
+		lead := s.electLeader(owned, cp.set.Chunks[k])
+		order = append(order[:0], owned[lead])
 		for i, a := range owned {
 			if i != lead {
 				order = append(order, a)
 			}
 		}
-		s.mu.Unlock()
-		<-collected
 		// The leader's scan pulls the chunk into the LLC and the followers'
 		// scans reuse it before any state phase competes for the sets.
 		for _, a := range order {
@@ -190,24 +164,23 @@ func (s *System) priceLocked(cp *curPartition, owned []*jobState, lo, hi int, co
 		for _, a := range order {
 			s.recordSample(a, a.job.PriceChunk(k-lo, s.cache, s.cost))
 		}
-		s.mu.Lock()
-		for _, a := range order {
-			s.chunkDoneLocked(a, cp, false)
-		}
-	}
-	if hi == len(cp.set.Chunks) {
-		for _, a := range owned {
-			s.observeLocked(a)
-		}
 	}
 }
 
-// indexOfJob returns the index of the job with ID id in js, or -1.
-func indexOfJob(js []*jobState, id int) int {
+// electLeader returns the index in js of the attendee with the highest
+// Formula (4) lead time for chunk t, the first one on a tie. Unprofiled
+// jobs use optimistic defaults, matching the paper where new jobs are
+// profiled on their first partitions.
+func (s *System) electLeader(js []*jobState, t *chunk.Table) int {
+	lead, best := 0, -1.0
 	for i, a := range js {
-		if a.job.ID == id {
-			return i
+		tF, tE := a.prof.tF, a.prof.tE
+		if !a.prof.profiled {
+			tF, tE = s.cost.WorkNS*a.job.Prog.EdgeCost(), s.cost.ScanNS
+		}
+		if lt := chunkLeadTime(tF, tE, t, a.job.Prog.Active()); lt > best {
+			lead, best = i, lt
 		}
 	}
-	return -1
+	return lead
 }

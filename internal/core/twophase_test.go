@@ -16,9 +16,8 @@ import (
 )
 
 // TestTwoPhaseOwnerElectionOnAttendanceChange parks two ProcessAll
-// attendees of the serial driver once they declared a window, while a third
-// attendee of the same partition has not picked it up yet, so no owner can
-// be elected. Then the third one either withdraws (its Sharing call unhooks
+// attendees once they declared a window, while a third attendee of the
+// same partition has not picked it up yet, so no owner can be elected. Then the third one either withdraws (its Sharing call unhooks
 // it from the partition's attendance) or the system fails. Either change
 // must reach the parked attendees: after a detach one of them becomes the
 // owner and the run completes; after a failure both return and Wait
@@ -117,11 +116,12 @@ func TestTwoPhaseOwnerElectionOnAttendanceChange(t *testing.T) {
 
 // TestTwoPhaseWindowsPriceIdentically holds the two-phase window to what it
 // is for: a bound on what a job holds between collecting a chunk and the
-// owner pricing it, never a change to the pricing order. An 8-job batch on
-// the serial driver must report the same simulated numbers — cache-wide
-// hits and misses, every job's LLC counters and Metrics — whether each
-// partition streams in one window, in windows of three chunks (so the last
-// window of a partition is short), or one chunk at a time.
+// owner pricing it, never a change to the pricing order or the results. An
+// 8-job batch must report the same simulated numbers — cache-wide hits and
+// misses, every job's LLC counters and Metrics — and bit-identical program
+// outputs whether each partition streams in one window, in windows of three
+// chunks (so the last window of a partition is short), or one chunk at a
+// time; with static and with adaptive chunk labelling.
 func TestTwoPhaseWindowsPriceIdentically(t *testing.T) {
 	g, err := graph.GenerateRMAT(graph.DefaultRMAT("windows", 1200, 12000, 29))
 	if err != nil {
@@ -130,14 +130,16 @@ func TestTwoPhaseWindowsPriceIdentically(t *testing.T) {
 	type jobSim struct {
 		Hits, Misses uint64
 		Met          engine.Metrics
+		Out          any // the program's result vector
 	}
 	type outcome struct {
 		Hits, Misses uint64
 		Jobs         []jobSim
 	}
-	run := func(window int) outcome {
+	run := func(window int, adaptive bool) outcome {
 		disk := storage.NewDisk()
 		cfg := DefaultConfig(16 << 10)
+		cfg.AdaptiveChunking = adaptive
 		cache, err := memsim.NewCache(memsim.DefaultConfig(cfg.LLCBytes))
 		if err != nil {
 			t.Fatal(err)
@@ -147,7 +149,7 @@ func TestTwoPhaseWindowsPriceIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.window = window
-		if window == 3 {
+		if window == 3 && !adaptive {
 			uneven := false
 			for pid := range s.parts {
 				uneven = uneven || s.ChunkCount(pid) > 3 && s.ChunkCount(pid)%3 != 0
@@ -176,23 +178,41 @@ func TestTwoPhaseWindowsPriceIdentically(t *testing.T) {
 		if err := s.Run(jobs); err != nil {
 			t.Fatal(err)
 		}
+		if adaptive && s.StatsSnapshot().Relabels == 0 {
+			t.Fatal("adaptive run never re-labelled — the comparison is vacuous")
+		}
 		o := outcome{Hits: cache.TotalHits(), Misses: cache.TotalMisses()}
 		for _, j := range jobs {
-			o.Jobs = append(o.Jobs, jobSim{j.Ctr.Hits.Load(), j.Ctr.Misses.Load(), j.Met})
+			var out any
+			switch p := j.Prog.(type) {
+			case *algorithms.PageRank:
+				out = p.Ranks()
+			case *algorithms.WCC:
+				out = p.Labels()
+			case *algorithms.BFS:
+				out = p.Dist()
+			case *algorithms.SSSP:
+				out = p.Dist()
+			}
+			o.Jobs = append(o.Jobs, jobSim{j.Ctr.Hits.Load(), j.Ctr.Misses.Load(), j.Met, out})
 		}
 		return o
 	}
-	want := run(1 << 30)
-	for _, window := range []int{3, 1} {
-		got := run(window)
-		if got.Hits != want.Hits || got.Misses != want.Misses {
-			t.Fatalf("window %d: cache totals %d hits/%d misses, one window per partition %d/%d",
-				window, got.Hits, got.Misses, want.Hits, want.Misses)
-		}
-		for k := range want.Jobs {
-			if !reflect.DeepEqual(got.Jobs[k], want.Jobs[k]) {
-				t.Fatalf("window %d: job %d simulated numbers %+v, one window per partition %+v",
-					window, k+1, got.Jobs[k], want.Jobs[k])
+	for _, adaptive := range []bool{false, true} {
+		want := run(1<<30, adaptive)
+		for _, window := range []int{3, 1} {
+			got := run(window, adaptive)
+			if got.Hits != want.Hits || got.Misses != want.Misses {
+				t.Fatalf("adaptive=%v window %d: cache totals %d hits/%d misses, one window per partition %d/%d",
+					adaptive, window, got.Hits, got.Misses, want.Hits, want.Misses)
+			}
+			for k := range want.Jobs {
+				// DeepEqual compares float64 elements with ==: no NaN occurs,
+				// so equal vectors are bit-identical up to the sign of zero.
+				if !reflect.DeepEqual(got.Jobs[k], want.Jobs[k]) {
+					t.Fatalf("adaptive=%v window %d: job %d simulated numbers or outputs differ from one window per partition",
+						adaptive, window, k+1)
+				}
 			}
 		}
 	}
@@ -234,6 +254,10 @@ func TestJoinerQueuesWhileLastPartitionOpen(t *testing.T) {
 	if held == nil {
 		t.Fatal("long job's first iteration has no partitions")
 	}
+	// Stream the partition but delay its Barrier, so it stays open while
+	// the joiner arrives — as the scenario runner holds a partition open
+	// between ProcessAll and Barrier.
+	held.ProcessAll()
 
 	bfs := algorithms.NewBFS(3)
 	sessLate, err := s.OpenSessionWith(engine.NewJob(2, bfs, 22), SessionOptions{JoinMidRound: true})
@@ -261,9 +285,6 @@ func TestJoinerQueuesWhileLastPartitionOpen(t *testing.T) {
 		runtime.Gosched()
 	}
 
-	for held.Next() {
-		held.Process()
-	}
 	held.Barrier()
 	if sessLong.Sharing() != nil {
 		t.Fatal("the one-partition round had a second partition")

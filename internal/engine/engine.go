@@ -111,8 +111,8 @@ func (m *Metrics) Add(other Metrics) {
 // WorkCounters is the schedule-independent slice of Metrics: the counters
 // that depend only on what the job computed, never on when or at what chunk
 // granularity the work was streamed. For one workload they must be identical
-// across the serial driver, any executor worker count, and static vs
-// adaptive chunk labelling — which makes them the equality basis for the
+// across runs, two-phase window sizes, and static vs adaptive chunk
+// labelling — which makes them the equality basis for the
 // scenario harness's invariant checks and for overlap tests that must not
 // assert on wall-clock time.
 type WorkCounters struct {

@@ -52,9 +52,9 @@ type Job struct {
 	// through AddMetrics (ApplyChunk does); reading the struct directly is
 	// only safe once the job is quiescent (Done, or between rounds).
 	Met Metrics
-	// metMu guards Met against concurrent AddMetrics calls — the streaming
-	// executor applies disjoint chunks of a job from pool workers while the
-	// sharing controller bills amortized I/O shares from its own goroutine.
+	// metMu guards Met against concurrent AddMetrics calls — a two-phase
+	// pricer bills a job's chunks from its own goroutine while the sharing
+	// controller bills amortized I/O shares from another.
 	metMu sync.Mutex
 
 	// StateBase is the simulated base address of the job-specific data S;
@@ -214,7 +214,7 @@ type StreamStats struct {
 
 // AddMetrics accumulates delta into the job's metrics under the job's
 // metric lock. All metric writers on a potentially concurrent path
-// (ApplyChunk workers, the sharing controller's I/O billing) use it so the
+// (chunk pricing, the sharing controller's I/O billing) use it so the
 // counters stay exact whichever goroutine applies a chunk.
 func (j *Job) AddMetrics(delta Metrics) {
 	j.metMu.Lock()
@@ -229,7 +229,7 @@ func (j *Job) AddMetrics(delta Metrics) {
 // PriceChunk on slot 0, except that the grouping is priced straight from
 // the collection scratch instead of being copied — the form every driver
 // that prices a chunk the moment it computes it uses (the baseline engines,
-// the executor pool, a session's Process). All job bookkeeping (Met, Ctr)
+// Share-only streaming). All job bookkeeping (Met, Ctr)
 // is synchronized; vertex-state safety is the caller's contract — drivers
 // serialize a job's chunk work (only ever one Collect or Price call in
 // flight per job), because ProcessEdge mutates per-vertex state that

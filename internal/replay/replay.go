@@ -77,9 +77,8 @@ type Config struct {
 	NumV, NumE, Partitions int
 	// LLCBytes, MemBudget size the simulated memory substrate.
 	LLCBytes, MemBudget int64
-	// Cores and Workers configure the underlying core.System (Workers 0 =
-	// serial driver, two-phase under FineSync).
-	Cores, Workers int
+	// Cores configures the underlying core.System.
+	Cores int
 }
 
 func (c Config) withDefaults() Config {
@@ -287,7 +286,6 @@ func Run(cfg Config) (*Report, error) {
 	}
 	ccfg := core.DefaultConfig(cfg.LLCBytes)
 	ccfg.Cores = cfg.Cores
-	ccfg.Workers = cfg.Workers
 	sys, err := core.NewSystem(env.Layout, env.Mem, env.Cache, ccfg)
 	if err != nil {
 		return nil, err

@@ -163,34 +163,6 @@ func TestReplayBackpressure(t *testing.T) {
 	}
 }
 
-// TestReplayWorkersExecutor runs the replay over the parallel streaming
-// executor: the deterministic contract (byte-identical log across same-seed
-// runs) must hold for any executor width, because virtual scheduling never
-// reads real completion times.
-func TestReplayWorkersExecutor(t *testing.T) {
-	cfg := replay.Config{Hours: 12, Seed: 9, Workers: 2}
-	a, err := replay.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := replay.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.LogText() != b.LogText() {
-		t.Fatal("executor replay not deterministic")
-	}
-	// And the virtual schedule is independent of the executor width: the
-	// serial driver must produce the identical ticket log.
-	serial, err := replay.Run(replay.Config{Hours: 12, Seed: 9, Workers: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.LogText() != a.LogText() {
-		t.Fatal("ticket log depends on executor width — virtual time leaked real time")
-	}
-}
-
 // TestReplaySummaryRendered sanity-checks the summary renderer (the full
 // layout is pinned by the graphm-replay golden test).
 func TestReplaySummaryRendered(t *testing.T) {

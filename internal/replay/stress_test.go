@@ -13,7 +13,7 @@ import (
 	"graphm/internal/trace"
 )
 
-func stressSystem(t *testing.T, workers int) *core.System {
+func stressSystem(t *testing.T) *core.System {
 	t.Helper()
 	g, err := graph.GenerateRMAT(graph.DefaultRMAT("stress", 300, 2400, 19))
 	if err != nil {
@@ -30,7 +30,6 @@ func stressSystem(t *testing.T, workers int) *core.System {
 	}
 	cfg := core.DefaultConfig(32 << 10)
 	cfg.Cores = 2
-	cfg.Workers = workers
 	sys, err := core.NewSystem(grid.AsLayout(), storage.NewMemory(disk, 64<<20), cache, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +45,7 @@ func stressSystem(t *testing.T, workers int) *core.System {
 // must equal the system totals, counter for counter. Run under -race this
 // doubles as a concurrency stress of Submit/admit/finish.
 func TestStressStatsDeltaSumsToTotals(t *testing.T) {
-	sys := stressSystem(t, 0)
+	sys := stressSystem(t)
 	svc := service.New(sys, service.Config{MaxInFlight: 1, MaxQueuedPerTenant: 64, Seed: 23})
 
 	tr := trace.Generate(6, 23) // ~50 events, compressed to zero inter-arrival time
@@ -90,9 +89,6 @@ func TestStressStatsDeltaSumsToTotals(t *testing.T) {
 		sum.SharedLoads += d.SharedLoads
 		sum.MidRoundJoins += d.MidRoundJoins
 		sum.Detaches += d.Detaches
-		sum.Prefetches += d.Prefetches
-		sum.PrefetchHits += d.PrefetchHits
-		sum.PrefetchCancels += d.PrefetchCancels
 		sum.Relabels += d.Relabels
 		sum.RelabelSkips += d.RelabelSkips
 	}
@@ -103,9 +99,6 @@ func TestStressStatsDeltaSumsToTotals(t *testing.T) {
 		sum.SharedLoads != total.SharedLoads ||
 		sum.MidRoundJoins != total.MidRoundJoins ||
 		sum.Detaches != total.Detaches ||
-		sum.Prefetches != total.Prefetches ||
-		sum.PrefetchHits != total.PrefetchHits ||
-		sum.PrefetchCancels != total.PrefetchCancels ||
 		sum.Relabels != total.Relabels ||
 		sum.RelabelSkips != total.RelabelSkips {
 		t.Fatalf("per-ticket delta sums do not tile the totals:\nsum   %+v\ntotal %+v", sum, total)
@@ -116,12 +109,11 @@ func TestStressStatsDeltaSumsToTotals(t *testing.T) {
 }
 
 // TestStressConcurrentTenantsOverlapping hammers the overlapping-admission
-// path under -race: many tenants, a deep in-flight window, the worker-pool
-// executor, and a virtual clock being advanced concurrently with the
-// drivers. Overlapping StatsDelta windows cannot tile, so here each delta
+// path under -race: many tenants, a deep in-flight window, and a virtual
+// clock being advanced concurrently with the drivers. Overlapping StatsDelta windows cannot tile, so here each delta
 // is bounded by the totals and the lifecycle counters must balance.
 func TestStressConcurrentTenantsOverlapping(t *testing.T) {
-	sys := stressSystem(t, 2)
+	sys := stressSystem(t)
 	clock := core.NewVirtualClock(core.WallClock{}.Now())
 	svc := service.New(sys, service.Config{MaxInFlight: 8, MaxQueuedPerTenant: 64, Seed: 29, Clock: clock})
 

@@ -1,8 +1,8 @@
 package scenario
 
 // Differential checking for generated scripts: one script replayed across
-// executor configurations that must not change its observable behaviour,
-// with every invariant the harness owns applied to each pair.
+// configurations that must not change its observable behaviour, with every
+// invariant the harness owns applied to each pair.
 
 import (
 	"fmt"
@@ -21,8 +21,6 @@ type DiffOptions struct {
 	EnvSeed int64
 	// LLCBytes, MemBudget size the simulated substrate.
 	LLCBytes, MemBudget int64
-	// Workers is the executor width of the widest variant (default 3).
-	Workers int
 }
 
 func (o DiffOptions) withDefaults() DiffOptions {
@@ -43,9 +41,6 @@ func (o DiffOptions) withDefaults() DiffOptions {
 	}
 	if o.MemBudget <= 0 {
 		o.MemBudget = 64 << 20
-	}
-	if o.Workers <= 0 {
-		o.Workers = 3
 	}
 	return o
 }
@@ -68,22 +63,13 @@ func (o DiffOptions) GenDefaults() (GenOptions, error) {
 	return GenOptions{Partitions: env.NonEmptyPartitions(), NumV: o.withDefaults().NumV}, nil
 }
 
-// diffVariant is one executor configuration a script is replayed under.
-type diffVariant struct {
-	name     string
-	workers  int
-	adaptive bool
-}
-
-// DiffCheck replays one generated script across executor configurations and
-// applies the package invariants to every pair against the serial static
+// DiffCheck replays one generated script across configurations and
+// applies the package invariants to every pair against the static
 // baseline:
 //
-//   - CheckClean on every run (no pins, prefetch leaks, or orphaned
-//     snapshot overrides);
-//   - CheckWorkEqual and CheckOutputsEqual between the serial driver
-//     and the worker-pool executor (widths 1 and Workers), static vs
-//     adaptive chunk labelling, and the combination;
+//   - CheckClean on every run (no pins or orphaned snapshot overrides);
+//   - CheckWorkEqual and CheckOutputsEqual between static and adaptive
+//     chunk labelling;
 //   - for single-job scripts additionally CheckSimEqual between the
 //     run-length accounting hot path and the per-edge reference model —
 //     the configuration whose LLC access schedule is deterministic.
@@ -103,14 +89,13 @@ func DiffCheck(gs GenScript, o DiffOptions) error {
 			gs.Partitions, p)
 	}
 
-	runOne := func(workers int, adaptive, perEdge bool) (*Result, error) {
+	runOne := func(adaptive, perEdge bool) (*Result, error) {
 		env, err := o.NewEnv()
 		if err != nil {
 			return nil, err
 		}
 		cfg := core.DefaultConfig(o.LLCBytes)
 		cfg.Cores = 1
-		cfg.Workers = workers
 		cfg.AdaptiveChunking = adaptive
 		cfg.PerEdgeSim = perEdge
 		res, err := Run(env, cfg, script)
@@ -123,30 +108,22 @@ func DiffCheck(gs GenScript, o DiffOptions) error {
 		return res, nil
 	}
 
-	base, err := runOne(0, false, false)
+	base, err := runOne(false, false)
 	if err != nil {
-		return fmt.Errorf("scenario: baseline (serial, static): %w", err)
+		return fmt.Errorf("scenario: baseline (static): %w", err)
 	}
-	variants := []diffVariant{
-		{"workers=1", 1, false},
-		{fmt.Sprintf("workers=%d", o.Workers), o.Workers, false},
-		{"adaptive", 0, true},
-		{fmt.Sprintf("workers=%d+adaptive", o.Workers), o.Workers, true},
+	adaptive, err := runOne(true, false)
+	if err != nil {
+		return fmt.Errorf("scenario: variant adaptive: %w", err)
 	}
-	for _, v := range variants {
-		res, err := runOne(v.workers, v.adaptive, false)
-		if err != nil {
-			return fmt.Errorf("scenario: variant %s: %w", v.name, err)
-		}
-		if err := CheckWorkEqual(base, res); err != nil {
-			return fmt.Errorf("scenario: %s vs baseline: %w", v.name, err)
-		}
-		if err := CheckOutputsEqual(base, res); err != nil {
-			return fmt.Errorf("scenario: %s vs baseline: %w", v.name, err)
-		}
+	if err := CheckWorkEqual(base, adaptive); err != nil {
+		return fmt.Errorf("scenario: adaptive vs baseline: %w", err)
+	}
+	if err := CheckOutputsEqual(base, adaptive); err != nil {
+		return fmt.Errorf("scenario: adaptive vs baseline: %w", err)
 	}
 	if gs.SingleJob() {
-		perEdge, err := runOne(0, false, true)
+		perEdge, err := runOne(false, true)
 		if err != nil {
 			return fmt.Errorf("scenario: variant per-edge-sim: %w", err)
 		}

@@ -48,8 +48,7 @@ func fuzzGenOptions(t *testing.T, o DiffOptions) GenOptions {
 }
 
 // TestFuzzDifferentialScripts is the fuzzer's main loop: generate N valid
-// scripts from fixed seeds, replay each across the executor-configuration
-// matrix, and fail with a minimized, corpus-ready counterexample on any
+// scripts from fixed seeds, replay each across the configuration matrix, and fail with a minimized, corpus-ready counterexample on any
 // divergence. Seeds are fixed (seed i is script i) so CI failures reproduce
 // exactly; odd seeds generate single-job scripts, which additionally run
 // the per-edge vs run-length accounting differential.

@@ -42,9 +42,8 @@
 //     one-edge ScannedEdges divergence.)
 //
 // Under those rules the schedule-independent work counters
-// (engine.Metrics.Work) and the algorithm outputs are identical across the
-// serial driver, any executor worker count, and static vs adaptive
-// chunk labelling — which is exactly what CheckWorkEqual and
+// (engine.Metrics.Work) and the algorithm outputs are identical across
+// runs and across static vs adaptive chunk labelling — which is exactly what CheckWorkEqual and
 // CheckOutputsEqual assert. Controller-level counters (Rounds,
 // MidRoundJoins, SharedLoads, Relabels) are NOT part of the deterministic
 // contract: a JoinMidRound job reaching its iteration boundary races the
@@ -473,15 +472,10 @@ func (r *runner) unfiredLocked() []string {
 func (r *Result) OverrideChunks() int { return r.sys.OverrideChunks() }
 
 // CheckClean verifies the run left no residue: every partition buffer
-// unpinned, prefetch accounting exact, no leaked snapshot overrides.
+// unpinned, no leaked snapshot overrides.
 func CheckClean(env Env, res *Result) error {
 	if err := pinScan(env.Mem, env.Layout.Partitions()); err != nil {
 		return err
-	}
-	st := res.Stats
-	if st.PrefetchHits+st.PrefetchCancels != st.Prefetches {
-		return fmt.Errorf("scenario: prefetch accounting leak: %d started, %d claimed + %d canceled",
-			st.Prefetches, st.PrefetchHits, st.PrefetchCancels)
 	}
 	if n := res.OverrideChunks(); n != 0 {
 		return fmt.Errorf("scenario: %d override chunks leaked past job exit", n)
@@ -523,14 +517,13 @@ func CheckWorkEqual(a, b *Result) error {
 // cache-wide hit and miss totals, and equal per-job LLC counters and
 // simulated times for every non-detached job. This is the equivalence proof
 // between the run-length accounting hot path (engine.Job.ApplyChunk) and
-// the per-edge reference model (core.Config.PerEdgeSim): under the serial
-// driver with a deterministic access schedule — one job, or any script
-// whose cache-access interleaving is schedule-independent — the two models
-// must count every hit and miss identically. Unlike CheckWorkEqual this is
-// intentionally stronger than the cross-schedule contract (LLC counters DO
-// shift with worker interleavings at Workers >= 1, where pool workers price
-// concurrently; the serial driver's single owner prices in a fixed order),
-// so only compare runs that used the same serial schedule.
+// the per-edge reference model (core.Config.PerEdgeSim): with a
+// deterministic access schedule — one job, or any script whose round
+// composition is schedule-independent — the two models must count every
+// hit and miss identically. Unlike CheckWorkEqual this is intentionally
+// stronger than the cross-schedule contract (LLC counters DO shift when
+// the round composition does, as when a JoinMidRound job races the next
+// round's formation), so only compare runs that used the same schedule.
 func CheckSimEqual(a, b *Result) error {
 	if a.CacheHits != b.CacheHits || a.CacheMisses != b.CacheMisses {
 		return fmt.Errorf("scenario: cache-wide LLC counters differ: %d hits/%d misses vs %d/%d",

@@ -55,19 +55,18 @@ func testScript(t *testing.T, env scenario.Env) scenario.Script {
 	return s
 }
 
-func runCfg(workers int, adaptive bool) core.Config {
+func runCfg(adaptive bool) core.Config {
 	cfg := core.DefaultConfig(testLLC)
 	cfg.Cores = 1
-	cfg.Workers = workers
 	cfg.AdaptiveChunking = adaptive
 	return cfg
 }
 
-func mustRun(t *testing.T, workers int, adaptive bool) *scenario.Result {
+func mustRun(t *testing.T, adaptive bool) *scenario.Result {
 	t.Helper()
 	env, _ := testEnv(t)
 	script := testScript(t, env)
-	res, err := scenario.Run(env, runCfg(workers, adaptive), script)
+	res, err := scenario.Run(env, runCfg(adaptive), script)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,37 +76,27 @@ func mustRun(t *testing.T, workers int, adaptive bool) *scenario.Result {
 	return res
 }
 
-// TestScenarioExecutorMatchesLegacy is the harness's headline invariant:
-// one scripted dynamic-concurrency timeline does identical work and yields
-// bit-identical outputs under the legacy serial driver and the worker-pool
-// executor at any width.
-func TestScenarioExecutorMatchesLegacy(t *testing.T) {
-	legacy := mustRun(t, 0, false)
-	if legacy.Stats.MidRoundJoins == 0 {
+// TestScenarioScriptedTimeline is the harness's headline check: one
+// scripted dynamic-concurrency timeline produces its mid-round joins and
+// exactly the scripted detach.
+func TestScenarioScriptedTimeline(t *testing.T) {
+	res := mustRun(t, false)
+	if res.Stats.MidRoundJoins == 0 {
 		t.Fatal("script produced no mid-round joins — the ramp never attached")
 	}
-	if legacy.Stats.Detaches != 1 {
-		t.Fatalf("detaches = %d, want exactly the scripted one", legacy.Stats.Detaches)
+	if res.Stats.Detaches != 1 {
+		t.Fatalf("detaches = %d, want exactly the scripted one", res.Stats.Detaches)
 	}
-	if !legacy.Jobs[15].Detached {
+	if !res.Jobs[15].Detached {
 		t.Fatal("scripted detach target not recorded as detached")
-	}
-	for _, workers := range []int{1, 4} {
-		pooled := mustRun(t, workers, false)
-		if err := scenario.CheckWorkEqual(legacy, pooled); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if err := scenario.CheckOutputsEqual(legacy, pooled); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
 	}
 }
 
 // TestScenarioAdaptiveMatchesStatic: adaptive re-labelling must change chunk
 // granularity (relabels fire on the ramp) and nothing else.
 func TestScenarioAdaptiveMatchesStatic(t *testing.T) {
-	static := mustRun(t, 0, false)
-	adaptive := mustRun(t, 0, true)
+	static := mustRun(t, false)
+	adaptive := mustRun(t, true)
 	if adaptive.Stats.Relabels == 0 {
 		t.Fatal("adaptive run never re-labelled on a 2 -> 7 attendance ramp")
 	}
@@ -116,14 +105,6 @@ func TestScenarioAdaptiveMatchesStatic(t *testing.T) {
 	}
 	if err := scenario.CheckOutputsEqual(static, adaptive); err != nil {
 		t.Fatal(err)
-	}
-	// And with the executor on top of adaptive labelling.
-	both := mustRun(t, 4, true)
-	if err := scenario.CheckWorkEqual(static, both); err != nil {
-		t.Fatalf("adaptive+executor: %v", err)
-	}
-	if err := scenario.CheckOutputsEqual(static, both); err != nil {
-		t.Fatalf("adaptive+executor: %v", err)
 	}
 }
 
@@ -134,8 +115,8 @@ func TestScenarioAdaptiveMatchesStatic(t *testing.T) {
 // reaching its iteration boundary races the next round's formation, so those
 // counters vary run to run by design (the work does not).
 func TestScenarioDeterministicRepeat(t *testing.T) {
-	a := mustRun(t, 2, true)
-	b := mustRun(t, 2, true)
+	a := mustRun(t, true)
+	b := mustRun(t, true)
 	if err := scenario.CheckWorkEqual(a, b); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +168,7 @@ func checkSimEqualPerAlgorithm(t *testing.T, budget int64) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg := runCfg(0, false)
+				cfg := runCfg(false)
 				cfg.PerEdgeSim = perEdge
 				res, err := scenario.Run(env, cfg, script)
 				if err != nil {
@@ -226,10 +207,10 @@ func checkSimEqualPerAlgorithm(t *testing.T, budget int64) {
 // where exact LLC counts are schedule-dependent (concurrent jobs interleave
 // set accesses differently per model).
 func TestScenarioPerEdgeModelMatchesAcrossRamp(t *testing.T) {
-	batched := mustRun(t, 0, false)
+	batched := mustRun(t, false)
 	env, _ := testEnv(t)
 	script := testScript(t, env)
-	cfg := runCfg(0, false)
+	cfg := runCfg(false)
 	cfg.PerEdgeSim = true
 	perEdge, err := scenario.Run(env, cfg, script)
 	if err != nil {
@@ -247,8 +228,7 @@ func TestScenarioPerEdgeModelMatchesAcrossRamp(t *testing.T) {
 }
 
 // TestScenarioResultsCorrect anchors the harness to ground truth: a plain
-// ramp (no graph mutations) run under adaptive chunking and the executor
-// must still reproduce the reference PageRank and WCC solutions exactly.
+// ramp (no graph mutations) run under adaptive chunking must still reproduce the reference PageRank and WCC solutions exactly.
 func TestScenarioResultsCorrect(t *testing.T) {
 	env, g := testEnv(t)
 	parts := env.NonEmptyPartitions()
@@ -258,7 +238,7 @@ func TestScenarioResultsCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := scenario.Run(env, runCfg(2, true), script)
+	res, err := scenario.Run(env, runCfg(true), script)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +332,7 @@ func TestScenarioScriptValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := scenario.Run(env, runCfg(0, false), tc.script)
+			_, err := scenario.Run(env, runCfg(false), tc.script)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error = %v, want containing %q", err, tc.want)
 			}

@@ -11,7 +11,7 @@ import (
 // handleMetrics serves the Prometheus text exposition format (version
 // 0.0.4) with no external dependencies: the service admission counters, the
 // core sharing-controller counters the earlier PRs accumulated (shared
-// loads, mid-round joins, relabels, prefetch hits...), the HTTP-layer
+// loads, mid-round joins, relabels...), the HTTP-layer
 // counters, and the rolling SLO windows as summary-style quantile gauges.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.svc.Snapshot()
@@ -46,9 +46,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("graphm_mid_round_joins_total", "Iteration joins into a round already in flight.", stats.MidRoundJoins)
 	counter("graphm_detaches_total", "Jobs withdrawn from sharing before convergence.", stats.Detaches)
 	counter("graphm_suspensions_total", "Job suspensions waiting for a needed partition.", stats.Suspensions)
-	counter("graphm_prefetches_total", "Async partition prefetches started.", stats.Prefetches)
-	counter("graphm_prefetch_hits_total", "Prefetches claimed by their target partition.", stats.PrefetchHits)
-	counter("graphm_prefetch_cancels_total", "Prefetches invalidated before use.", stats.PrefetchCancels)
 	counter("graphm_relabels_total", "Adaptive chunk re-labellings applied.", stats.Relabels)
 	counter("graphm_relabel_skips_total", "Re-labellings suppressed by hysteresis.", stats.RelabelSkips)
 

@@ -413,7 +413,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, name := range []string{
 		"graphm_shared_loads_total", "graphm_rounds_total", "graphm_mid_round_joins_total",
-		"graphm_prefetch_hits_total", "graphm_relabels_total", "graphm_queue_depth",
+		"graphm_suspensions_total", "graphm_relabels_total", "graphm_queue_depth",
 		"graphm_rate_limiter_tenants", "graphm_http_requests_total",
 		`graphm_queue_wait_seconds{quantile="0.99"}`, `graphm_job_runtime_seconds{quantile="0.5"}`,
 	} {

@@ -331,11 +331,9 @@ func (s *Service) removeTenantLocked(tenant string) {
 
 // drive runs one admitted job against the sharing controller: the
 // StreamEdges loop of Figure 6(b) over the session API, with lifecycle
-// transitions layered on. ProcessAll streams each partition on the serial
-// driver (two-phase under FineSync: the job computes its chunks on this
-// goroutine, one attendee prices the partition's LLC accesses) and through
-// the round's worker pool when the underlying system runs the parallel
-// executor (core.Config.Workers >= 1).
+// transitions layered on. ProcessAll streams each partition two-phase under
+// FineSync: one attendee computes every attendee's chunks of a window while
+// a pricing goroutine prices the window's LLC accesses.
 func (s *Service) drive(t *Ticket) {
 	defer s.wg.Done()
 	t.mu.Lock()

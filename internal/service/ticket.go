@@ -191,8 +191,7 @@ func (t *Ticket) QueueWait() time.Duration {
 }
 
 // Runtime returns the real (wall-clock) admission-to-terminal duration —
-// what the executor's actual parallelism delivers on this machine. Zero
-// until terminal.
+// what the streaming actually took on this machine. Zero until terminal.
 func (t *Ticket) Runtime() time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -204,8 +203,8 @@ func (t *Ticket) Runtime() time.Duration {
 
 // SimRuntime returns the job's simulated execution time under the cost
 // model (compute + memory + amortized I/O) — the paper's reported quantity,
-// independent of how many real workers streamed the chunks. Zero until the
-// ticket is terminal.
+// independent of how the chunks were scheduled on real cores. Zero until
+// the ticket is terminal.
 func (t *Ticket) SimRuntime() time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()

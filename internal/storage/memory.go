@@ -130,6 +130,17 @@ func (m *Memory) Load(key, diskName string) (buf *Buffer, io IOKind, err error) 
 	return buf, kind, nil
 }
 
+// PinCount returns the number of live references to key's resident buffer,
+// 0 when the buffer is unpinned or not resident. Exposed for leak checks.
+func (m *Memory) PinCount(key string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if buf, ok := m.resident[key]; ok {
+		return buf.refs
+	}
+	return 0
+}
+
 // Acquire pins an already-resident buffer without disk fallback; ok reports
 // whether it was resident.
 func (m *Memory) Acquire(key string) (*Buffer, bool) {
