@@ -55,37 +55,47 @@ func (p *hookedProg) ProcessEdge(e graph.Edge) bool {
 
 // TestLockstepLivenessStress guards two-phase streaming's wake rules
 // against lost wakeups: twelve ProcessAll attendees stream multi-chunk
-// partitions in windows of two chunks while one job detaches in the middle
-// of a partition and — in the failure variant — another fails the system in
-// the middle of a partition. Both fire from inside the job's compute, in
-// the partition's second window, so the window's owner is collecting and
-// its pricer pricing while the other attendees are parked on the window.
-// Every driver must return within the bound at GOMAXPROCS 1, 2 and 4; run
-// it under -race. The Share-only variant (FineSync off) streams each job's
-// chunks back to back on its own goroutine, with no window to park on.
+// partitions in windows of two chunks while one job detaches in its second
+// partition and — in the failure variant — another fails the system there.
+// The workers=0 family fires both from inside the job's compute, in the
+// partition's second window, so the window's owner is collecting and its
+// pricer pricing while the other attendees are parked on the window. The
+// unprefixed family fires both from the job's own goroutine between its
+// ProcessAll and its partition barrier, while the other attendees are
+// parked on that barrier or already in the next partition's windows. (The
+// workers=0 prefix names the Workers setting every run uses; the two
+// families keep the names they had when the unprefixed one ran a worker
+// pool.) Every driver must return within the bound at GOMAXPROCS 1, 2 and
+// 4; run it under -race. The Share-only variant (FineSync off) streams each
+// job's chunks back to back on its own goroutine, with no window to park on.
 func TestLockstepLivenessStress(t *testing.T) {
 	g, err := graph.GenerateRMAT(graph.DefaultRMAT("lockstep", 1200, 12000, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, procs := range []int{1, 2, 4} {
-		for _, fineSync := range []bool{true, false} {
-			for _, inject := range []bool{false, true} {
-				// A stalled run leaves its drivers parked; stop rather than
-				// pile more stalled runs on top of them.
-				name := fmt.Sprintf("gomaxprocs=%d/finesync=%v/fail=%v", procs, fineSync, inject)
-				if !t.Run(name, func(t *testing.T) {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					runLockstepStress(t, g, fineSync, inject)
-				}) {
-					return
+		for _, inCompute := range []bool{true, false} {
+			for _, fineSync := range []bool{true, false} {
+				for _, inject := range []bool{false, true} {
+					// A stalled run leaves its drivers parked; stop rather
+					// than pile more stalled runs on top of them.
+					name := fmt.Sprintf("gomaxprocs=%d/finesync=%v/fail=%v", procs, fineSync, inject)
+					if inCompute {
+						name = "workers=0/" + name
+					}
+					if !t.Run(name, func(t *testing.T) {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+						runLockstepStress(t, g, inCompute, fineSync, inject)
+					}) {
+						return
+					}
 				}
 			}
 		}
 	}
 }
 
-func runLockstepStress(t *testing.T, g *graph.Graph, fineSync, inject bool) {
+func runLockstepStress(t *testing.T, g *graph.Graph, inCompute, fineSync, inject bool) {
 	const (
 		numJobs  = 12
 		detachID = 4
@@ -113,7 +123,8 @@ func runLockstepStress(t *testing.T, g *graph.Graph, fineSync, inject bool) {
 	type driven struct {
 		sess *Session
 		prog engine.Program
-		hook *hookedProg // the detach or failure trigger, nil for the others
+		fire func()      // the detach or failure trigger, nil for the others
+		hook *hookedProg // fires fire from inside the compute (inCompute only)
 	}
 	var jobs []driven
 	for id := 1; id <= numJobs; id++ {
@@ -131,14 +142,12 @@ func runLockstepStress(t *testing.T, g *graph.Graph, fineSync, inject bool) {
 			p = algorithms.NewSSSP(graph.VertexID(id))
 		}
 		d := driven{prog: p}
-		run := p
-		switch {
-		case id == detachID:
-			d.hook = &hookedProg{Program: p}
-		case id == failID && inject:
-			d.hook = &hookedProg{Program: p, hook: func() { s.fail(errInjected) }}
+		if id == failID && inject {
+			d.fire = func() { s.fail(errInjected) }
 		}
-		if d.hook != nil {
+		run := p
+		if inCompute && (id == detachID || d.fire != nil) {
+			d.hook = &hookedProg{Program: p}
 			run = d.hook
 		}
 		d.sess, err = s.OpenSession(engine.NewJob(id, run, int64(id)))
@@ -146,7 +155,10 @@ func runLockstepStress(t *testing.T, g *graph.Graph, fineSync, inject bool) {
 			t.Fatal(err)
 		}
 		if id == detachID {
-			d.hook.hook = d.sess.Detach
+			d.fire = d.sess.Detach
+		}
+		if d.hook != nil {
+			d.hook.hook = d.fire
 		}
 		jobs = append(jobs, d)
 	}
@@ -154,7 +166,8 @@ func runLockstepStress(t *testing.T, g *graph.Graph, fineSync, inject bool) {
 	var wg sync.WaitGroup
 	for i, d := range jobs {
 		// The detach fires in the job's first iteration and the failure in
-		// its second, each in its second partition's second window.
+		// its second, each in its second partition: in its second window
+		// (inCompute) or once its ProcessAll returns.
 		trigger := 0
 		if i+1 == failID {
 			trigger = 1
@@ -167,11 +180,15 @@ func runLockstepStress(t *testing.T, g *graph.Graph, fineSync, inject bool) {
 				nth := 0
 				for sp := d.sess.Sharing(); sp != nil; sp = d.sess.Sharing() {
 					nth++
-					if d.hook != nil && d.sess.iter == trigger && nth == 2 {
+					armed := d.fire != nil && d.sess.iter == trigger && nth == 2
+					if armed && d.hook != nil {
 						chunks := sp.cp.set.Chunks
 						d.hook.countdown.Store(int64(chunks[0].NumEdges + chunks[1].NumEdges + 1))
 					}
 					sp.ProcessAll()
+					if armed && d.hook == nil {
+						d.fire()
+					}
 					sp.Barrier()
 				}
 				d.sess.EndIteration()
@@ -201,7 +218,7 @@ func runLockstepStress(t *testing.T, g *graph.Graph, fineSync, inject bool) {
 		t.Fatal(err)
 	}
 	if !jobs[detachID-1].sess.Detached() {
-		t.Fatal("the mid-partition detach was never honored")
+		t.Fatal("the detach was never honored")
 	}
 	if st := s.StatsSnapshot(); st.SharedLoads == 0 {
 		t.Fatal("no shared partition loads — the attendees never streamed in lockstep")
