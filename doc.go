@@ -24,15 +24,17 @@
 //
 // Simulated time (the figures) is priced from counted work and does not
 // depend on real parallelism. Every job's partitions stream through
-// core.SharedPartition.ProcessAll, which under FineSync streams a
-// partition in two phases, a window of chunks at a time: the last
-// attending job to reach the window becomes its owner and computes every
-// attendee's chunks of it through engine.Job.CollectChunk, while a pricing
-// goroutine prices each collected chunk of every attendee against the
-// simulated LLC in lockstep order — each chunk's Formula (4) leader first,
-// then ascending job ID, every attendee's scan of the chunk
+// core.SharedPartition.ProcessAll, which streams a partition in two
+// phases, a window of chunks at a time: the last attending job to reach
+// the window becomes its owner and computes every attendee's chunks of it
+// through engine.Job.CollectChunk, while a pricing goroutine prices each
+// collected chunk of every attendee against the simulated LLC. Under
+// FineSync it prices in lockstep order — each chunk's Formula (4) leader
+// first, then ascending job ID, every attendee's scan of the chunk
 // (engine.Job.PriceStream) before any attendee's state accesses
-// (engine.Job.PriceChunk). Job goroutines park once per window rather than
+// (engine.Job.PriceChunk); in Share-only it prices one attendee's whole
+// window after another's. The baseline engines' concurrent jobs take turns
+// through engine.Interleave, one partition each at a time. Job goroutines park once per window rather than
 // twice per chunk, the collection and the pricing keep two cores busy, and
 // every simulated number is independent of goroutine interleaving. CI
 // gates ns/op regressions against the committed BENCH_baseline.json (see
@@ -58,19 +60,20 @@
 // The innermost loop — one job applying one chunk with full LLC
 // simulation — is batched at every layer while preserving the simulator's
 // observable behaviour. The 12-byte-edge stream is walked in 64-byte
-// cache-line runs (~5.3 edges), a chunk's runs accounted under one lock
-// acquisition per lock shard (memsim.Cache.ScanChunk: each run's first
-// access resolves hit or miss, the rest are hits by construction); each
+// cache-line runs (~5.3 edges), a chunk's runs accounted in one lock-free
+// pass (memsim.Cache.ScanChunk: each run's first access resolves hit or
+// miss, the rest are hits by construction — every simulated cache has one
+// writer at a time, so the model takes no locks); each
 // simulated set is a recency stack of tags, MRU first, so an MRU run costs
 // a compare and a miss one shift-down pass that drops the last way;
 // the chunk's state accesses are settled per cache set from per-line
 // aggregates (memsim.Cache.GroupEntries + TouchGrouped); hit/miss/processed
 // tallies accumulate as integers and land in the job's Counters and the
-// cache-wide totals with one atomic add per counter per chunk; simulated
+// cache-wide totals once per chunk; simulated
 // time is priced with a handful of multiplications at chunk end; and
 // programs implementing engine.BatchProgram process a chunk per call
 // instead of an interface dispatch per edge. The per-edge reference
-// model survives as engine.Job.ApplyChunkPerEdge (core.Config.PerEdgeSim),
+// model survives as engine.Job.CollectChunkPerEdge (core.Config.PerEdgeSim),
 // and the scenario harness proves the two count every LLC hit and miss
 // identically. On the controller side, each partition's window waiters
 // park on its own wait list instead of one global broadcast, so a priced

@@ -189,6 +189,7 @@ type RunOptions struct {
 	Cores int
 	// TimeScale scales workload submission delays into real sleeps; 0
 	// submits everything immediately (SchemeM: as one System.Run batch).
+	// SchemeC starts every job at once whatever the delays.
 	TimeScale float64
 	// Scheduler controls the Section 4 strategy in SchemeM (default on).
 	SchedulerOff bool
@@ -238,12 +239,9 @@ func (e *GridEnv) RunScheme(scheme string, wf func() *jobs.Workload, opts RunOpt
 			return nil, err
 		}
 	case SchemeC:
-		r := gridgraph.NewRunner(e.Grid, mem, cache)
-		r.Cores = opts.cores()
-		cs := newConcSubmitter(func(j *engine.Job) error {
-			return r.RunConcurrent([]*engine.Job{j})
-		})
-		if err := jobs.RunWorkload(w, cs, opts.TimeScale); err != nil {
+		// Every job is active at once, each with its own copies, whatever
+		// the submission delays: the OS time-slices them all.
+		if err := gridgraph.NewRunner(e.Grid, mem, cache).RunConcurrent(w.Jobs); err != nil {
 			return nil, err
 		}
 	case SchemeM:
@@ -280,8 +278,8 @@ func (e *GridEnv) RunScheme(scheme string, wf func() *jobs.Workload, opts RunOpt
 		res.IONS += j.Met.SimIONS
 		res.ScannedEdges += j.Met.ScannedEdges
 		res.ProcessedEdges += j.Met.ProcessedEdges
-		res.LLCMisses += j.Ctr.Misses.Load()
-		res.LLCHits += j.Ctr.Hits.Load()
+		res.LLCMisses += j.Ctr.Misses
+		res.LLCHits += j.Ctr.Hits
 		res.LPI += j.Ctr.LPI()
 	}
 	if len(w.Jobs) > 0 {
@@ -306,33 +304,6 @@ func (s seqSubmitter) Submit(j *engine.Job) {
 	}
 }
 func (s seqSubmitter) Wait() error { return s.err }
-
-// concSubmitter launches each job on its own goroutine — GridGraph-C with
-// the OS (Go scheduler + buffer pool) arbitrating.
-type concSubmitter struct {
-	run  func(*engine.Job) error
-	done chan error
-	n    int
-}
-
-func newConcSubmitter(run func(*engine.Job) error) *concSubmitter {
-	return &concSubmitter{run: run, done: make(chan error, 1024)}
-}
-
-func (c *concSubmitter) Submit(j *engine.Job) {
-	c.n++
-	go func() { c.done <- c.run(j) }()
-}
-
-func (c *concSubmitter) Wait() error {
-	var first error
-	for i := 0; i < c.n; i++ {
-		if err := <-c.done; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
 
 // sysSubmitter adapts core.System to the jobs.Submitter interface.
 type sysSubmitter struct{ sys *core.System }

@@ -122,8 +122,8 @@ func collectJobMetrics(res *SchemeResult, js []*engine.Job) {
 		res.IONS += j.Met.SimIONS
 		res.ScannedEdges += j.Met.ScannedEdges
 		res.ProcessedEdges += j.Met.ProcessedEdges
-		res.LLCMisses += j.Ctr.Misses.Load()
-		res.LLCHits += j.Ctr.Hits.Load()
+		res.LLCMisses += j.Ctr.Misses
+		res.LLCHits += j.Ctr.Hits
 		res.LPI += j.Ctr.LPI()
 	}
 	if len(js) > 0 {

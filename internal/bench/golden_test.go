@@ -57,51 +57,32 @@ func TestGoldenTableLayouts(t *testing.T) {
 // units) lives in internal/goldentest with its own pinning tests, shared
 // with cmd/graphm-replay's golden test.
 
-// numbersMask names the cells of one experiment's tables that move from run
-// to run and are therefore not pinned: whole columns by header, and whole
-// rows by any cell that labels them.
-type numbersMask struct {
-	cols []string
-	rows []string
-}
-
 // numbersExperiments are the paper figures whose numbers are pinned by
-// testdata/numbers.golden, each with its mask. Everything not masked —
-// every GraphM and GridGraph-S cell and every note line — must reproduce
-// byte for byte at any GOMAXPROCS.
-//
-// The masked cells follow the Go scheduler:
-//   - GridGraph-C runs one goroutine per job, all pricing into one simulated
-//     LLC, so its column (fig9, fig11–13), its fig10 rows and every fig14
-//     ratio other than C's own (fig14 is normalised to C) move;
-//   - ablation's wall column is wall clock;
-//   - ablation's "share only (sync off)" row prices each job into the shared
-//     cache on its own goroutine.
+// testdata/numbers.golden, each with the headers of its columns that are
+// not pinned. Every other cell — every GraphM, GridGraph-S and GridGraph-C
+// cell — and every note line must reproduce byte for byte at any
+// GOMAXPROCS: every scheme prices its simulated LLC from one goroutine at
+// a time (GraphM's window pricer, GridGraph-C's engine.Interleave). Only
+// ablation's wall column, which is wall clock, is masked.
 var numbersExperiments = []struct {
-	name string
-	mask numbersMask
+	name   string
+	masked []string
 }{
-	{"fig9", numbersMask{cols: []string{"GridGraph-C"}}},
-	{"fig10", numbersMask{rows: []string{"GridGraph-C"}}},
-	{"fig11", numbersMask{cols: []string{"GridGraph-C"}}},
-	{"fig12", numbersMask{cols: []string{"GridGraph-C"}}},
-	{"fig13", numbersMask{cols: []string{"GridGraph-C"}}},
-	{"fig14", numbersMask{cols: []string{"GridGraph-S", "GridGraph-M"}}},
-	{"fig18", numbersMask{}},
-	{"ablation", numbersMask{cols: []string{"wall (sync cost)"}, rows: []string{"share only (sync off)"}}},
+	{"fig9", nil},
+	{"fig10", nil},
+	{"fig11", nil},
+	{"fig12", nil},
+	{"fig13", nil},
+	{"fig14", nil},
+	{"fig18", nil},
+	{"ablation", []string{"wall (sync cost)"}},
 }
 
-// apply replaces every masked cell of t with "*". A row is masked right of
-// its label, so the golden still pins which rows exist.
-func (m numbersMask) apply(t *Table) {
-	maskCol := make([]bool, len(t.Headers))
+// maskColumns replaces every cell of t under one of the headers with "*".
+func maskColumns(t *Table, headers []string) {
 	for i, h := range t.Headers {
-		maskCol[i] = slices.Contains(m.cols, h)
-	}
-	for _, row := range t.Rows {
-		label := slices.IndexFunc(row, func(c string) bool { return slices.Contains(m.rows, c) })
-		for i := range row {
-			if (i < len(maskCol) && maskCol[i]) || (label >= 0 && i > label) {
+		if slices.Contains(headers, h) {
+			for _, row := range t.Rows {
 				row[i] = "*"
 			}
 		}
@@ -123,7 +104,7 @@ func TestGoldenNumbers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tb := range tables {
-			e.mask.apply(tb)
+			maskColumns(tb, e.masked)
 			tb.Fprint(&buf)
 		}
 	}

@@ -14,7 +14,6 @@ package chaos
 
 import (
 	"fmt"
-	"sync"
 
 	"graphm/internal/cluster"
 	"graphm/internal/core"
@@ -119,7 +118,7 @@ func NewRunner(s *Scattered, net *cluster.Network, mem *storage.Memory, cache *m
 func (r *Runner) RunSequential(jobs []*engine.Job) error {
 	for _, j := range jobs {
 		stop := r.Net.StartStream()
-		err := r.runJob(j, false)
+		err := r.runJob(j, false, func() bool { return true })
 		stop()
 		if err != nil {
 			return err
@@ -129,10 +128,11 @@ func (r *Runner) RunSequential(jobs []*engine.Job) error {
 }
 
 // RunConcurrent executes jobs simultaneously; every job streams its own
-// copy of every chunk over the shared NIC (Chaos-C). All streams are
-// registered with the network up front: the simulation prices contention by
-// how many jobs share the link, not by accidental goroutine overlap (on a
-// single core short jobs serialize and the Table 4 penalty would vanish).
+// copy of every chunk over the shared NIC (Chaos-C), time-sliced one chunk
+// at a time by engine.Interleave. All streams are registered with the
+// network up front: the simulation prices contention by how many jobs share
+// the link, not by how long the jobs happen to overlap (short jobs finish
+// early and the Table 4 penalty would vanish).
 func (r *Runner) RunConcurrent(jobs []*engine.Job) error {
 	stops := make([]func(), len(jobs))
 	for i := range jobs {
@@ -143,28 +143,16 @@ func (r *Runner) RunConcurrent(jobs []*engine.Job) error {
 			stop()
 		}
 	}()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var errs []error
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j *engine.Job) {
-			defer wg.Done()
-			if err := r.runJob(j, true); err != nil {
-				mu.Lock()
-				errs = append(errs, err)
-				mu.Unlock()
-			}
-		}(j)
+	runs := make([]func(yield func() bool) error, len(jobs))
+	for i, j := range jobs {
+		runs[i] = func(yield func() bool) error { return r.runJob(j, true, yield) }
 	}
-	wg.Wait()
-	if len(errs) > 0 {
-		return errs[0]
-	}
-	return nil
+	return engine.Interleave(0, runs)
 }
 
-func (r *Runner) runJob(j *engine.Job, perJobCopy bool) error {
+// runJob streams every chunk once per iteration. It yields after each chunk
+// while the job still holds its buffer (see gridgraph's runJob).
+func (r *Runner) runJob(j *engine.Job, perJobCopy bool, yield func() bool) error {
 	j.Bind(r.S.G)
 	state := j.Prog.StateBytes()
 	j.StateBase = r.Mem.AllocAddr(state)
@@ -193,6 +181,7 @@ func (r *Runner) runJob(j *engine.Job, perJobCopy bool) error {
 			j.Met.SimIONS += r.Net.TransferNS(uint64(len(c.Edges))*graph.EdgeSize) / uint64(len(r.S.Group))
 			j.Met.PartitionLoads++
 			j.ApplyChunk(c.Edges, buf.BaseAddr, 0, r.Cache, r.Cost)
+			yield()
 			buf.Release()
 		}
 		j.Prog.AfterIteration(iter)

@@ -1,7 +1,9 @@
 package chaos
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"graphm/internal/algorithms"
@@ -9,6 +11,7 @@ import (
 	"graphm/internal/engine"
 	"graphm/internal/graph"
 	"graphm/internal/memsim"
+	"graphm/internal/storage"
 )
 
 func buildChaos(t *testing.T, numV, numE, nodes int) (*graph.Graph, *Scattered, *cluster.Cluster) {
@@ -93,7 +96,10 @@ func TestNetworkCostPerTraversal(t *testing.T) {
 
 func TestConcurrentWorseThanSequentialPerByte(t *testing.T) {
 	// The Table 4 signature: Chaos-C pays more simulated time than Chaos-S
-	// for the same total traffic, because concurrent streams contend.
+	// for the same total traffic, because concurrent streams contend. Two
+	// concurrent runs on a fresh cluster, memory pool and cache also leave
+	// identical simulated numbers.
+	var last string
 	run := func(concurrent bool) uint64 {
 		_, s, cl := buildChaos(t, 200, 1600, 2)
 		mem := s.SharedMemory(64 << 20)
@@ -118,6 +124,7 @@ func TestConcurrentWorseThanSequentialPerByte(t *testing.T) {
 		for _, j := range jobs {
 			io += j.Met.SimIONS
 		}
+		last = fingerprint(jobs, cache, mem)
 		return io
 	}
 	seq := run(false)
@@ -125,6 +132,21 @@ func TestConcurrentWorseThanSequentialPerByte(t *testing.T) {
 	if conc <= seq {
 		t.Fatalf("concurrent I/O time %d not above sequential %d", conc, seq)
 	}
+	first := last
+	if again := run(true); again != conc || last != first {
+		t.Fatalf("two concurrent runs of the same jobs differ:\n%s\nvs\n%s", first, last)
+	}
+}
+
+// fingerprint renders every simulated number a run leaves: each job's LLC
+// counters and metrics, the cache-wide totals and the memory peak.
+func fingerprint(jobs []*engine.Job, cache *memsim.Cache, mem *storage.Memory) string {
+	var b strings.Builder
+	for _, j := range jobs {
+		fmt.Fprintf(&b, "job %d: %+v %+v\n", j.ID, j.Ctr, j.Met)
+	}
+	fmt.Fprintf(&b, "cache %d hits %d misses, peak %d bytes\n", cache.TotalHits(), cache.TotalMisses(), mem.Peak())
+	return b.String()
 }
 
 func TestLoadHookAmortizes(t *testing.T) {

@@ -20,7 +20,8 @@ import (
 // numbers — cache-wide hits and misses, every job's LLC counters and
 // Metrics (simulated memory, compute and I/O time included) — on every run
 // and at any GOMAXPROCS, both in memory and out of core (every partition
-// reloaded from disk each time it opens).
+// reloaded from disk each time it opens), and out of core in Share-only
+// (FineSync off), whose pricer takes one attendee's window after another's.
 func TestSerialDriverSimDeterministic(t *testing.T) {
 	g, err := graph.GenerateRMAT(graph.DefaultRMAT("det", 1024, 9000, 23))
 	if err != nil {
@@ -35,11 +36,13 @@ func TestSerialDriverSimDeterministic(t *testing.T) {
 		Jobs         []jobSim
 	}
 	for _, tc := range []struct {
-		name   string
-		budget int64
+		name     string
+		budget   int64
+		fineSync bool
 	}{
-		{"in-memory", 64 << 20},
-		{"out-of-core", 1},
+		{"in-memory", 64 << 20, true},
+		{"out-of-core", 1, true},
+		{"share-only", 1, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() outcome {
@@ -50,6 +53,7 @@ func TestSerialDriverSimDeterministic(t *testing.T) {
 				}
 				mem := storage.NewMemory(disk, tc.budget)
 				cfg := core.DefaultConfig(64 << 10)
+				cfg.FineSync = tc.fineSync
 				cache, err := memsim.NewCache(memsim.DefaultConfig(cfg.LLCBytes))
 				if err != nil {
 					t.Fatal(err)
@@ -70,7 +74,7 @@ func TestSerialDriverSimDeterministic(t *testing.T) {
 				}
 				o := outcome{Hits: cache.TotalHits(), Misses: cache.TotalMisses()}
 				for _, j := range js {
-					o.Jobs = append(o.Jobs, jobSim{j.Ctr.Hits.Load(), j.Ctr.Misses.Load(), j.Ctr.Instructions.Load(), j.Met})
+					o.Jobs = append(o.Jobs, jobSim{j.Ctr.Hits, j.Ctr.Misses, j.Ctr.Instructions, j.Met})
 				}
 				return o
 			}

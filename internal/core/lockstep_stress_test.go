@@ -66,8 +66,9 @@ func (p *hookedProg) ProcessEdge(e graph.Edge) bool {
 // workers=0 prefix names the Workers setting every run uses; the two
 // families keep the names they had when the unprefixed one ran a worker
 // pool.) Every driver must return within the bound at GOMAXPROCS 1, 2 and
-// 4; run it under -race. The Share-only variant (FineSync off) streams each
-// job's chunks back to back on its own goroutine, with no window to park on.
+// 4; run it under -race. The Share-only variant (FineSync off) parks on the
+// same windows; only its pricer's order differs (one attendee's whole
+// window after another's).
 func TestLockstepLivenessStress(t *testing.T) {
 	g, err := graph.GenerateRMAT(graph.DefaultRMAT("lockstep", 1200, 12000, 31))
 	if err != nil {

@@ -92,7 +92,7 @@ func TestMemoKeyedOnChunkAcrossReloads(t *testing.T) {
 		if err := sys.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		return outcome{ranks: pr.Ranks(), met: j.Met, hits: j.Ctr.Hits.Load(), misses: j.Ctr.Misses.Load()}
+		return outcome{ranks: pr.Ranks(), met: j.Met, hits: j.Ctr.Hits, misses: j.Ctr.Misses}
 	}
 	batched, perEdge := run(false), run(true)
 	if batched.met != perEdge.met {

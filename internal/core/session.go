@@ -229,25 +229,17 @@ func (sp *SharedPartition) NumChunks() int { return len(sp.cp.set.Chunks) }
 
 // ProcessAll applies every chunk of the partition for this job (the paper's
 // Start()) and returns when the job's share of the partition is fully
-// streamed, or the system failed. With FineSync the partition streams in
-// two phases (twophase.go), a window of chunks at a time: one attendee
-// computes every attendee's chunks of the window, and one pricing goroutine
-// prices them in the chunk lockstep's order. Share-only (FineSync off)
-// streams the chunks back to back on the calling goroutine. Call Barrier
-// afterwards.
+// streamed, or the system failed. The partition streams in two phases
+// (twophase.go), a window of chunks at a time: one attendee computes every
+// attendee's chunks of the window, and one pricing goroutine prices them —
+// in the chunk lockstep's order under FineSync, one attendee's whole window
+// after another's in Share-only. Call Barrier afterwards.
 func (sp *SharedPartition) ProcessAll() {
 	if sp.done {
 		return
 	}
 	sp.done = true
-	s, js := sp.sess.s, sp.sess.js
-	if s.cfg.FineSync {
-		s.streamTwoPhase(js, sp.cp)
-		return
-	}
-	for k := range sp.cp.set.Chunks {
-		s.recordSample(js, s.streamChunk(js, sp.cp, k))
-	}
+	sp.sess.s.streamTwoPhase(sp.sess.js, sp.cp)
 }
 
 // Barrier marks the partition complete for this job (Table 1's Barrier()),

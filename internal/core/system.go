@@ -49,16 +49,17 @@ type Config struct {
 	// rejected by NewSystem.
 	RelabelFactor float64
 	// PerEdgeSim routes chunk application through the reference per-edge LLC
-	// accounting model (engine.Job.ApplyChunkPerEdge: one set-lock
-	// acquisition and one atomic counter update per simulated access)
-	// instead of the batched run-length hot path. The two models are
-	// observably identical under a serial schedule — the scenario harness's
-	// CheckSimEqual invariant proves it — so this exists for verification
-	// and debugging, not production streaming.
+	// accounting model (engine.Job.CollectChunkPerEdge: one Cache.Touch per
+	// simulated access) instead of the batched run-length hot path. The two
+	// models are observably identical — the scenario harness's CheckSimEqual
+	// invariant proves it — so this exists for verification and debugging,
+	// not production streaming.
 	PerEdgeSim bool
 	// FineSync enables the chunk-level synchronization of Section 3.4;
-	// disabling it still shares buffers but lets jobs stream a partition
-	// independently (the ablation of the Share-only configuration).
+	// disabling it still shares buffers but prices each attendee's window
+	// of a partition's chunks on its own, one job after another, with no
+	// leader pulling a chunk in for the others (the ablation of the
+	// Share-only configuration).
 	FineSync bool
 	// Scheduler enables the Section 4 loading-order strategy (Formula 5);
 	// disabling it reproduces GridGraph-M-without of Figure 18.
@@ -229,7 +230,7 @@ type jobState struct {
 	prof      profiler
 	curSample profSample
 	// collected is the open partition whose chunks the job declared inside
-	// ProcessAll (FineSync) for its windows' owners to collect and price;
+	// ProcessAll for its windows' owners to collect and price;
 	// the last window's owner also runs the job's profiling-phase
 	// observation, so the job's own Barrier skips it and clears the field.
 	collected *curPartition
@@ -251,7 +252,7 @@ type curPartition struct {
 
 	remaining int // jobs that have not finished the partition
 
-	// Two-phase streaming (FineSync; see streamTwoPhase), which collects
+	// Two-phase streaming (see streamTwoPhase), which collects
 	// and prices the partition in windows of chunks. declared counts
 	// ProcessAll callers that have reached the current window. Once it
 	// equals the attendance, the caller that sees it becomes the window's
@@ -320,8 +321,7 @@ func NewSystem(layout Layout, mem *storage.Memory, cache *memsim.Cache, cfg Conf
 	s.roundCond = sync.NewCond(&s.mu)
 	s.evolveCond = sync.NewCond(&s.mu)
 	if cfg.Cores > 0 {
-		// Throttle concurrent chunk streams (two-phase collections, Share-only
-		// chunks) to Cores.
+		// Throttle concurrent two-phase collections to Cores.
 		s.sem = make(chan struct{}, cfg.Cores)
 	}
 	s.window = twoPhaseWindow
@@ -368,7 +368,7 @@ func (s *System) Submit(j *engine.Job) {
 
 // drive is the built-in driver loop for one session: the StreamEdges loop of
 // Figure 6(b), over the session API. ProcessAll applies the partition's
-// chunks (two-phase under FineSync).
+// chunks in two phases.
 func (s *System) drive(sess *Session) {
 	defer sess.Close()
 	for sess.BeginIteration() {
@@ -739,19 +739,6 @@ func (s *System) chunkEdges(js *jobState, cp *curPartition, k int) (edges []grap
 		return cpy.edges, cpy.addr, 0
 	}
 	return cp.part.Edges[t.FirstEdge : t.FirstEdge+t.NumEdges], cp.buf.BaseAddr, t.FirstEdge
-}
-
-// streamChunk collects and prices one chunk for one job in one go.
-func (s *System) streamChunk(js *jobState, cp *curPartition, k int) engine.StreamStats {
-	edges, base, first := s.chunkEdges(js, cp, k)
-	if s.sem != nil {
-		s.sem <- struct{}{}
-		defer func() { <-s.sem }()
-	}
-	if s.cfg.PerEdgeSim {
-		return js.job.ApplyChunkPerEdge(edges, base, first, s.cache, s.cost)
-	}
-	return js.job.ApplyChunk(edges, base, first, s.cache, s.cost)
 }
 
 // recordSample accumulates Formula (2) observations for the profiler.

@@ -2,7 +2,7 @@ package core
 
 import "graphm/internal/chunk"
 
-// Two-phase partition streaming: SharedPartition.ProcessAll under FineSync.
+// Two-phase partition streaming: SharedPartition.ProcessAll.
 //
 // The chunk lockstep of Section 3.4 orders the LLC: the elected leader
 // pulls chunk k into the cache, the other attendees reuse it, and chunk k
@@ -23,10 +23,12 @@ import "graphm/internal/chunk"
 //     ascending job ID. Every attendee's stream phase
 //     (engine.Job.PriceStream) comes before any attendee's state phase
 //     (engine.Job.PriceChunk), so the followers scan the chunk the leader
-//     just pulled into the LLC. The pricer records every attendee's
-//     samples; after the partition's last window the owner runs their
-//     profiling-phase observations in ascending job ID and then wakes the
-//     attendees once.
+//     just pulled into the LLC. Share-only (FineSync off) has no lockstep:
+//     the pricer prices each attendee's whole window in turn, in ascending
+//     job ID, as if the job had streamed it alone. The pricer records every
+//     attendee's samples; after the partition's last window the owner runs
+//     their profiling-phase observations in ascending job ID and then wakes
+//     the attendees once.
 //
 // Collection and pricing each run on one goroutine, so a window keeps two
 // cores busy for its whole length whatever the attendance, instead of a
@@ -138,11 +140,25 @@ func (s *System) streamWindowLocked(cp *curPartition, lo, hi int) {
 	}
 }
 
-// priceWindow prices chunks [lo, hi) of cp for the owned attendees in
-// lockstep order, taking one token from collected before each chunk. It
-// runs without s.mu: while the window is owned nothing else reads or
-// writes the owned attendees' profiles, samples or chunk records.
+// priceWindow prices chunks [lo, hi) of cp for the owned attendees, in
+// lockstep order under FineSync and job-major in Share-only, taking one
+// token from collected before each chunk's first pricing. It runs without
+// s.mu: while the window is owned nothing else reads or writes the owned
+// attendees' profiles, samples or chunk records.
 func (s *System) priceWindow(cp *curPartition, owned []*jobState, lo, hi int, collected <-chan struct{}) {
+	if !s.cfg.FineSync {
+		// Only the first attendee waits for tokens: once it has priced the
+		// window, every attendee's copy of every chunk is collected.
+		for i, a := range owned {
+			for k := lo; k < hi; k++ {
+				if i == 0 {
+					<-collected
+				}
+				s.recordSample(a, a.job.PriceChunk(k-lo, s.cache, s.cost))
+			}
+		}
+		return
+	}
 	order := make([]*jobState, 0, len(owned))
 	for k := lo; k < hi; k++ {
 		// Elect after the token: the collection's first frontier read of an

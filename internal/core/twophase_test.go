@@ -194,7 +194,7 @@ func TestTwoPhaseWindowsPriceIdentically(t *testing.T) {
 			case *algorithms.SSSP:
 				out = p.Dist()
 			}
-			o.Jobs = append(o.Jobs, jobSim{j.Ctr.Hits.Load(), j.Ctr.Misses.Load(), j.Met, out})
+			o.Jobs = append(o.Jobs, jobSim{j.Ctr.Hits, j.Ctr.Misses, j.Met, out})
 		}
 		return o
 	}

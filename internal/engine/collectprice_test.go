@@ -112,11 +112,11 @@ func TestCollectPriceMatchesApplyChunk(t *testing.T) {
 				}
 				pa.AfterIteration(iter)
 				pb.AfterIteration(iter)
-				if ja.Ctr.Hits.Load() != jb.Ctr.Hits.Load() || ja.Ctr.Misses.Load() != jb.Ctr.Misses.Load() ||
-					ja.Ctr.Instructions.Load() != jb.Ctr.Instructions.Load() {
+				if ja.Ctr.Hits != jb.Ctr.Hits || ja.Ctr.Misses != jb.Ctr.Misses ||
+					ja.Ctr.Instructions != jb.Ctr.Instructions {
 					t.Fatalf("iteration %d: job counters diverge: ApplyChunk %d/%d/%d vs Collect+Price %d/%d/%d", iter,
-						ja.Ctr.Hits.Load(), ja.Ctr.Misses.Load(), ja.Ctr.Instructions.Load(),
-						jb.Ctr.Hits.Load(), jb.Ctr.Misses.Load(), jb.Ctr.Instructions.Load())
+						ja.Ctr.Hits, ja.Ctr.Misses, ja.Ctr.Instructions,
+						jb.Ctr.Hits, jb.Ctr.Misses, jb.Ctr.Instructions)
 				}
 				if ja.Met != jb.Met {
 					t.Fatalf("iteration %d: metrics diverge: %+v vs %+v", iter, ja.Met, jb.Met)

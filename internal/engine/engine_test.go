@@ -142,7 +142,7 @@ func TestStreamEdgesCountsAndTouches(t *testing.T) {
 	if j.Met.SimMemNS == 0 || j.Met.SimComputeNS == 0 {
 		t.Fatal("no simulated time accumulated")
 	}
-	if j.Ctr.Instructions.Load() == 0 {
+	if j.Ctr.Instructions == 0 {
 		t.Fatal("no LLC touches recorded")
 	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"graphm/internal/graph"
@@ -29,7 +28,7 @@ func (p *batchCountProg) ProcessEdges(edges []graph.Edge, active *Bitmap) (proce
 
 // TestApplyChunkMatchesPerEdgeReference replays identical jobs through the
 // batched hot path and the per-edge reference model on separate caches: the
-// serial-schedule contract is that every counter — per-job LLC hits/misses/
+// contract is that every counter — per-job LLC hits/misses/
 // instructions, cache-wide totals, and the priced metrics — is identical.
 func TestApplyChunkMatchesPerEdgeReference(t *testing.T) {
 	g, err := graph.GenerateRMAT(graph.DefaultRMAT("ref", 512, 6000, 7))
@@ -63,11 +62,11 @@ func TestApplyChunkMatchesPerEdgeReference(t *testing.T) {
 			ja.ApplyChunk(g.Edges[first:hi], 0, first, cacheA, cm)
 			jb.ApplyChunkPerEdge(g.Edges[first:hi], 0, first, cacheB, cm)
 		}
-		if ja.Ctr.Hits.Load() != jb.Ctr.Hits.Load() || ja.Ctr.Misses.Load() != jb.Ctr.Misses.Load() ||
-			ja.Ctr.Instructions.Load() != jb.Ctr.Instructions.Load() {
+		if ja.Ctr.Hits != jb.Ctr.Hits || ja.Ctr.Misses != jb.Ctr.Misses ||
+			ja.Ctr.Instructions != jb.Ctr.Instructions {
 			t.Fatalf("activeFrac=%v: job counters diverge: batched %d/%d/%d vs per-edge %d/%d/%d",
-				activeFrac, ja.Ctr.Hits.Load(), ja.Ctr.Misses.Load(), ja.Ctr.Instructions.Load(),
-				jb.Ctr.Hits.Load(), jb.Ctr.Misses.Load(), jb.Ctr.Instructions.Load())
+				activeFrac, ja.Ctr.Hits, ja.Ctr.Misses, ja.Ctr.Instructions,
+				jb.Ctr.Hits, jb.Ctr.Misses, jb.Ctr.Instructions)
 		}
 		if cacheA.TotalHits() != cacheB.TotalHits() || cacheA.TotalMisses() != cacheB.TotalMisses() {
 			t.Fatalf("activeFrac=%v: cache totals diverge: %d/%d vs %d/%d",
@@ -106,51 +105,55 @@ func TestBatchProgramDispatch(t *testing.T) {
 	}
 }
 
-// TestConcurrentChunkAppliesConserveCounters is the -race stress of batched
-// counter flushing: many jobs apply disjoint chunks concurrently against one
+// TestInterleavedChunkAppliesConserveCounters is the conservation check of
+// batched counter flushing: many jobs take turns applying chunks against one
 // shared cache, and the per-job flushed counters must sum exactly to the
-// cache-wide totals — no lost or double-counted batch.
-func TestConcurrentChunkAppliesConserveCounters(t *testing.T) {
-	g, err := graph.GenerateRMAT(graph.DefaultRMAT("race", 256, 8000, 11))
+// cache-wide totals — no lost or double-counted batch — with every job's
+// Instructions equal to its Hits+Misses.
+func TestInterleavedChunkAppliesConserveCounters(t *testing.T) {
+	g, err := graph.GenerateRMAT(graph.DefaultRMAT("conserve", 256, 8000, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache, _ := memsim.NewCache(memsim.DefaultConfig(32 << 10))
 	const jobs = 8
-	var wg sync.WaitGroup
 	js := make([]*Job, jobs)
-	for i := 0; i < jobs; i++ {
-		p := &countProg{}
-		j := NewJob(i, p, int64(i))
-		j.Bind(g)
-		j.StateBase = uint64(i+1) << 32
-		js[i] = j
-		wg.Add(1)
-		go func(j *Job, seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for it := 0; it < 20; it++ {
-				first := rng.Intn(len(g.Edges) - 100)
-				n := 100 + rng.Intn(900)
-				if first+n > len(g.Edges) {
-					n = len(g.Edges) - first
-				}
-				j.ApplyChunk(g.Edges[first:first+n], 0, first, cache, DefaultCostModel())
-			}
-		}(j, int64(i)*17+1)
+	for i := range js {
+		js[i] = NewJob(i, &countProg{}, int64(i))
+		js[i].Bind(g)
+		js[i].StateBase = uint64(i+1) << 32
 	}
-	wg.Wait()
+	rng := rand.New(rand.NewSource(1))
+	for it := 0; it < 20; it++ {
+		for _, j := range js {
+			first := rng.Intn(len(g.Edges) - 100)
+			n := min(100+rng.Intn(900), len(g.Edges)-first)
+			j.ApplyChunk(g.Edges[first:first+n], 0, first, cache, DefaultCostModel())
+		}
+	}
 	var hits, misses uint64
 	for _, j := range js {
-		hits += j.Ctr.Hits.Load()
-		misses += j.Ctr.Misses.Load()
-		if j.Ctr.Instructions.Load() != j.Ctr.Hits.Load()+j.Ctr.Misses.Load() {
+		hits += j.Ctr.Hits
+		misses += j.Ctr.Misses
+		if j.Ctr.Instructions != j.Ctr.Hits+j.Ctr.Misses {
 			t.Fatalf("job %d: instructions %d != hits+misses %d", j.ID,
-				j.Ctr.Instructions.Load(), j.Ctr.Hits.Load()+j.Ctr.Misses.Load())
+				j.Ctr.Instructions, j.Ctr.Hits+j.Ctr.Misses)
 		}
 	}
 	if hits != cache.TotalHits() || misses != cache.TotalMisses() {
 		t.Fatalf("per-job sums %d/%d disagree with cache totals %d/%d",
 			hits, misses, cache.TotalHits(), cache.TotalMisses())
 	}
+}
+
+// ApplyChunkPerEdge is the reference accounting model: the same canonical
+// access sequence as ApplyChunk — stream phase, then the chunk's state
+// accesses — priced one memsim.Cache.Touch at a time, in program order, and
+// always through the per-edge ProcessEdge path. It is CollectChunkPerEdge
+// then PriceChunk on slot 0. The two models' counters match bit for bit
+// (memsim's grouped-state property tests prove the state phase, the
+// scenario harness the whole chunk).
+func (j *Job) ApplyChunkPerEdge(edges []graph.Edge, baseAddr uint64, first int, cache *memsim.Cache, cm CostModel) StreamStats {
+	j.CollectChunkPerEdge(0, edges, baseAddr, first)
+	return j.PriceChunk(0, cache, cm)
 }

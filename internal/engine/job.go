@@ -228,12 +228,12 @@ func (j *Job) AddMetrics(delta Metrics) {
 // stats for the synchronization manager's profiler. It is CollectChunk then
 // PriceChunk on slot 0, except that the grouping is priced straight from
 // the collection scratch instead of being copied — the form every driver
-// that prices a chunk the moment it computes it uses (the baseline engines,
-// Share-only streaming). All job bookkeeping (Met, Ctr)
-// is synchronized; vertex-state safety is the caller's contract — drivers
-// serialize a job's chunk work (only ever one Collect or Price call in
-// flight per job), because ProcessEdge mutates per-vertex state that
-// disjoint chunks may share through common destinations.
+// that prices a chunk the moment it computes it uses (the baseline
+// engines). Met is synchronized (see AddMetrics); Ctr and the cache have one
+// writer at a time (see memsim), and vertex-state safety is the caller's
+// contract — drivers serialize a job's chunk work (only ever one Collect or
+// Price call in flight per job), because ProcessEdge mutates per-vertex
+// state that disjoint chunks may share through common destinations.
 //
 // The simulated access order is canonical across both accounting models, in
 // two phases per chunk. Stream phase: every edge record is scanned in
@@ -251,16 +251,16 @@ func (j *Job) AddMetrics(delta Metrics) {
 // into per-line aggregates as they are collected, and
 // memsim.Cache.GroupEntries groups them set-major. Then one tail prices the
 // chunk (PriceChunk): memsim.Cache.ScanChunk for the stream phase, and for
-// the state phase TouchGrouped — one lock acquisition per cache set,
+// the state phase TouchGrouped — one simulated access per distinct line,
 // provably bit-identical to in-order application — or, when a set's
 // distinct lines outnumber the ways, the raw stream in order through
 // TouchTally. Hits, misses and processed counts are tallied as integers and
-// flushed to the job's Counters and the sharded cache-wide totals with one
-// atomic add per counter at chunk end. The collection buffers live in the
-// job's arena, so steady-state chunk application performs zero heap
-// allocations. ApplyChunkPerEdge is the reference model for the same
-// canonical sequence; under a serial schedule the two produce identical
-// counters — the scenario harness's sim-equality invariant proves it.
+// flushed to the job's Counters and the cache-wide totals once at chunk
+// end. The collection buffers live in the job's arena, so steady-state
+// chunk application performs zero heap allocations. CollectChunkPerEdge is
+// the reference model for the same canonical sequence; the two produce
+// identical counters — the scenario harness's sim-equality invariant
+// proves it.
 func (j *Job) ApplyChunk(edges []graph.Edge, baseAddr uint64, first int, cache *memsim.Cache, cm CostModel) StreamStats {
 	j.collect(0, edges, baseAddr, first, cache, false)
 	return j.PriceChunk(0, cache, cm)
@@ -405,7 +405,7 @@ func (j *Job) PriceChunk(slot int, cache *memsim.Cache, cm CostModel) StreamStat
 		j.touchStateInOrder(r.edges, r.active, r.allActive, cache, tally)
 	}
 	if !r.perEdge {
-		cache.FlushTally(*tally, &j.Ctr, j.ID)
+		cache.FlushTally(*tally, &j.Ctr)
 	}
 	j.priceChunk(&st, *tally, cm)
 	r.edges, r.active, r.g = nil, nil, memsim.GroupedEntries{}
@@ -555,21 +555,6 @@ func (j *Job) touchStateInOrder(edges []graph.Edge, active *Bitmap, allActive bo
 		cache.TouchTally(stateBase+uint64(e.Src)*vpay, tally)
 		cache.TouchTally(stateBase+uint64(e.Dst)*vpay, tally)
 	}
-}
-
-// ApplyChunkPerEdge is the reference accounting model: the same canonical
-// access sequence as ApplyChunk — stream phase, then the chunk's state
-// accesses — priced one memsim.Cache.Touch at a time, in program order, with
-// one set-lock acquisition and one atomic update per simulated access, and
-// always the per-edge ProcessEdge path. It is CollectChunkPerEdge then
-// PriceChunk on slot 0. Under a serial schedule the two models' counters
-// match bit for bit (memsim's grouped-state property tests prove the state
-// phase, the scenario harness the whole chunk). It exists to verify the
-// batched hot path (core.Config.PerEdgeSim routes a system through it), not
-// for production streaming.
-func (j *Job) ApplyChunkPerEdge(edges []graph.Edge, baseAddr uint64, first int, cache *memsim.Cache, cm CostModel) StreamStats {
-	j.CollectChunkPerEdge(0, edges, baseAddr, first)
-	return j.PriceChunk(0, cache, cm)
 }
 
 // touch prices one access of the per-edge reference model: one

@@ -76,11 +76,11 @@ func TestApplyChunkSetOverflowMatchesPerEdge(t *testing.T) {
 			if overflows == 0 {
 				t.Fatal("no chunk overflowed a set: the in-order fallback went untested")
 			}
-			if ja.Ctr.Hits.Load() != jb.Ctr.Hits.Load() || ja.Ctr.Misses.Load() != jb.Ctr.Misses.Load() ||
-				ja.Ctr.Instructions.Load() != jb.Ctr.Instructions.Load() {
+			if ja.Ctr.Hits != jb.Ctr.Hits || ja.Ctr.Misses != jb.Ctr.Misses ||
+				ja.Ctr.Instructions != jb.Ctr.Instructions {
 				t.Fatalf("job counters diverge: batched %d/%d/%d vs per-edge %d/%d/%d",
-					ja.Ctr.Hits.Load(), ja.Ctr.Misses.Load(), ja.Ctr.Instructions.Load(),
-					jb.Ctr.Hits.Load(), jb.Ctr.Misses.Load(), jb.Ctr.Instructions.Load())
+					ja.Ctr.Hits, ja.Ctr.Misses, ja.Ctr.Instructions,
+					jb.Ctr.Hits, jb.Ctr.Misses, jb.Ctr.Instructions)
 			}
 			if cacheA.TotalHits() != cacheB.TotalHits() || cacheA.TotalMisses() != cacheB.TotalMisses() {
 				t.Fatalf("cache totals diverge: %d/%d vs %d/%d",

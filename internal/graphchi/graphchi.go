@@ -13,7 +13,6 @@ package graphchi
 
 import (
 	"fmt"
-	"sync"
 
 	"graphm/internal/core"
 	"graphm/internal/engine"
@@ -100,7 +99,7 @@ func NewRunner(s *Shards, mem *storage.Memory, cache *memsim.Cache) *Runner {
 // RunSequential executes jobs one at a time (GraphChi-S).
 func (r *Runner) RunSequential(jobs []*engine.Job) error {
 	for _, j := range jobs {
-		if err := r.runJob(j, func(sh *Shard) string { return sh.DiskName }); err != nil {
+		if err := r.runJob(j, func(sh *Shard) string { return sh.DiskName }, func() bool { return true }); err != nil {
 			return err
 		}
 	}
@@ -108,41 +107,20 @@ func (r *Runner) RunSequential(jobs []*engine.Job) error {
 }
 
 // RunConcurrent executes jobs simultaneously with per-job copies
-// (GraphChi-C).
+// (GraphChi-C), time-sliced one shard at a time by engine.Interleave; Cores
+// bounds simultaneous streamers.
 func (r *Runner) RunConcurrent(jobs []*engine.Job) error {
-	var (
-		wg   sync.WaitGroup
-		sem  chan struct{}
-		mu   sync.Mutex
-		errs []error
-	)
-	if r.Cores > 0 {
-		sem = make(chan struct{}, r.Cores)
+	runs := make([]func(yield func() bool) error, len(jobs))
+	for i, j := range jobs {
+		key := func(sh *Shard) string { return fmt.Sprintf("%s#job%d", sh.DiskName, j.ID) }
+		runs[i] = func(yield func() bool) error { return r.runJob(j, key, yield) }
 	}
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j *engine.Job) {
-			defer wg.Done()
-			if sem != nil {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-			}
-			key := func(sh *Shard) string { return fmt.Sprintf("%s#job%d", sh.DiskName, j.ID) }
-			if err := r.runJob(j, key); err != nil {
-				mu.Lock()
-				errs = append(errs, err)
-				mu.Unlock()
-			}
-		}(j)
-	}
-	wg.Wait()
-	if len(errs) > 0 {
-		return errs[0]
-	}
-	return nil
+	return engine.Interleave(r.Cores, runs)
 }
 
-func (r *Runner) runJob(j *engine.Job, keyFn func(sh *Shard) string) error {
+// runJob streams every shard once per iteration. It yields after each shard
+// while the job still holds its buffer (see gridgraph's runJob).
+func (r *Runner) runJob(j *engine.Job, keyFn func(sh *Shard) string, yield func() bool) error {
 	j.Bind(r.Shards.G)
 	state := j.Prog.StateBytes()
 	j.StateBase = r.Mem.AllocAddr(state)
@@ -170,6 +148,7 @@ func (r *Runner) runJob(j *engine.Job, keyFn func(sh *Shard) string) error {
 			}
 			j.Met.PartitionLoads++
 			j.ApplyChunk(sh.Edges, buf.BaseAddr, 0, r.Cache, r.Cost)
+			yield()
 			buf.Release()
 		}
 		j.Prog.AfterIteration(iter)

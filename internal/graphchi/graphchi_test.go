@@ -1,7 +1,9 @@
 package graphchi
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"graphm/internal/algorithms"
@@ -71,25 +73,46 @@ func TestSequentialPageRankCorrect(t *testing.T) {
 	}
 }
 
+// TestConcurrentBFSCorrect runs two BFS jobs concurrently, twice on a fresh
+// memory pool and cache: both results are correct, and every simulated
+// number of the two runs is identical.
 func TestConcurrentBFSCorrect(t *testing.T) {
-	g, s, disk := buildShards(t, 400, 3000, 4)
-	mem := storage.NewMemory(disk, 64<<20)
-	cache, _ := memsim.NewCache(memsim.DefaultConfig(64 << 10))
-	r := NewRunner(s, mem, cache)
-	r.Cores = 4
-	b1, b2 := algorithms.NewBFS(0), algorithms.NewBFS(5)
-	jobs := []*engine.Job{engine.NewJob(1, b1, 1), engine.NewJob(2, b2, 2)}
-	if err := r.RunConcurrent(jobs); err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range []*algorithms.BFS{b1, b2} {
-		want := algorithms.ReferenceBFS(g, b.Root)
-		for v := range want {
-			if b.Dist()[v] != want[v] {
-				t.Fatalf("job %d dist[%d] = %d, want %d", i, v, b.Dist()[v], want[v])
+	var prints [2]string
+	for run := range prints {
+		g, s, disk := buildShards(t, 400, 3000, 4)
+		mem := storage.NewMemory(disk, 64<<20)
+		cache, _ := memsim.NewCache(memsim.DefaultConfig(64 << 10))
+		r := NewRunner(s, mem, cache)
+		r.Cores = 4
+		b1, b2 := algorithms.NewBFS(0), algorithms.NewBFS(5)
+		jobs := []*engine.Job{engine.NewJob(1, b1, 1), engine.NewJob(2, b2, 2)}
+		if err := r.RunConcurrent(jobs); err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range []*algorithms.BFS{b1, b2} {
+			want := algorithms.ReferenceBFS(g, b.Root)
+			for v := range want {
+				if b.Dist()[v] != want[v] {
+					t.Fatalf("job %d dist[%d] = %d, want %d", i, v, b.Dist()[v], want[v])
+				}
 			}
 		}
+		prints[run] = fingerprint(jobs, cache, mem)
 	}
+	if prints[0] != prints[1] {
+		t.Fatalf("two runs of the same jobs differ:\n%s\nvs\n%s", prints[0], prints[1])
+	}
+}
+
+// fingerprint renders every simulated number a run leaves: each job's LLC
+// counters and metrics, the cache-wide totals and the memory peak.
+func fingerprint(jobs []*engine.Job, cache *memsim.Cache, mem *storage.Memory) string {
+	var b strings.Builder
+	for _, j := range jobs {
+		fmt.Fprintf(&b, "job %d: %+v %+v\n", j.ID, j.Ctr, j.Met)
+	}
+	fmt.Fprintf(&b, "cache %d hits %d misses, peak %d bytes\n", cache.TotalHits(), cache.TotalMisses(), mem.Peak())
+	return b.String()
 }
 
 func TestGraphChiScansMoreThanGridWouldForBFS(t *testing.T) {

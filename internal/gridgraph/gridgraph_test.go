@@ -1,7 +1,9 @@
 package gridgraph
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"graphm/internal/algorithms"
@@ -93,28 +95,49 @@ func TestSequentialCorrectness(t *testing.T) {
 	}
 }
 
+// TestConcurrentCorrectness runs four jobs two at a time, twice on a fresh
+// memory pool and cache: every job's result is correct, and the interleave
+// makes every simulated number of the two runs identical.
 func TestConcurrentCorrectness(t *testing.T) {
-	g, r, _, _ := buildRig(t, 500, 4000, 4, 64<<20)
-	r.Cores = 4
-	var jobs []*engine.Job
-	var prs []*algorithms.PageRank
-	for i := 0; i < 4; i++ {
-		pr := algorithms.NewPageRank(0.5+float64(i)*0.1, 5)
-		pr.Tolerance = 1e-12
-		prs = append(prs, pr)
-		jobs = append(jobs, engine.NewJob(i+1, pr, int64(i)))
-	}
-	if err := r.RunConcurrent(jobs); err != nil {
-		t.Fatal(err)
-	}
-	for i, pr := range prs {
-		want := algorithms.ReferencePageRank(g, 0.5+float64(i)*0.1, 5)
-		for v := range want {
-			if math.Abs(pr.Ranks()[v]-want[v]) > 1e-9 {
-				t.Fatalf("job %d rank[%d] = %g, want %g", i, v, pr.Ranks()[v], want[v])
+	var prints [2]string
+	for run := range prints {
+		g, r, _, mem := buildRig(t, 500, 4000, 4, 64<<20)
+		r.Cores = 2
+		var jobs []*engine.Job
+		var prs []*algorithms.PageRank
+		for i := 0; i < 4; i++ {
+			pr := algorithms.NewPageRank(0.5+float64(i)*0.1, 5)
+			pr.Tolerance = 1e-12
+			prs = append(prs, pr)
+			jobs = append(jobs, engine.NewJob(i+1, pr, int64(i)))
+		}
+		if err := r.RunConcurrent(jobs); err != nil {
+			t.Fatal(err)
+		}
+		for i, pr := range prs {
+			want := algorithms.ReferencePageRank(g, 0.5+float64(i)*0.1, 5)
+			for v := range want {
+				if math.Abs(pr.Ranks()[v]-want[v]) > 1e-9 {
+					t.Fatalf("job %d rank[%d] = %g, want %g", i, v, pr.Ranks()[v], want[v])
+				}
 			}
 		}
+		prints[run] = fingerprint(jobs, r.Cache, mem)
 	}
+	if prints[0] != prints[1] {
+		t.Fatalf("two runs of the same jobs differ:\n%s\nvs\n%s", prints[0], prints[1])
+	}
+}
+
+// fingerprint renders every simulated number a run leaves: each job's LLC
+// counters and metrics, the cache-wide totals and the memory peak.
+func fingerprint(jobs []*engine.Job, cache *memsim.Cache, mem *storage.Memory) string {
+	var b strings.Builder
+	for _, j := range jobs {
+		fmt.Fprintf(&b, "job %d: %+v %+v\n", j.ID, j.Ctr, j.Met)
+	}
+	fmt.Fprintf(&b, "cache %d hits %d misses, peak %d bytes\n", cache.TotalHits(), cache.TotalMisses(), mem.Peak())
+	return b.String()
 }
 
 func TestConcurrentUsesPerJobCopies(t *testing.T) {

@@ -2,7 +2,6 @@ package gridgraph
 
 import (
 	"fmt"
-	"sync"
 
 	"graphm/internal/engine"
 	"graphm/internal/memsim"
@@ -38,7 +37,7 @@ func NewRunner(grid *Grid, mem *storage.Memory, cache *memsim.Cache) *Runner {
 // RunSequential executes jobs one at a time (GridGraph-S).
 func (r *Runner) RunSequential(jobs []*engine.Job) error {
 	for _, j := range jobs {
-		if err := r.runJob(j, func(p *Partition) string { return p.DiskName }); err != nil {
+		if err := r.runJob(j, func(p *Partition) string { return p.DiskName }, func() bool { return true }); err != nil {
 			return err
 		}
 	}
@@ -47,43 +46,23 @@ func (r *Runner) RunSequential(jobs []*engine.Job) error {
 
 // RunConcurrent executes all jobs simultaneously with per-job graph copies
 // (GridGraph-C). The per-job buffer keys force the redundant loads the paper
-// measures; Cores bounds simultaneous streamers.
+// measures; Cores bounds simultaneous streamers. engine.Interleave
+// time-slices the jobs one partition at a time.
 func (r *Runner) RunConcurrent(jobs []*engine.Job) error {
-	var (
-		wg   sync.WaitGroup
-		sem  chan struct{}
-		mu   sync.Mutex
-		errs []error
-	)
-	if r.Cores > 0 {
-		sem = make(chan struct{}, r.Cores)
+	runs := make([]func(yield func() bool) error, len(jobs))
+	for i, j := range jobs {
+		key := func(p *Partition) string { return fmt.Sprintf("%s#job%d", p.DiskName, j.ID) }
+		runs[i] = func(yield func() bool) error { return r.runJob(j, key, yield) }
 	}
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j *engine.Job) {
-			defer wg.Done()
-			if sem != nil {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-			}
-			key := func(p *Partition) string { return fmt.Sprintf("%s#job%d", p.DiskName, j.ID) }
-			if err := r.runJob(j, key); err != nil {
-				mu.Lock()
-				errs = append(errs, err)
-				mu.Unlock()
-			}
-		}(j)
-	}
-	wg.Wait()
-	if len(errs) > 0 {
-		return errs[0]
-	}
-	return nil
+	return engine.Interleave(r.Cores, runs)
 }
 
 // runJob is the StreamEdges loop of Figure 6(a): for each iteration, stream
-// every active partition, skipping blocks with no active source vertex.
-func (r *Runner) runJob(j *engine.Job, keyFn func(p *Partition) string) error {
+// every active partition, skipping blocks with no active source vertex. It
+// yields after each partition while the job still holds its buffer, so the
+// jobs interleaved with it step while its copy is resident, as concurrent
+// processes' copies are.
+func (r *Runner) runJob(j *engine.Job, keyFn func(p *Partition) string, yield func() bool) error {
 	j.Bind(r.Grid.G)
 	state := j.Prog.StateBytes()
 	j.StateBase = r.Mem.AllocAddr(state)
@@ -114,6 +93,7 @@ func (r *Runner) runJob(j *engine.Job, keyFn func(p *Partition) string) error {
 			}
 			j.Met.PartitionLoads++
 			j.ApplyChunk(p.Edges, buf.BaseAddr, 0, r.Cache, r.Cost)
+			yield()
 			buf.Release()
 		}
 		j.Prog.AfterIteration(iter)

@@ -1,42 +1,6 @@
 package memsim
 
-import (
-	"sync"
-	"testing"
-)
-
-func TestCountersConcurrentUpdates(t *testing.T) {
-	c, err := NewCache(DefaultConfig(64 << 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ctrs [4]Counters
-	var wg sync.WaitGroup
-	const perJob = 2000
-	for j := 0; j < 4; j++ {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			base := uint64(j) << 30
-			for i := 0; i < perJob; i++ {
-				c.Touch(base+uint64(i)*LineSize, &ctrs[j])
-			}
-		}(j)
-	}
-	wg.Wait()
-	var hits, misses uint64
-	for j := range ctrs {
-		if got := ctrs[j].Instructions.Load(); got != perJob {
-			t.Fatalf("job %d instructions = %d, want %d", j, got, perJob)
-		}
-		hits += ctrs[j].Hits.Load()
-		misses += ctrs[j].Misses.Load()
-	}
-	if hits != c.TotalHits() || misses != c.TotalMisses() {
-		t.Fatalf("per-job sums (%d/%d) disagree with cache totals (%d/%d)",
-			hits, misses, c.TotalHits(), c.TotalMisses())
-	}
-}
+import "testing"
 
 func TestDistinctRegionsInterfere(t *testing.T) {
 	// Two working sets that each fit the cache alone, but not together,

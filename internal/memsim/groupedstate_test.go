@@ -83,10 +83,10 @@ func TestGroupedStateWithFallbackEquivalence(t *testing.T) {
 				refusals++
 			}
 		}
-		grouped.FlushTally(tally, &grpCtr, 0)
-		if inCtr.Hits.Load() != grpCtr.Hits.Load() ||
-			inCtr.Misses.Load() != grpCtr.Misses.Load() ||
-			inCtr.Instructions.Load() != grpCtr.Instructions.Load() {
+		grouped.FlushTally(tally, &grpCtr)
+		if inCtr.Hits != grpCtr.Hits ||
+			inCtr.Misses != grpCtr.Misses ||
+			inCtr.Instructions != grpCtr.Instructions {
 			return false
 		}
 		if inOrder.TotalHits() != grouped.TotalHits() || inOrder.TotalMisses() != grouped.TotalMisses() {

@@ -11,21 +11,22 @@
 //
 // The model is a product of independent per-set automata: a set's whole LRU
 // state is the recency order of its resident lines, and an access only ever
-// reads or writes the state of the one set its line maps to (one spinlock
-// covers 16 consecutive sets). Two consequences the hot path exploits:
-// accesses to different sets commute (reordering a stream across sets, while
-// preserving each set's own subsequence, changes no per-access outcome —
-// TouchGrouped rests on this, and the property tests prove it), and there is
-// no cache-global state to contend on per access — the cache-wide hit/miss
-// totals are sharded (per set for Touch, per flushed tally for the batched
-// path) and only summed when read.
+// reads or writes the state of the one set its line maps to. The hot path
+// exploits one consequence: accesses to different sets commute (reordering a
+// stream across sets, while preserving each set's own subsequence, changes
+// no per-access outcome — TouchGrouped rests on this, and the property tests
+// prove it).
+//
+// A Cache, and the Counters it updates, have one writer at a time. The model
+// takes no locks: one fixed order of accesses is what makes its counts
+// reproducible, so every driver prices from one goroutine — the sharing
+// controller's window pricer, the baselines' engine.Interleave — and a
+// driver that hands the cache from one goroutine to another orders the
+// handoff with a channel or a mutex, as each two-phase window's pricer
+// starts only after the previous window's pricer has finished.
 package memsim
 
-import (
-	"fmt"
-	"runtime"
-	"sync/atomic"
-)
+import "fmt"
 
 // LineSize is the simulated cache-line size in bytes.
 const LineSize = 64
@@ -49,49 +50,31 @@ func DefaultConfig(sizeBytes int64) Config { return Config{SizeBytes: sizeBytes,
 
 // Counters aggregates per-job access statistics.
 type Counters struct {
-	Hits         atomic.Uint64
-	Misses       atomic.Uint64
-	Instructions atomic.Uint64
+	Hits         uint64
+	Misses       uint64
+	Instructions uint64
 }
 
 // LPI returns LLC misses per instruction, the metric of Figure 3(c).
 func (c *Counters) LPI() float64 {
-	ins := c.Instructions.Load()
-	if ins == 0 {
+	if c.Instructions == 0 {
 		return 0
 	}
-	return float64(c.Misses.Load()) / float64(ins)
+	return float64(c.Misses) / float64(c.Instructions)
 }
 
 // MissRate returns misses / (hits+misses), the metric of Figure 13.
 func (c *Counters) MissRate() float64 {
-	h, m := c.Hits.Load(), c.Misses.Load()
-	if h+m == 0 {
+	if c.Hits+c.Misses == 0 {
 		return 0
 	}
-	return float64(m) / float64(h+m)
+	return float64(c.Misses) / float64(c.Hits+c.Misses)
 }
 
-// tallyShards is the number of shards the cache-wide hit/miss totals are
-// split across. Shard selection only balances load (Touch uses the set
-// index, FlushTally a caller-supplied slot); the sum over shards is the
-// total either way.
-const tallyShards = 64
-
-// tallyShard is one padded slot of the sharded cache-wide totals. The
-// padding keeps two shards off one hardware cache line, so concurrent
-// workers flushing different shards never false-share.
-type tallyShard struct {
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	_      [48]byte
-}
-
-// Cache is a shared, set-associative, LRU-replacement cache model. Addresses
-// are abstract byte addresses in a flat simulated physical space; callers
-// derive them from (region base + offset). Cache is safe for concurrent use:
-// one spinlock covers each run of 16 consecutive sets, so parallel jobs
-// contend on the sets they share.
+// Cache is a set-associative, LRU-replacement cache model that the jobs
+// share (one writer at a time; see the package comment). Addresses are
+// abstract byte addresses in a flat simulated physical space; callers
+// derive them from (region base + offset).
 type Cache struct {
 	ways    int
 	numSets uint64
@@ -100,24 +83,9 @@ type Cache struct {
 	setShift uint
 	sets     []cacheSet
 
-	// locks spinlock-protects the sets, one lock per lockSpan consecutive
-	// sets. Coarser-than-set locking costs nothing in correctness (a lock
-	// still serializes every access to the sets it covers) and lets the
-	// sequential scan of a chunk's edge lines — consecutive lines, hence
-	// consecutive sets — amortize one atomic acquire over up to lockSpan
-	// line touches instead of paying a CAS per line.
-	locks []lockShard
-
-	// shards holds the cache-wide hit/miss totals, sharded so no two
-	// concurrent streamers contend on a single atomic word. TotalHits and
-	// TotalMisses sum them on read.
-	shards [tallyShards]tallyShard
+	// hits and misses are the cache-wide totals.
+	hits, misses uint64
 }
-
-// lockSpanShift gives lockSpan = 16 sets per lock shard: small enough that
-// concurrent streamers over different regions rarely collide, large enough
-// that a sequential line scan acquires ~1/16th the locks.
-const lockSpanShift = 4
 
 // cacheSet is one set's complete state, inline (no pointer chase): its
 // resident tags as a recency stack, tags[0] the most recently used line and
@@ -129,33 +97,6 @@ const lockSpanShift = 4
 type cacheSet struct {
 	tags [MaxWays]uint64
 }
-
-// lockShard is one padded spinlock covering lockSpan consecutive sets.
-type lockShard struct {
-	lock atomic.Uint32
-	_    [60]byte
-}
-
-// lockOf returns the lock shard guarding setIdx.
-func (c *Cache) lockOf(setIdx uint64) *lockShard { return &c.locks[setIdx>>lockSpanShift] }
-
-// acquire takes the shard's spinlock. The critical section is a handful of
-// nanoseconds (a few tag scans) and never blocks, so spinning beats parking;
-// the occasional Gosched keeps a constrained GOMAXPROCS from livelocking.
-func (l *lockShard) acquire() {
-	for !l.lock.CompareAndSwap(0, 1) {
-		spins := 0
-		for l.lock.Load() != 0 {
-			spins++
-			if spins >= 64 {
-				runtime.Gosched()
-				spins = 0
-			}
-		}
-	}
-}
-
-func (l *lockShard) release() { l.lock.Store(0) }
 
 // NewCache builds a cache from cfg. SizeBytes is rounded down to a power-of-
 // two number of sets; a cache smaller than one set is rejected.
@@ -178,12 +119,7 @@ func NewCache(cfg Config) (*Cache, error) {
 		p *= 2
 		shift++
 	}
-	nLocks := (p + (1 << lockSpanShift) - 1) >> lockSpanShift
-	if nLocks == 0 {
-		nLocks = 1
-	}
-	return &Cache{ways: cfg.Ways, numSets: p, setShift: shift,
-		sets: make([]cacheSet, p), locks: make([]lockShard, nLocks)}, nil
+	return &Cache{ways: cfg.Ways, numSets: p, setShift: shift, sets: make([]cacheSet, p)}, nil
 }
 
 // SizeBytes reports the modelled capacity.
@@ -191,12 +127,10 @@ func (c *Cache) SizeBytes() int64 {
 	return int64(c.numSets) * int64(c.ways) * LineSize
 }
 
-// Tally is a local, unsynchronized accumulator of hit/miss counts. The
-// batched hot path (ScanChunk, TouchGrouped, TouchTally) tallies accesses
-// here instead of bumping the shared counters per access, and FlushTally
-// folds a whole chunk's deltas into the cache-wide totals and a job's
-// Counters with one atomic add per counter. A Tally must not be shared
-// between goroutines without external synchronization.
+// Tally is a local accumulator of hit/miss counts. The batched hot path
+// (ScanChunk, TouchGrouped, TouchTally) tallies accesses here instead of
+// bumping the counters per access, and FlushTally folds a whole chunk's
+// deltas into the cache-wide totals and a job's Counters at once.
 type Tally struct {
 	Hits   uint64
 	Misses uint64
@@ -211,13 +145,13 @@ func (t *Tally) Add(other Tally) {
 	t.Misses += other.Misses
 }
 
-// touchLocked performs one access to the line with the given tag on a set
-// whose lock is held, returning whether it missed. The line moves to the
+// touch performs one access to the line with the given tag on the set,
+// returning whether it missed. The line moves to the
 // top of the stack in one pass that carries each way down one as it probes:
 // a hit stops at the line's old way, having shifted only the lines above
 // it; a miss shifts every way and drops the last (the LRU line, or an empty
 // way).
-func (s *cacheSet) touchLocked(tag uint64, ways int) bool {
+func (s *cacheSet) touch(tag uint64, ways int) bool {
 	carry := tag
 	for w, cur := range s.tags[:ways] {
 		s.tags[w] = carry
@@ -237,11 +171,7 @@ func (s *cacheSet) touchLocked(tag uint64, ways int) bool {
 // refuses.
 func (c *Cache) TouchTally(addr uint64, t *Tally) bool {
 	line := addr / LineSize
-	setIdx := line & (c.numSets - 1)
-	l := c.lockOf(setIdx)
-	l.acquire()
-	miss := c.sets[setIdx].touchLocked(line>>c.setShift+1, c.ways) // +1 so that 0 marks an empty way
-	l.release()
+	miss := c.sets[line&(c.numSets-1)].touch(line>>c.setShift+1, c.ways) // +1 so that 0 marks an empty way
 	if miss {
 		t.Misses++
 	} else {
@@ -255,7 +185,7 @@ func (c *Cache) TouchTally(addr uint64, t *Tally) bool {
 func (c *Cache) Touch(addr uint64, ctr *Counters) bool {
 	var t Tally
 	miss := c.TouchTally(addr, &t)
-	c.FlushTally(t, ctr, int(addr/LineSize))
+	c.FlushTally(t, ctr)
 	return miss
 }
 
@@ -264,19 +194,16 @@ func (c *Cache) Touch(addr uint64, ctr *Counters) bool {
 // one access per record in storage order. It walks the records one 64B
 // line-run at a time: a run's first access resolves hit or miss exactly as
 // Touch does, and the rest are hits by construction — the line was just
-// referenced and nothing intervenes while its set is locked. A repeat
-// access to the line atop its set's stack changes nothing, so each set's
-// LRU state afterwards is bit-identical to one Touch per record, and a run
-// whose line is already atop the stack is a compare with no write.
-// Consecutive lines (hence consecutive sets) sharing a lock shard are
-// priced under one acquisition instead of one per line.
+// referenced and nothing intervenes. A repeat access to the line atop its
+// set's stack changes nothing, so each set's LRU state afterwards is
+// bit-identical to one Touch per record, and a run whose line is already
+// atop the stack is a compare with no write.
 func (c *Cache) ScanChunk(baseAddr uint64, firstEdge, nEdges int, edgeSize uint64, t *Tally) {
 	if nEdges <= 0 {
 		return
 	}
 	mask := c.numSets - 1
 	var hits, misses uint64
-	var cur *lockShard
 	for i := 0; i < nEdges; {
 		addr := baseAddr + uint64(firstEdge+i)*edgeSize
 		line := addr / LineSize
@@ -284,26 +211,15 @@ func (c *Cache) ScanChunk(baseAddr uint64, firstEdge, nEdges int, edgeSize uint6
 		if run > nEdges {
 			run = nEdges
 		}
-		setIdx := line & mask
-		if sh := c.lockOf(setIdx); sh != cur {
-			if cur != nil {
-				cur.release()
-			}
-			cur = sh
-			cur.acquire()
-		}
-		set := &c.sets[setIdx]
+		set := &c.sets[line&mask]
 		tag := line>>c.setShift + 1
 		// An MRU hit is inlined to skip the call.
 		hits += uint64(run - i)
-		if set.tags[0] != tag && set.touchLocked(tag, c.ways) {
+		if set.tags[0] != tag && set.touch(tag, c.ways) {
 			misses++
 			hits-- // the run's first access
 		}
 		i = run
-	}
-	if cur != nil {
-		cur.release()
 	}
 	t.Hits += hits
 	t.Misses += misses
@@ -409,8 +325,7 @@ func (c *Cache) GroupEntries(entries []BatchEntry, sc *BatchScratch) (GroupedEnt
 }
 
 // TouchGrouped settles a state phase from its grouped per-line aggregates:
-// one lock acquisition per set-group, one simulated access per distinct
-// line. It is observably identical to touching the raw access stream the
+// one simulated access per distinct line. It is observably identical to touching the raw access stream the
 // entries summarize one access at a time, in program order. Each set's
 // automaton consumes only its own subsequence of the stream, so sets may be
 // settled in any order. Within a set-group, the lines the group has already
@@ -433,11 +348,9 @@ func (c *Cache) TouchGrouped(g *GroupedEntries, t *Tally) {
 		end := g.Ends[i]
 		grp := g.Eg[start:end]
 		set := &c.sets[si]
-		l := c.lockOf(uint64(si))
-		l.acquire()
 		for _, e := range grp {
 			hits += uint64(e.Count)
-			if set.touchLocked(e.Line>>c.setShift+1, c.ways) {
+			if set.touch(e.Line>>c.setShift+1, c.ways) {
 				misses++
 				hits-- // the line's first access
 			}
@@ -451,7 +364,6 @@ func (c *Cache) TouchGrouped(g *GroupedEntries, t *Tally) {
 			}
 			set.tags[p], lasts[p] = e.Line>>c.setShift+1, e.Last
 		}
-		l.release()
 		start = end
 	}
 	t.Hits += hits
@@ -459,52 +371,24 @@ func (c *Cache) TouchGrouped(g *GroupedEntries, t *Tally) {
 }
 
 // FlushTally folds a batch of tallied accesses into the cache-wide totals
-// and into ctr (if non-nil), with one atomic add per counter. The hot path
-// calls it once per applied chunk; Touch calls it once per access. shard
-// picks the slot of the sharded cache-wide totals (callers pass a stable
-// per-job or per-worker value, e.g. the job ID); it only spreads contention
-// — any shard sums into the same totals.
-func (c *Cache) FlushTally(t Tally, ctr *Counters, shard int) {
-	sh := &c.shards[uint64(shard)&(tallyShards-1)]
-	if t.Hits != 0 {
-		sh.hits.Add(t.Hits)
-	}
-	if t.Misses != 0 {
-		sh.misses.Add(t.Misses)
-	}
-	if ctr == nil {
-		return
-	}
-	if t.Hits != 0 {
-		ctr.Hits.Add(t.Hits)
-	}
-	if t.Misses != 0 {
-		ctr.Misses.Add(t.Misses)
-	}
-	if n := t.Hits + t.Misses; n != 0 {
-		ctr.Instructions.Add(n)
+// and into ctr (if non-nil). The hot path calls it once per priced chunk;
+// Touch calls it once per access.
+func (c *Cache) FlushTally(t Tally, ctr *Counters) {
+	c.hits += t.Hits
+	c.misses += t.Misses
+	if ctr != nil {
+		ctr.Hits += t.Hits
+		ctr.Misses += t.Misses
+		ctr.Instructions += t.Hits + t.Misses
 	}
 }
 
-// TotalMisses returns the cache-wide miss count, summed over the tally
-// shards. Multiplying by LineSize gives the volume of data swapped into the
-// LLC (Figure 14).
-func (c *Cache) TotalMisses() uint64 {
-	var n uint64
-	for i := range c.shards {
-		n += c.shards[i].misses.Load()
-	}
-	return n
-}
+// TotalMisses returns the cache-wide miss count. Multiplying by LineSize
+// gives the volume of data swapped into the LLC (Figure 14).
+func (c *Cache) TotalMisses() uint64 { return c.misses }
 
-// TotalHits returns the cache-wide hit count, summed over the tally shards.
-func (c *Cache) TotalHits() uint64 {
-	var n uint64
-	for i := range c.shards {
-		n += c.shards[i].hits.Load()
-	}
-	return n
-}
+// TotalHits returns the cache-wide hit count.
+func (c *Cache) TotalHits() uint64 { return c.hits }
 
 // SwappedBytes returns the total bytes loaded into the cache.
 func (c *Cache) SwappedBytes() uint64 { return c.TotalMisses() * LineSize }
@@ -518,11 +402,8 @@ func (c *Cache) MissRate() float64 {
 	return float64(m) / float64(h+m)
 }
 
-// Reset clears contents and counters. Not safe concurrently with Touch.
+// Reset clears contents and counters.
 func (c *Cache) Reset() {
 	clear(c.sets)
-	for i := range c.shards {
-		c.shards[i].hits.Store(0)
-		c.shards[i].misses.Store(0)
-	}
+	c.hits, c.misses = 0, 0
 }

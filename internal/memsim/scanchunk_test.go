@@ -15,9 +15,8 @@ const edgeSize = 12
 // on: ScanChunk over nEdges records is observably equivalent to one Touch
 // per record in storage order — the same hit/miss counts accumulate, and
 // the cache is left in the same LRU state. Chunks are random (base address,
-// first record, length); the cache has 64 sets, so four lock shards of 16,
-// and every case also scans a chunk straddling a shard boundary, so the
-// fused lock hand-off between shards is exercised. The final-state
+// first record, length) on a 64-set cache, and every case also scans a
+// chunk that runs over many consecutive sets. The final-state
 // comparison is behavioral: after the replay, both caches must answer an
 // identical probe stream identically, which exposes any difference in
 // resident tags or LRU ordering as a differing miss.
@@ -34,8 +33,7 @@ func TestScanChunkEquivalentToTouches(t *testing.T) {
 			return false
 		}
 		batched, _ := NewCache(cfg)
-		// 16 sets of 64B lines per lock shard: this chunk starts two lines
-		// before the first shard boundary and ends past it.
+		// A chunk over six consecutive sets, starting at set 14.
 		ops = append([]op{{Base: 14 * LineSize, First: 0, N: 30}}, ops...)
 		var perCtr, batCtr Counters
 		var tally Tally
@@ -46,10 +44,10 @@ func TestScanChunkEquivalentToTouches(t *testing.T) {
 			}
 			batched.ScanChunk(base, first, n, edgeSize, &tally)
 		}
-		batched.FlushTally(tally, &batCtr, 0)
-		if perCtr.Hits.Load() != batCtr.Hits.Load() ||
-			perCtr.Misses.Load() != batCtr.Misses.Load() ||
-			perCtr.Instructions.Load() != batCtr.Instructions.Load() {
+		batched.FlushTally(tally, &batCtr)
+		if perCtr.Hits != batCtr.Hits ||
+			perCtr.Misses != batCtr.Misses ||
+			perCtr.Instructions != batCtr.Instructions {
 			return false
 		}
 		if perEdge.TotalHits() != batched.TotalHits() ||
@@ -88,7 +86,9 @@ func TestScanChunkZeroLength(t *testing.T) {
 }
 
 // TestFlushTallyConservation checks the flush folds exactly the tallied
-// counts into both counter sinks, including the nil-ctr form.
+// counts into both counter sinks, including the nil-ctr form: per-job
+// counters sum to the cache-wide totals, every job's Instructions is its
+// Hits+Misses, and Reset zeroes the totals.
 func TestFlushTallyConservation(t *testing.T) {
 	c, _ := NewCache(DefaultConfig(64 << 10))
 	var tally Tally
@@ -99,20 +99,57 @@ func TestFlushTallyConservation(t *testing.T) {
 		t.Fatalf("tally accesses = %d, want 300", got)
 	}
 	var ctr Counters
-	c.FlushTally(tally, &ctr, 3)
-	if ctr.Hits.Load() != tally.Hits || ctr.Misses.Load() != tally.Misses {
-		t.Fatalf("ctr %d/%d after flush, want %d/%d",
-			ctr.Hits.Load(), ctr.Misses.Load(), tally.Hits, tally.Misses)
+	c.FlushTally(tally, &ctr)
+	if ctr.Hits != tally.Hits || ctr.Misses != tally.Misses {
+		t.Fatalf("ctr %d/%d after flush, want %d/%d", ctr.Hits, ctr.Misses, tally.Hits, tally.Misses)
 	}
-	if ctr.Instructions.Load() != 300 {
-		t.Fatalf("instructions = %d, want 300", ctr.Instructions.Load())
+	if ctr.Instructions != 300 {
+		t.Fatalf("instructions = %d, want 300", ctr.Instructions)
 	}
 	if c.TotalHits() != tally.Hits || c.TotalMisses() != tally.Misses {
 		t.Fatalf("cache totals %d/%d, want %d/%d",
 			c.TotalHits(), c.TotalMisses(), tally.Hits, tally.Misses)
 	}
-	c.FlushTally(Tally{}, nil, 0) // no-op form must not panic or count
+	c.FlushTally(Tally{}, nil) // no-op form must not panic or count
 	if c.TotalHits() != tally.Hits {
 		t.Fatal("empty flush moved the totals")
+	}
+
+	// Four jobs take turns on one cache, through both the per-access and
+	// the batched entry points, over overlapping regions.
+	c.Reset()
+	if c.TotalHits() != 0 || c.TotalMisses() != 0 {
+		t.Fatal("Reset left the totals non-zero")
+	}
+	var ctrs [4]Counters
+	const perJob = 2000
+	for i := 0; i < perJob; i++ {
+		for j := range ctrs {
+			addr := uint64(j)<<12 + uint64(i%300)*LineSize
+			if i%2 == 0 {
+				c.Touch(addr, &ctrs[j])
+				continue
+			}
+			var tl Tally
+			c.TouchTally(addr, &tl)
+			c.FlushTally(tl, &ctrs[j])
+		}
+	}
+	c.FlushTally(Tally{Hits: 2, Misses: 1}, nil) // counted in the totals only
+	var hits, misses uint64
+	for j := range ctrs {
+		if got := ctrs[j].Instructions; got != perJob || got != ctrs[j].Hits+ctrs[j].Misses {
+			t.Fatalf("job %d instructions = %d, want %d = hits+misses %d", j, got, perJob, ctrs[j].Hits+ctrs[j].Misses)
+		}
+		hits += ctrs[j].Hits
+		misses += ctrs[j].Misses
+	}
+	if hits+2 != c.TotalHits() || misses+1 != c.TotalMisses() {
+		t.Fatalf("per-job sums (%d/%d) plus the nil flush disagree with cache totals (%d/%d)",
+			hits, misses, c.TotalHits(), c.TotalMisses())
+	}
+	c.Reset()
+	if c.TotalHits() != 0 || c.TotalMisses() != 0 || c.MissRate() != 0 {
+		t.Fatal("Reset left the totals non-zero")
 	}
 }

@@ -9,7 +9,6 @@ package powergraph
 
 import (
 	"fmt"
-	"sync"
 
 	"graphm/internal/cluster"
 	"graphm/internal/core"
@@ -155,7 +154,7 @@ func NewRunner(p *Partitioned, net *cluster.Network, mem *storage.Memory, cache 
 func (r *Runner) RunSequential(jobs []*engine.Job) error {
 	for _, j := range jobs {
 		stop := r.Net.StartStream()
-		err := r.runJob(j, false)
+		err := r.runJob(j, false, func() bool { return true })
 		stop()
 		if err != nil {
 			return err
@@ -165,10 +164,10 @@ func (r *Runner) RunSequential(jobs []*engine.Job) error {
 }
 
 // RunConcurrent executes jobs simultaneously with per-job fragment copies
-// in the distributed shared memory (PowerGraph-C). As in the chaos runner,
-// every stream is registered with the network up front so contention is
-// priced by how many jobs share the link, not by accidental goroutine
-// overlap.
+// in the distributed shared memory (PowerGraph-C), time-sliced one fragment
+// at a time by engine.Interleave. As in the chaos runner, every stream is
+// registered with the network up front so contention is priced by how many
+// jobs share the link.
 func (r *Runner) RunConcurrent(jobs []*engine.Job) error {
 	stops := make([]func(), len(jobs))
 	for i := range jobs {
@@ -179,28 +178,16 @@ func (r *Runner) RunConcurrent(jobs []*engine.Job) error {
 			stop()
 		}
 	}()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var errs []error
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j *engine.Job) {
-			defer wg.Done()
-			if err := r.runJob(j, true); err != nil {
-				mu.Lock()
-				errs = append(errs, err)
-				mu.Unlock()
-			}
-		}(j)
+	runs := make([]func(yield func() bool) error, len(jobs))
+	for i, j := range jobs {
+		runs[i] = func(yield func() bool) error { return r.runJob(j, true, yield) }
 	}
-	wg.Wait()
-	if len(errs) > 0 {
-		return errs[0]
-	}
-	return nil
+	return engine.Interleave(0, runs)
 }
 
-func (r *Runner) runJob(j *engine.Job, perJobCopy bool) error {
+// runJob streams every fragment once per iteration. It yields after each
+// fragment while the job still holds its buffer (see gridgraph's runJob).
+func (r *Runner) runJob(j *engine.Job, perJobCopy bool, yield func() bool) error {
 	j.Bind(r.P.G)
 	state := j.Prog.StateBytes()
 	j.StateBase = r.Mem.AllocAddr(state)
@@ -226,6 +213,7 @@ func (r *Runner) runJob(j *engine.Job, perJobCopy bool) error {
 			}
 			j.Met.PartitionLoads++
 			j.ApplyChunk(f.Edges, buf.BaseAddr, 0, r.Cache, r.Cost)
+			yield()
 			buf.Release()
 		}
 		// Replica synchronisation commits the superstep; each node's NIC

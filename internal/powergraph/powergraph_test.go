@@ -1,7 +1,9 @@
 package powergraph
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"graphm/internal/algorithms"
@@ -9,6 +11,7 @@ import (
 	"graphm/internal/engine"
 	"graphm/internal/graph"
 	"graphm/internal/memsim"
+	"graphm/internal/storage"
 )
 
 func buildPG(t *testing.T, numV, numE, nodes int) (*graph.Graph, *Partitioned, *cluster.Cluster) {
@@ -91,22 +94,43 @@ func TestSequentialCorrectAndMetersNetwork(t *testing.T) {
 	}
 }
 
+// TestConcurrentCorrect runs two WCC jobs concurrently, twice on a fresh
+// cluster, memory pool and cache: both results are correct, and every
+// simulated number of the two runs is identical.
 func TestConcurrentCorrect(t *testing.T) {
-	g, p, cl := buildPG(t, 300, 2000, 3)
-	mem := p.SharedMemory(64 << 20)
-	cache, _ := memsim.NewCache(memsim.DefaultConfig(64 << 10))
-	r := NewRunner(p, cl.Net, mem, cache)
-	w1, w2 := algorithms.NewWCC(1000), algorithms.NewWCC(1000)
-	jobs := []*engine.Job{engine.NewJob(1, w1, 1), engine.NewJob(2, w2, 2)}
-	if err := r.RunConcurrent(jobs); err != nil {
-		t.Fatal(err)
-	}
-	want := algorithms.ReferenceWCC(g)
-	for v := range want {
-		if w1.Labels()[v] != want[v] || w2.Labels()[v] != want[v] {
-			t.Fatalf("wcc label mismatch at %d", v)
+	var prints [2]string
+	for run := range prints {
+		g, p, cl := buildPG(t, 300, 2000, 3)
+		mem := p.SharedMemory(64 << 20)
+		cache, _ := memsim.NewCache(memsim.DefaultConfig(64 << 10))
+		r := NewRunner(p, cl.Net, mem, cache)
+		w1, w2 := algorithms.NewWCC(1000), algorithms.NewWCC(1000)
+		jobs := []*engine.Job{engine.NewJob(1, w1, 1), engine.NewJob(2, w2, 2)}
+		if err := r.RunConcurrent(jobs); err != nil {
+			t.Fatal(err)
 		}
+		want := algorithms.ReferenceWCC(g)
+		for v := range want {
+			if w1.Labels()[v] != want[v] || w2.Labels()[v] != want[v] {
+				t.Fatalf("wcc label mismatch at %d", v)
+			}
+		}
+		prints[run] = fingerprint(jobs, cache, mem)
 	}
+	if prints[0] != prints[1] {
+		t.Fatalf("two runs of the same jobs differ:\n%s\nvs\n%s", prints[0], prints[1])
+	}
+}
+
+// fingerprint renders every simulated number a run leaves: each job's LLC
+// counters and metrics, the cache-wide totals and the memory peak.
+func fingerprint(jobs []*engine.Job, cache *memsim.Cache, mem *storage.Memory) string {
+	var b strings.Builder
+	for _, j := range jobs {
+		fmt.Fprintf(&b, "job %d: %+v %+v\n", j.ID, j.Ctr, j.Met)
+	}
+	fmt.Fprintf(&b, "cache %d hits %d misses, peak %d bytes\n", cache.TotalHits(), cache.TotalMisses(), mem.Peak())
+	return b.String()
 }
 
 func TestSyncProgramChargesPerIteration(t *testing.T) {

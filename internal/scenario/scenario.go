@@ -281,8 +281,8 @@ func Run(env Env, cc core.Config, script Script) (*Result, error) {
 			Metrics:   j.Met,
 			Work:      j.Met.Work(),
 			Detached:  r.detached[id],
-			LLCHits:   j.Ctr.Hits.Load(),
-			LLCMisses: j.Ctr.Misses.Load(),
+			LLCHits:   j.Ctr.Hits,
+			LLCMisses: j.Ctr.Misses,
 		}
 	}
 	return res, nil

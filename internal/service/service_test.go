@@ -92,14 +92,30 @@ func TestServiceSurfacesRelabelCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := service.New(sys, service.Config{MaxInFlight: 8, Seed: 3})
-	var tickets []*service.Ticket
-	for i := 0; i < 8; i++ {
+	// A partition opened for two or more attendees is what drifts the
+	// target size at Cores=1, so the burst must overlap: the first job is
+	// gated mid-partition until the other seven have attached to its round.
+	gate := newGated(algorithms.NewPageRank(0, 10))
+	first, err := svc.Submit(service.Request{Prog: gate, Algo: "pagerank"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gate.started
+	tickets := []*service.Ticket{first}
+	for i := 0; i < 7; i++ {
 		tk, err := svc.Submit(service.Request{Algo: "pagerank"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		tickets = append(tickets, tk)
 	}
+	for deadline := time.Now().Add(10 * time.Second); sys.StatsSnapshot().MidRoundJoins < 7; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of 7 arrivals attached to the gated round", sys.StatsSnapshot().MidRoundJoins)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate.release)
 	if err := svc.Drain(); err != nil {
 		t.Fatal(err)
 	}
