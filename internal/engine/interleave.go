@@ -2,9 +2,10 @@ package engine
 
 import "iter"
 
-// Interleave runs every run to completion on the calling goroutine, stepping
-// the active runs round-robin: each step resumes one run until its next
-// yield (or its return), so no two runs ever execute at once. This is the
+// Interleave runs every run to completion, stepping the active runs
+// round-robin from the calling goroutine: each step resumes one run (as an
+// iter.Pull coroutine) and waits until its next yield or its return, so no
+// two runs, nor a run and the caller, ever execute at once. This is the
 // time-slicing an OS gives concurrent engine processes, made deterministic:
 // the baselines' concurrent jobs share one simulated LLC and one memory
 // pool, and stepping them in a fixed order gives those shared models a
