@@ -168,3 +168,29 @@ func TestSharedVsPrivateAddressStreams(t *testing.T) {
 			shared.TotalMisses(), private.TotalMisses())
 	}
 }
+
+// TestShardedTotalsSum checks that Touch and FlushTally both land in the
+// cache-wide totals, over more flushes than the 64 slots the totals were
+// once sharded across, and that Reset zeroes them.
+func TestShardedTotalsSum(t *testing.T) {
+	c, err := NewCache(Config{SizeBytes: 8 << 10, Ways: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		c.Touch(uint64(i)*LineSize, nil) // 100 distinct lines: all miss
+	}
+	for i := 0; i < 130; i++ {
+		c.FlushTally(Tally{Hits: 2, Misses: 1}, nil)
+	}
+	if got := c.TotalMisses(); got != 100+130 {
+		t.Fatalf("TotalMisses = %d, want %d", got, 230)
+	}
+	if got := c.TotalHits(); got != 260 {
+		t.Fatalf("TotalHits = %d, want %d", got, 260)
+	}
+	c.Reset()
+	if c.TotalHits() != 0 || c.TotalMisses() != 0 {
+		t.Fatal("Reset left the totals non-zero")
+	}
+}
