@@ -189,7 +189,8 @@ type RunOptions struct {
 	Cores int
 	// TimeScale scales workload submission delays into real sleeps; 0
 	// submits everything immediately (SchemeM: as one System.Run batch).
-	// SchemeC starts every job at once whatever the delays.
+	// SchemeS runs the jobs back to back and SchemeC starts every job at
+	// once, whatever the delays.
 	TimeScale float64
 	// Scheduler controls the Section 4 strategy in SchemeM (default on).
 	SchedulerOff bool
@@ -233,15 +234,10 @@ func (e *GridEnv) RunScheme(scheme string, wf func() *jobs.Workload, opts RunOpt
 	res := &SchemeResult{Scheme: scheme, Jobs: len(w.Jobs), Cores: opts.cores()}
 	start := time.Now()
 	switch scheme {
-	case SchemeS:
-		r := gridgraph.NewRunner(e.Grid, mem, cache)
-		if err := jobs.RunWorkload(w, seqSubmitter{r: r}, 0); err != nil {
-			return nil, err
-		}
-	case SchemeC:
-		// Every job is active at once, each with its own copies, whatever
-		// the submission delays: the OS time-slices them all.
-		if err := gridgraph.NewRunner(e.Grid, mem, cache).RunConcurrent(w.Jobs); err != nil {
+	case SchemeS, SchemeC:
+		// In C every job is active at once, each with its own copies,
+		// whatever the submission delays: the OS time-slices them all.
+		if err := runBaseline(gridgraph.NewRunner(e.Grid, mem, cache), scheme, w.Jobs); err != nil {
 			return nil, err
 		}
 	case SchemeM:
@@ -272,38 +268,13 @@ func (e *GridEnv) RunScheme(scheme string, wf func() *jobs.Workload, opts RunOpt
 	}
 	res.Wall = time.Since(start)
 
-	for _, j := range w.Jobs {
-		res.ComputeNS += j.Met.SimComputeNS
-		res.MemNS += j.Met.SimMemNS
-		res.IONS += j.Met.SimIONS
-		res.ScannedEdges += j.Met.ScannedEdges
-		res.ProcessedEdges += j.Met.ProcessedEdges
-		res.LLCMisses += j.Ctr.Misses
-		res.LLCHits += j.Ctr.Hits
-		res.LPI += j.Ctr.LPI()
-	}
-	if len(w.Jobs) > 0 {
-		res.LPI /= float64(len(w.Jobs))
-	}
+	collectJobMetrics(res, w.Jobs)
 	res.MemPeak = mem.Peak()
 	res.IOBytes = e.Disk.ReadBytes()
 	res.IOLoads = e.Disk.ReadOps()
 	res.SwappedBytes = cache.SwappedBytes()
 	return res, nil
 }
-
-// seqSubmitter runs each job to completion at submission — GridGraph-S.
-type seqSubmitter struct {
-	r   *gridgraph.Runner
-	err error
-}
-
-func (s seqSubmitter) Submit(j *engine.Job) {
-	if err := s.r.RunSequential([]*engine.Job{j}); err != nil && s.err == nil {
-		s.err = err
-	}
-}
-func (s seqSubmitter) Wait() error { return s.err }
 
 // sysSubmitter adapts core.System to the jobs.Submitter interface.
 type sysSubmitter struct{ sys *core.System }

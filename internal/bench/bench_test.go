@@ -7,6 +7,7 @@ import (
 	"graphm/internal/graph"
 	"graphm/internal/jobs"
 	"graphm/internal/scenario"
+	"graphm/internal/storage"
 )
 
 // smallHarness keeps experiment runs fast in unit tests.
@@ -117,6 +118,24 @@ func TestRunSchemeRejectsUnknown(t *testing.T) {
 	wf := func() *jobs.Workload { return jobs.Rotation(1, 3) }
 	if _, err := env.RunScheme("X", wf, RunOptions{}); err == nil {
 		t.Fatal("expected unknown-scheme error")
+	}
+}
+
+// TestRunSchemeReportsLoadErrors runs every scheme over an empty disk, on
+// which every partition load fails: each scheme must return that error,
+// not a result.
+func TestRunSchemeReportsLoadErrors(t *testing.T) {
+	env, err := NewGridEnv(graph.PresetLiveJ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Disk = storage.NewDisk()
+	wf := func() *jobs.Workload { return jobs.Rotation(2, 3) }
+	for _, scheme := range Schemes {
+		_, err := env.RunScheme(scheme, wf, RunOptions{Cores: 2})
+		if err == nil || !strings.Contains(err.Error(), `no blob "livej/grid/p0"`) {
+			t.Errorf("%s over an empty disk: err = %v, want the missing blob", scheme, err)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"graphm/internal/baseline"
 	"graphm/internal/chaos"
 	"graphm/internal/cluster"
 	"graphm/internal/core"
@@ -56,12 +57,7 @@ func (h *Harness) runDistScheme(engineName, dataset, scheme string, nodes int, j
 		mem = p.SharedMemory(perNode)
 		switch scheme {
 		case SchemeS, SchemeC:
-			r := powergraph.NewRunner(p, cl.Net, mem, cache)
-			if scheme == SchemeS {
-				err = r.RunSequential(w.Jobs)
-			} else {
-				err = r.RunConcurrent(w.Jobs)
-			}
+			err = runBaseline(powergraph.NewRunner(p, cl.Net, mem, cache), scheme, w.Jobs)
 		case SchemeM:
 			cfg := core.DefaultConfig(spec.LLCBytes)
 			cfg.Cores = nodes
@@ -86,12 +82,7 @@ func (h *Harness) runDistScheme(engineName, dataset, scheme string, nodes int, j
 		mem = s.SharedMemory(perNode)
 		switch scheme {
 		case SchemeS, SchemeC:
-			r := chaos.NewRunner(s, cl.Net, mem, cache)
-			if scheme == SchemeS {
-				err = r.RunSequential(w.Jobs)
-			} else {
-				err = r.RunConcurrent(w.Jobs)
-			}
+			err = runBaseline(chaos.NewRunner(s, cl.Net, mem, cache), scheme, w.Jobs)
 		case SchemeM:
 			cfg := core.DefaultConfig(spec.LLCBytes)
 			cfg.Cores = nodes
@@ -113,6 +104,15 @@ func (h *Harness) runDistScheme(engineName, dataset, scheme string, nodes int, j
 	res.MemPeak = mem.Peak()
 	res.SwappedBytes = cache.SwappedBytes()
 	return res, nil
+}
+
+// runBaseline runs js on r in the unshared mode scheme names: SchemeS runs
+// them one after another, SchemeC all at once with per-job copies.
+func runBaseline(r *baseline.Runner, scheme string, js []*engine.Job) error {
+	if scheme == SchemeS {
+		return r.RunSequential(js)
+	}
+	return r.RunConcurrent(js)
 }
 
 func collectJobMetrics(res *SchemeResult, js []*engine.Job) {
@@ -151,12 +151,10 @@ func (h *Harness) runGraphChiScheme(dataset, scheme string, jobCount int) (*Sche
 	w := jobs.Rotation(jobCount, h.Seed)
 	res := &SchemeResult{Scheme: scheme, Jobs: jobCount, Cores: h.Cores}
 	switch scheme {
-	case SchemeS:
-		err = graphchi.NewRunner(shards, mem, cache).RunSequential(w.Jobs)
-	case SchemeC:
+	case SchemeS, SchemeC:
 		r := graphchi.NewRunner(shards, mem, cache)
 		r.Cores = h.Cores
-		err = r.RunConcurrent(w.Jobs)
+		err = runBaseline(r, scheme, w.Jobs)
 	case SchemeM:
 		cfg := core.DefaultConfig(spec.LLCBytes)
 		cfg.Cores = h.Cores

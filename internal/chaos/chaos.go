@@ -15,9 +15,9 @@ package chaos
 import (
 	"fmt"
 
+	"graphm/internal/baseline"
 	"graphm/internal/cluster"
 	"graphm/internal/core"
-	"graphm/internal/engine"
 	"graphm/internal/graph"
 	"graphm/internal/memsim"
 	"graphm/internal/storage"
@@ -99,97 +99,19 @@ func (s *Scattered) SharedMemory(perNodeBudget int64) *storage.Memory {
 	return storage.NewMemory(disk, total)
 }
 
-// Runner executes jobs in the baseline modes (Chaos-S / Chaos-C).
-type Runner struct {
-	S     *Scattered
-	Net   *cluster.Network
-	Cache *memsim.Cache
-	Cost  engine.CostModel
-	Mem   *storage.Memory
-}
-
-// NewRunner wires a baseline runner.
-func NewRunner(s *Scattered, net *cluster.Network, mem *storage.Memory, cache *memsim.Cache) *Runner {
-	return &Runner{S: s, Net: net, Mem: mem, Cache: cache, Cost: engine.DefaultCostModel()}
-}
-
-// RunSequential executes jobs one at a time (Chaos-S): exactly one stream
-// occupies the NIC at any moment.
-func (r *Runner) RunSequential(jobs []*engine.Job) error {
-	for _, j := range jobs {
-		stop := r.Net.StartStream()
-		err := r.runJob(j, false, func() bool { return true })
-		stop()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunConcurrent executes jobs simultaneously; every job streams its own
-// copy of every chunk over the shared NIC (Chaos-C), time-sliced one chunk
-// at a time by engine.Interleave. All streams are registered with the
-// network up front: the simulation prices contention by how many jobs share
-// the link, not by how long the jobs happen to overlap (short jobs finish
-// early and the Table 4 penalty would vanish).
-func (r *Runner) RunConcurrent(jobs []*engine.Job) error {
-	stops := make([]func(), len(jobs))
-	for i := range jobs {
-		stops[i] = r.Net.StartStream()
-	}
-	defer func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}()
-	runs := make([]func(yield func() bool) error, len(jobs))
-	for i, j := range jobs {
-		runs[i] = func(yield func() bool) error { return r.runJob(j, true, yield) }
-	}
-	return engine.Interleave(0, runs)
-}
-
-// runJob streams every chunk once per iteration. It yields after each chunk
-// while the job still holds its buffer (see gridgraph's runJob).
-func (r *Runner) runJob(j *engine.Job, perJobCopy bool, yield func() bool) error {
-	j.Bind(r.S.G)
-	state := j.Prog.StateBytes()
-	j.StateBase = r.Mem.AllocAddr(state)
-	r.Mem.ReserveJobData(state)
-	defer r.Mem.ReserveJobData(-state)
-
-	for iter := 0; j.Prog.BeforeIteration(iter); iter++ {
-		for _, c := range r.S.Chunks {
-			if len(c.Edges) == 0 {
-				continue
-			}
-			key := c.DiskName
-			if perJobCopy {
-				key = fmt.Sprintf("%s#job%d", c.DiskName, j.ID)
-			}
-			buf, io, err := r.Mem.Load(key, c.DiskName)
-			if err != nil {
-				return fmt.Errorf("chaos: job %d chunk %d: %w", j.ID, c.ID, err)
-			}
-			if io != storage.IONone {
-				j.Met.SimIONS += r.Cost.DiskNS(uint64(len(buf.Data)))
-			}
-			// Chaos streams every chunk over the network each traversal,
-			// resident or not: remote storage is the common case. Chunks
-			// are scattered, so the group's NICs stream in parallel.
-			j.Met.SimIONS += r.Net.TransferNS(uint64(len(c.Edges))*graph.EdgeSize) / uint64(len(r.S.Group))
-			j.Met.PartitionLoads++
-			j.ApplyChunk(c.Edges, buf.BaseAddr, 0, r.Cache, r.Cost)
-			yield()
-			buf.Release()
-		}
-		j.Prog.AfterIteration(iter)
-		j.Met.Iterations++
-		j.Iter = iter + 1
-	}
-	j.Done = true
-	return nil
+// NewRunner runs jobs over the scattered chunks as Chaos-S and Chaos-C,
+// over the group's aggregate memory mem. In Chaos-C every job streams its
+// own copy of every chunk over the shared NIC. All streams are registered
+// with the network up front: the simulation prices contention by how many
+// jobs share the link, not by how long the jobs happen to overlap (short
+// jobs finish early and the Table 4 penalty would vanish).
+func NewRunner(s *Scattered, net *cluster.Network, mem *storage.Memory, cache *memsim.Cache) *baseline.Runner {
+	r := baseline.New(s.AsLayout(), mem, cache)
+	r.Stream, r.StreamsUpFront = net.StartStream, true
+	// Chaos streams every chunk over the network each traversal, resident
+	// or not: remote storage is the common case.
+	r.LoadCost = s.LoadHook(net)
+	return r
 }
 
 // LoadHook prices the network streaming for the GraphM-integrated mode:

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -526,15 +525,3 @@ func (ff *faultFile) Sync() error {
 }
 
 func (ff *faultFile) Close() error { return ff.f.Close() }
-
-// KindsByOp summarizes a schedule for logs: op → sorted fault kinds.
-func (s Schedule) KindsByOp() map[string][]string {
-	m := make(map[string][]string)
-	for _, r := range s {
-		m[r.Op.String()] = append(m[r.Op.String()], r.Kind.String())
-	}
-	for k := range m {
-		sort.Strings(m[k])
-	}
-	return m
-}

@@ -14,8 +14,8 @@ package graphchi
 import (
 	"fmt"
 
+	"graphm/internal/baseline"
 	"graphm/internal/core"
-	"graphm/internal/engine"
 	"graphm/internal/graph"
 	"graphm/internal/memsim"
 	"graphm/internal/storage"
@@ -82,81 +82,11 @@ func (s *Shards) AsLayout() core.Layout {
 	return core.NewLayout(s.G, parts)
 }
 
-// Runner executes jobs over shards in the baseline modes (GraphChi-S / -C).
-type Runner struct {
-	Shards *Shards
-	Mem    *storage.Memory
-	Cache  *memsim.Cache
-	Cost   engine.CostModel
-	Cores  int
-}
-
-// NewRunner wires a runner with the default cost model.
-func NewRunner(s *Shards, mem *storage.Memory, cache *memsim.Cache) *Runner {
-	return &Runner{Shards: s, Mem: mem, Cache: cache, Cost: engine.DefaultCostModel()}
-}
-
-// RunSequential executes jobs one at a time (GraphChi-S).
-func (r *Runner) RunSequential(jobs []*engine.Job) error {
-	for _, j := range jobs {
-		if err := r.runJob(j, func(sh *Shard) string { return sh.DiskName }, func() bool { return true }); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunConcurrent executes jobs simultaneously with per-job copies
-// (GraphChi-C), time-sliced one shard at a time by engine.Interleave; Cores
-// bounds simultaneous streamers.
-func (r *Runner) RunConcurrent(jobs []*engine.Job) error {
-	runs := make([]func(yield func() bool) error, len(jobs))
-	for i, j := range jobs {
-		key := func(sh *Shard) string { return fmt.Sprintf("%s#job%d", sh.DiskName, j.ID) }
-		runs[i] = func(yield func() bool) error { return r.runJob(j, key, yield) }
-	}
-	return engine.Interleave(r.Cores, runs)
-}
-
-// runJob streams every shard once per iteration. It yields after each shard
-// while the job still holds its buffer (see gridgraph's runJob).
-func (r *Runner) runJob(j *engine.Job, keyFn func(sh *Shard) string, yield func() bool) error {
-	j.Bind(r.Shards.G)
-	state := j.Prog.StateBytes()
-	j.StateBase = r.Mem.AllocAddr(state)
-	r.Mem.ReserveJobData(state)
-	defer r.Mem.ReserveJobData(-state)
-	stopStream := r.Mem.Disk().StartStream()
-	defer stopStream()
-
-	for iter := 0; j.Prog.BeforeIteration(iter); iter++ {
-		// No shard skipping: every shard streams if anything is active.
-		for _, sh := range r.Shards.All {
-			if len(sh.Edges) == 0 {
-				continue
-			}
-			buf, io, err := r.Mem.Load(keyFn(sh), sh.DiskName)
-			if err != nil {
-				return fmt.Errorf("graphchi: job %d shard %d: %w", j.ID, sh.ID, err)
-			}
-			if io != storage.IONone {
-				base := float64(r.Cost.DiskNS(uint64(len(buf.Data))))
-				if io == storage.IOReread {
-					base *= r.Mem.Disk().Contention()
-				}
-				j.Met.SimIONS += uint64(base)
-			}
-			j.Met.PartitionLoads++
-			j.ApplyChunk(sh.Edges, buf.BaseAddr, 0, r.Cache, r.Cost)
-			yield()
-			buf.Release()
-		}
-		j.Prog.AfterIteration(iter)
-		j.Met.Iterations++
-		j.Iter = iter + 1
-	}
-	j.Done = true
-	return nil
+// NewRunner runs jobs over the shards as GraphChi-S and GraphChi-C. Every
+// shard spans the whole source range, so a shard streams whenever anything
+// is active; each job contends for the disk only while it streams.
+func NewRunner(s *Shards, mem *storage.Memory, cache *memsim.Cache) *baseline.Runner {
+	return baseline.New(s.AsLayout(), mem, cache)
 }
 
 func minInt(a, b int) int {

@@ -33,7 +33,6 @@ type Grid struct {
 	G    *graph.Graph
 	P    int // grid is P×P
 	VPP  int // vertices per stripe
-	Dsk  *storage.Disk
 
 	Parts []*Partition
 }
@@ -46,7 +45,7 @@ func Build(g *graph.Graph, p int, disk *storage.Disk) (*Grid, error) {
 		return nil, fmt.Errorf("gridgraph: P must be positive, got %d", p)
 	}
 	vpp := (g.NumV + p - 1) / p
-	grid := &Grid{Name: g.Name, G: g, P: p, VPP: vpp, Dsk: disk}
+	grid := &Grid{Name: g.Name, G: g, P: p, VPP: vpp}
 	buckets := make([][]graph.Edge, p*p)
 	for _, e := range g.Edges {
 		i := int(e.Src) / vpp
@@ -71,23 +70,6 @@ func Build(g *graph.Graph, p int, disk *storage.Disk) (*Grid, error) {
 		}
 	}
 	return grid, nil
-}
-
-// CompressBlobs re-registers every partition blob at its delta/varint
-// compressed transfer size: subsequent metered reads bill the compressed
-// bytes (what a real disk would move for a compressed on-disk grid) while
-// callers keep receiving the raw blob. Opt-in — the default benchmarks
-// meter raw sizes, matching the paper's uncompressed GridGraph format.
-// Returns the raw and compressed totals.
-func (g *Grid) CompressBlobs() (raw, compressed int64) {
-	for _, part := range g.Parts {
-		blob := graph.EncodeEdges(part.Edges)
-		c := int64(len(storage.CompressEdges(part.Edges)))
-		g.Dsk.WriteSized(part.DiskName, blob, c)
-		raw += int64(len(blob))
-		compressed += c
-	}
-	return raw, compressed
 }
 
 // NumPartitions returns P*P.

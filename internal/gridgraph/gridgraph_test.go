@@ -7,13 +7,20 @@ import (
 	"testing"
 
 	"graphm/internal/algorithms"
+	"graphm/internal/baseline"
 	"graphm/internal/engine"
 	"graphm/internal/graph"
 	"graphm/internal/memsim"
 	"graphm/internal/storage"
 )
 
-func buildRig(t *testing.T, numV, numE, p int, memBudget int64) (*graph.Graph, *Runner, *storage.Disk, *storage.Memory) {
+// rig is a GridGraph runner together with the grid it streams.
+type rig struct {
+	*baseline.Runner
+	Grid *Grid
+}
+
+func buildRig(t *testing.T, numV, numE, p int, memBudget int64) (*graph.Graph, *rig, *storage.Disk, *storage.Memory) {
 	t.Helper()
 	g, err := graph.GenerateRMAT(graph.DefaultRMAT("g", numV, numE, 21))
 	if err != nil {
@@ -29,7 +36,7 @@ func buildRig(t *testing.T, numV, numE, p int, memBudget int64) (*graph.Graph, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, NewRunner(grid, mem, cache), disk, mem
+	return g, &rig{NewRunner(grid, mem, cache), grid}, disk, mem
 }
 
 func TestBuildPartitionsCoverEdges(t *testing.T) {

@@ -1,7 +1,10 @@
 package gridgraph
 
 import (
+	"graphm/internal/baseline"
 	"graphm/internal/core"
+	"graphm/internal/memsim"
+	"graphm/internal/storage"
 )
 
 // AsLayout exposes the grid to GraphM (internal/core). GraphM manages the
@@ -19,4 +22,11 @@ func (g *Grid) AsLayout() core.Layout {
 		})
 	}
 	return core.NewLayout(g.G, parts)
+}
+
+// NewRunner runs jobs over the grid as GridGraph-S and GridGraph-C. A block
+// with no active source vertex is skipped, and each job contends for the
+// disk only while it streams.
+func NewRunner(grid *Grid, mem *storage.Memory, cache *memsim.Cache) *baseline.Runner {
+	return baseline.New(grid.AsLayout(), mem, cache)
 }

@@ -10,6 +10,7 @@ package powergraph
 import (
 	"fmt"
 
+	"graphm/internal/baseline"
 	"graphm/internal/cluster"
 	"graphm/internal/core"
 	"graphm/internal/engine"
@@ -135,96 +136,18 @@ func (p *Partitioned) SharedMemory(perNodeBudget int64) *storage.Memory {
 	return storage.NewMemory(disk, total)
 }
 
-// Runner executes jobs on a partitioned graph in the baseline modes.
-type Runner struct {
-	P     *Partitioned
-	Net   *cluster.Network
-	Cache *memsim.Cache
-	Cost  engine.CostModel
-	// Mem is the distributed shared memory of the group.
-	Mem *storage.Memory
-}
-
-// NewRunner wires a baseline runner.
-func NewRunner(p *Partitioned, net *cluster.Network, mem *storage.Memory, cache *memsim.Cache) *Runner {
-	return &Runner{P: p, Net: net, Mem: mem, Cache: cache, Cost: engine.DefaultCostModel()}
-}
-
-// RunSequential executes jobs one at a time (PowerGraph-S).
-func (r *Runner) RunSequential(jobs []*engine.Job) error {
-	for _, j := range jobs {
-		stop := r.Net.StartStream()
-		err := r.runJob(j, false, func() bool { return true })
-		stop()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunConcurrent executes jobs simultaneously with per-job fragment copies
-// in the distributed shared memory (PowerGraph-C), time-sliced one fragment
-// at a time by engine.Interleave. As in the chaos runner, every stream is
-// registered with the network up front so contention is priced by how many
-// jobs share the link.
-func (r *Runner) RunConcurrent(jobs []*engine.Job) error {
-	stops := make([]func(), len(jobs))
-	for i := range jobs {
-		stops[i] = r.Net.StartStream()
-	}
-	defer func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}()
-	runs := make([]func(yield func() bool) error, len(jobs))
-	for i, j := range jobs {
-		runs[i] = func(yield func() bool) error { return r.runJob(j, true, yield) }
-	}
-	return engine.Interleave(0, runs)
-}
-
-// runJob streams every fragment once per iteration. It yields after each
-// fragment while the job still holds its buffer (see gridgraph's runJob).
-func (r *Runner) runJob(j *engine.Job, perJobCopy bool, yield func() bool) error {
-	j.Bind(r.P.G)
-	state := j.Prog.StateBytes()
-	j.StateBase = r.Mem.AllocAddr(state)
-	r.Mem.ReserveJobData(state)
-	defer r.Mem.ReserveJobData(-state)
-
-	sync := r.P.SyncBytesPerIteration()
-	for iter := 0; j.Prog.BeforeIteration(iter); iter++ {
-		for _, f := range r.P.Frags {
-			if len(f.Edges) == 0 {
-				continue
-			}
-			key := f.DiskName
-			if perJobCopy {
-				key = fmt.Sprintf("%s#job%d", f.DiskName, j.ID)
-			}
-			buf, io, err := r.Mem.Load(key, f.DiskName)
-			if err != nil {
-				return fmt.Errorf("powergraph: job %d fragment %d: %w", j.ID, f.ID, err)
-			}
-			if io != storage.IONone {
-				j.Met.SimIONS += r.Cost.DiskNS(uint64(len(buf.Data)))
-			}
-			j.Met.PartitionLoads++
-			j.ApplyChunk(f.Edges, buf.BaseAddr, 0, r.Cache, r.Cost)
-			yield()
-			buf.Release()
-		}
-		// Replica synchronisation commits the superstep; each node's NIC
-		// carries its own mirrors' traffic in parallel.
-		j.Met.SimIONS += r.Net.TransferNS(sync) / uint64(len(r.P.Group))
-		j.Prog.AfterIteration(iter)
-		j.Met.Iterations++
-		j.Iter = iter + 1
-	}
-	j.Done = true
-	return nil
+// NewRunner runs jobs on the partitioned graph as PowerGraph-S and
+// PowerGraph-C, over the group's distributed shared memory mem. Every job's
+// stream is registered with the network up front (see chaos.NewRunner),
+// and each iteration pays its replica synchronisation.
+func NewRunner(p *Partitioned, net *cluster.Network, mem *storage.Memory, cache *memsim.Cache) *baseline.Runner {
+	r := baseline.New(p.AsLayout(), mem, cache)
+	r.Stream, r.StreamsUpFront = net.StartStream, true
+	sync := p.SyncBytesPerIteration()
+	// Replica synchronisation commits the superstep; each node's NIC
+	// carries its own mirrors' traffic in parallel.
+	r.IterCost = func() uint64 { return net.TransferNS(sync) / uint64(len(p.Group)) }
+	return r
 }
 
 // SyncProgram decorates a Program so that every iteration additionally pays

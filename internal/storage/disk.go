@@ -28,13 +28,6 @@ type Disk struct {
 	mu    sync.Mutex
 	blobs map[string][]byte
 
-	// transfer overrides the metered transfer size of a blob (WriteSized):
-	// a delta/varint-compressed on-disk chunk moves fewer bytes across the
-	// disk→memory boundary than its decoded in-memory form, which is exactly
-	// the loads/IO improvement the compressed chunk store buys. Absent
-	// entries meter at raw length.
-	transfer map[string]int64
-
 	// page cache: LRU over blob names, bounded by cacheCap bytes minus the
 	// RAM currently reserved by process buffers (SetReserved): page cache
 	// and application memory share the same physical RAM, so concurrent
@@ -85,7 +78,6 @@ func (d *Disk) Contention() float64 {
 func NewDisk() *Disk {
 	return &Disk{
 		blobs:    make(map[string][]byte),
-		transfer: make(map[string]int64),
 		cacheLRU: list.New(),
 		cachePos: make(map[string]*list.Element),
 		everRead: make(map[string]bool),
@@ -134,54 +126,18 @@ func (d *Disk) DropCaches() {
 // Write stores blob under name, replacing any previous content and
 // invalidating its cache entry.
 func (d *Disk) Write(name string, blob []byte) {
-	d.writeSized(name, blob, int64(len(blob)), false)
-}
-
-// WriteSized stores blob under name but meters reads and cache occupancy at
-// transfer bytes — the on-disk (compressed) representation size. The blob
-// itself stays the decoded form callers consume; the simulator only prices
-// the physical transfer differently.
-func (d *Disk) WriteSized(name string, blob []byte, transfer int64) {
-	if transfer < 0 {
-		transfer = 0
-	}
-	d.writeSized(name, blob, transfer, true)
-}
-
-func (d *Disk) writeSized(name string, blob []byte, transfer int64, sized bool) {
 	d.mu.Lock()
 	// Invalidate at the size the cache entry was admitted with (the OLD
-	// blob's transfer size), not the new blob's length: subtracting the new
+	// blob's length), not the new blob's length: subtracting the new
 	// length corrupted cacheUsed whenever a rewrite changed the size.
 	if e, ok := d.cachePos[name]; ok {
-		d.cacheUsed -= d.transferLocked(name)
+		d.cacheUsed -= int64(len(d.blobs[name]))
 		d.cacheLRU.Remove(e)
 		delete(d.cachePos, name)
 	}
 	d.blobs[name] = blob
-	if sized {
-		d.transfer[name] = transfer
-	} else {
-		delete(d.transfer, name)
-	}
 	d.mu.Unlock()
-	d.writeBytes.Add(uint64(transfer))
-}
-
-// transferLocked returns the metered transfer size of name.
-func (d *Disk) transferLocked(name string) int64 {
-	if t, ok := d.transfer[name]; ok {
-		return t
-	}
-	return int64(len(d.blobs[name]))
-}
-
-// TransferSize returns the metered transfer size of name (the compressed
-// on-disk size for WriteSized blobs, the raw length otherwise).
-func (d *Disk) TransferSize(name string) int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.transferLocked(name)
+	d.writeBytes.Add(uint64(len(blob)))
 }
 
 // Read returns the blob under name, metering the transfer unconditionally
@@ -189,12 +145,11 @@ func (d *Disk) TransferSize(name string) int64 {
 func (d *Disk) Read(name string) ([]byte, error) {
 	d.mu.Lock()
 	blob, ok := d.blobs[name]
-	t := d.transferLocked(name)
 	d.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("storage: no blob %q", name)
 	}
-	d.readBytes.Add(uint64(t))
+	d.readBytes.Add(uint64(len(blob)))
 	d.readOps.Add(1)
 	return blob, nil
 }
@@ -223,7 +178,6 @@ func (d *Disk) ReadCached(name string) (blob []byte, kind IOKind, err error) {
 		d.mu.Unlock()
 		return nil, IONone, fmt.Errorf("storage: no blob %q", name)
 	}
-	t := d.transferLocked(name)
 	if d.cacheCap > 0 {
 		if e, hit := d.cachePos[name]; hit {
 			d.cacheLRU.MoveToFront(e)
@@ -231,7 +185,7 @@ func (d *Disk) ReadCached(name string) (blob []byte, kind IOKind, err error) {
 			return blob, IONone, nil
 		}
 		d.cachePos[name] = d.cacheLRU.PushFront(name)
-		d.cacheUsed += t
+		d.cacheUsed += int64(len(blob))
 		d.evictCacheLocked()
 	}
 	kind = IOCold
@@ -241,7 +195,7 @@ func (d *Disk) ReadCached(name string) (blob []byte, kind IOKind, err error) {
 		d.everRead[name] = true
 	}
 	d.mu.Unlock()
-	d.readBytes.Add(uint64(t))
+	d.readBytes.Add(uint64(len(blob)))
 	d.readOps.Add(1)
 	return blob, kind, nil
 }
@@ -253,7 +207,7 @@ func (d *Disk) evictCacheLocked() {
 		name := e.Value.(string)
 		d.cacheLRU.Remove(e)
 		delete(d.cachePos, name)
-		d.cacheUsed -= d.transferLocked(name)
+		d.cacheUsed -= int64(len(d.blobs[name]))
 	}
 }
 

@@ -85,59 +85,19 @@ func TestDiskWriteInvalidationAccounting(t *testing.T) {
 	}
 }
 
-// TestDiskWriteSizedMetering checks reads of a compressed blob meter at the
-// transfer (compressed) size while callers still receive the raw bytes.
-func TestDiskWriteSizedMetering(t *testing.T) {
-	d := NewDisk()
-	raw := make([]byte, 1200)
-	d.WriteSized("p", raw, 300)
-	if got := d.WriteBytes(); got != 300 {
-		t.Fatalf("write bytes = %d, want 300", got)
-	}
-	if got := d.TransferSize("p"); got != 300 {
-		t.Fatalf("transfer size = %d, want 300", got)
-	}
-	if got := d.Size("p"); got != 1200 {
-		t.Fatalf("raw size = %d, want 1200", got)
-	}
-	blob, err := d.Read("p")
-	if err != nil || len(blob) != 1200 {
-		t.Fatalf("read: %v len=%d", err, len(blob))
-	}
-	if got := d.ReadBytes() - 0; got != 300 {
-		t.Fatalf("read bytes = %d, want 300", got)
-	}
-	d.ResetCounters()
-	if _, _, err := d.ReadCached("p"); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.ReadBytes(); got != 300 {
-		t.Fatalf("cached read bytes = %d, want 300", got)
-	}
-	// Plain Write resets the blob to raw metering.
-	d.Write("p", raw)
-	if got := d.TransferSize("p"); got != 1200 {
-		t.Fatalf("transfer after raw rewrite = %d, want 1200", got)
-	}
-}
-
-// TestCompressedGridMetersFewerBytes is the loads/IO story end to end: a
-// partition registered with its compressed transfer size streams fewer
-// metered bytes through the buffer pool than the raw registration, while
-// the decoded edges are identical.
-func TestCompressedGridMetersFewerBytes(t *testing.T) {
+// TestMemoryLoadMetersRawBlob streams an encoded partition blob through
+// the buffer pool: the pool hands back the bytes that were written, which
+// decode to the original edges, and the disk meters the raw blob once per
+// uncached read.
+func TestMemoryLoadMetersRawBlob(t *testing.T) {
 	edges := make([]graph.Edge, 2000)
 	for i := range edges {
 		edges[i] = graph.Edge{Src: graph.VertexID(i / 4), Dst: graph.VertexID(i % 500)}
 	}
 	raw := graph.EncodeEdges(edges)
-	comp := CompressEdges(edges)
-	if len(comp) >= len(raw) {
-		t.Fatalf("compressed %d >= raw %d", len(comp), len(raw))
-	}
 
 	d := NewDisk()
-	d.WriteSized("part", raw, int64(len(comp)))
+	d.Write("part", raw)
 	m := NewMemory(d, 1<<20)
 	d.ResetCounters()
 	buf, _, err := m.Load("part", "part")
@@ -152,7 +112,14 @@ func TestCompressedGridMetersFewerBytes(t *testing.T) {
 	if !edgesEqual(got, edges) {
 		t.Fatal("decoded edges differ from originals")
 	}
-	if d.ReadBytes() != uint64(len(comp)) {
-		t.Fatalf("metered %d bytes, want compressed size %d", d.ReadBytes(), len(comp))
+	if d.ReadBytes() != uint64(len(raw)) {
+		t.Fatalf("metered %d bytes, want raw size %d", d.ReadBytes(), len(raw))
+	}
+	d.ResetCounters()
+	if _, _, err := d.ReadCached("part"); err != nil {
+		t.Fatal(err)
+	}
+	if d.ReadBytes() != uint64(len(raw)) {
+		t.Fatalf("uncached read metered %d bytes, want %d", d.ReadBytes(), len(raw))
 	}
 }

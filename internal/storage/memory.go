@@ -78,9 +78,6 @@ func NewMemory(disk *Disk, budget int64) *Memory {
 	}
 }
 
-// Budget returns the configured capacity in bytes.
-func (m *Memory) Budget() int64 { return m.budget }
-
 // Disk returns the backing disk (for stream registration and metering).
 func (m *Memory) Disk() *Disk { return m.disk }
 
