@@ -114,9 +114,10 @@ func NewRunner(s *Scattered, net *cluster.Network, mem *storage.Memory, cache *m
 	return r
 }
 
-// LoadHook prices the network streaming for the GraphM-integrated mode:
-// each shared chunk load crosses the network once and is amortized across
-// the attending jobs.
+// LoadHook prices the network streaming of a chunk load: each load crosses
+// the network once and is amortized across the attending jobs (a GraphM
+// round's attendees; one in Chaos-S and -C, where every job loads for
+// itself). Chunks are scattered, so the group's NICs stream in parallel.
 func (s *Scattered) LoadHook(net *cluster.Network) func(diskBytes, attendees int) uint64 {
 	nodes := uint64(len(s.Group))
 	return func(diskBytes, attendees int) uint64 {

@@ -136,17 +136,20 @@ func (p *Partitioned) SharedMemory(perNodeBudget int64) *storage.Memory {
 	return storage.NewMemory(disk, total)
 }
 
+// syncNS prices one job's replica synchronisation, which commits each
+// superstep; each node's NIC carries its own mirrors' traffic in parallel.
+func (p *Partitioned) syncNS(net *cluster.Network) uint64 {
+	return net.TransferNS(p.SyncBytesPerIteration()) / uint64(len(p.Group))
+}
+
 // NewRunner runs jobs on the partitioned graph as PowerGraph-S and
-// PowerGraph-C, over the group's distributed shared memory mem. Every job's
-// stream is registered with the network up front (see chaos.NewRunner),
-// and each iteration pays its replica synchronisation.
+// PowerGraph-C, over the group's distributed shared memory mem. In
+// PowerGraph-C every job's stream is registered with the network up front
+// (see chaos.NewRunner). Each iteration pays its replica synchronisation.
 func NewRunner(p *Partitioned, net *cluster.Network, mem *storage.Memory, cache *memsim.Cache) *baseline.Runner {
 	r := baseline.New(p.AsLayout(), mem, cache)
 	r.Stream, r.StreamsUpFront = net.StartStream, true
-	sync := p.SyncBytesPerIteration()
-	// Replica synchronisation commits the superstep; each node's NIC
-	// carries its own mirrors' traffic in parallel.
-	r.IterCost = func() uint64 { return net.TransferNS(sync) / uint64(len(p.Group)) }
+	r.IterCost = func() uint64 { return p.syncNS(net) }
 	return r
 }
 
@@ -165,6 +168,6 @@ type SyncProgram struct {
 func (sp *SyncProgram) AfterIteration(iter int) {
 	sp.Program.AfterIteration(iter)
 	if sp.Job != nil && sp.Net != nil {
-		sp.Job.Met.SimIONS += sp.Net.TransferNS(sp.P.SyncBytesPerIteration()) / uint64(len(sp.P.Group))
+		sp.Job.Met.SimIONS += sp.P.syncNS(sp.Net)
 	}
 }
