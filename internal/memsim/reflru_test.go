@@ -112,13 +112,15 @@ func stateStream(rng *rand.Rand, numSets, span uint64) []uint64 {
 }
 
 // TestReferenceLRUDifferential drives random mixes of ScanChunk,
-// GroupEntries+TouchGrouped (with the TouchTally fallback on refusal) and
-// TouchTally through Cache and through refLRU, on several geometries. After
-// every call both must have counted the same hits and misses and must hold
-// the same resident lines in every set, in the same recency order. Unlike
-// the other property tests, which compare the batched paths with Touch and
-// so run both sides on the same kernel, this one catches a bug in the
-// kernel itself.
+// GroupEntries+TouchGrouped (with the TouchTally fallback on refusal),
+// TouchTally and Reset through Cache and through refLRU, on several
+// geometries. Some ScanChunk calls repeat the previous scan's range:
+// directly after it, or after other calls came between; and some ranges
+// are wider than the cache. After every call both must have counted the
+// same hits and misses and must hold the same resident lines in every set,
+// in the same recency order. Unlike the other property tests, which compare
+// the batched paths with Touch and so run both sides on the same kernel,
+// this one catches a bug in the kernel itself.
 func TestReferenceLRUDifferential(t *testing.T) {
 	for _, cfg := range []Config{
 		{SizeBytes: 4 << 10, Ways: 4},
@@ -127,8 +129,10 @@ func TestReferenceLRUDifferential(t *testing.T) {
 		{SizeBytes: 64 << 10, Ways: 16},
 	} {
 		t.Run(fmt.Sprintf("%dKB-%dway", cfg.SizeBytes>>10, cfg.Ways), func(t *testing.T) {
-			var calls [3]int
+			var calls [5]int
 			accepted, refused := 0, 0
+			repeatsDirect, repeatsLater, wide := 0, 0, 0
+			capRecords := int(uint64(cfg.SizeBytes) / edgeSize) // records over the cache's lines
 			for seed := int64(0); seed < 30; seed++ {
 				c, err := NewCache(cfg)
 				if err != nil {
@@ -142,13 +146,36 @@ func TestReferenceLRUDifferential(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				var tally Tally
 				var sc BatchScratch
+				// last is the previous scan's range; prev the previous call.
+				var last struct {
+					base     uint64
+					first, n int
+				}
+				prev := -1
 				for op := 0; op < 150; op++ {
-					kind := rng.Intn(3)
+					kind := rng.Intn(4)
+					switch {
+					case prev == 0 && rng.Intn(2) == 0:
+						kind = 3 // half the scans are repeated at once
+					case rng.Intn(25) == 0:
+						kind = 4
+					}
 					calls[kind]++
 					var call string
 					switch kind {
-					case 0:
-						base, first, n := rng.Uint64()%span, rng.Intn(32), rng.Intn(300)
+					case 0, 3:
+						if kind == 0 {
+							last.base, last.first, last.n = rng.Uint64()%span, rng.Intn(32), rng.Intn(300)
+							if rng.Intn(8) == 0 {
+								last.n = capRecords + rng.Intn(capRecords)
+								wide++
+							}
+						} else if prev == 0 || prev == 3 {
+							repeatsDirect++
+						} else {
+							repeatsLater++
+						}
+						base, first, n := last.base, last.first, last.n
 						call = fmt.Sprintf("ScanChunk(%d, %d, %d)", base, first, n)
 						c.ScanChunk(base, first, n, edgeSize, &tally)
 						for k := 0; k < n; k++ {
@@ -170,7 +197,12 @@ func TestReferenceLRUDifferential(t *testing.T) {
 						call = fmt.Sprintf("TouchTally(%d)", addr)
 						c.TouchTally(addr, &tally)
 						ref.access(addr)
+					case 4:
+						call = "Reset()"
+						c.Reset()
+						clear(ref.sets)
 					}
+					prev = kind
 					if tally.Hits != ref.hits || tally.Misses != ref.misses {
 						t.Fatalf("seed %d op %d %s: tally %d hits / %d misses, reference %d / %d",
 							seed, op, call, tally.Hits, tally.Misses, ref.hits, ref.misses)
@@ -187,8 +219,12 @@ func TestReferenceLRUDifferential(t *testing.T) {
 			if accepted == 0 || refused == 0 {
 				t.Fatalf("grouped phases: %d accepted, %d refused; both paths must run", accepted, refused)
 			}
-			t.Logf("%d ScanChunk, %d state phases (%d grouped, %d refused), %d TouchTally",
-				calls[0], calls[1], accepted, refused, calls[2])
+			if repeatsDirect == 0 || repeatsLater == 0 || wide == 0 {
+				t.Fatalf("scans: %d repeated at once, %d repeated later, %d wider than the cache; each must run",
+					repeatsDirect, repeatsLater, wide)
+			}
+			t.Logf("%d ScanChunk (%d wider than the cache), %d repeats (%d at once), %d state phases (%d grouped, %d refused), %d TouchTally, %d Reset",
+				calls[0], wide, calls[3], repeatsDirect, calls[1], accepted, refused, calls[2], calls[4])
 		})
 	}
 }

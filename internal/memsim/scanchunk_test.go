@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -151,5 +152,112 @@ func TestFlushTallyConservation(t *testing.T) {
 	c.Reset()
 	if c.TotalHits() != 0 || c.TotalMisses() != 0 || c.MissRate() != 0 {
 		t.Fatal("Reset left the totals non-zero")
+	}
+}
+
+// TestScanChunkRepeatMatchesTouches pins a ScanChunk that repeats the range
+// of the call before it, and the accesses that come between two such calls,
+// against one Touch per record. On a 4 KB 4-way cache (16 sets, 64 lines),
+// range a covers exactly the cache's 64 lines, so it fills every way of
+// every set. After each step both caches must have counted the same hits
+// and misses and must hold the same lines in every set, in the same
+// recency order.
+func TestScanChunkRepeatMatchesTouches(t *testing.T) {
+	type scan struct {
+		base     uint64
+		first, n int
+		size     uint64
+	}
+	a := scan{0, 0, 341, edgeSize}           // lines 0..63: the whole cache
+	wide := scan{0, 0, 2*341 + 5, edgeSize}  // twice the cache
+	shifted := scan{0, 1, 341, edgeSize}     // a's records, one later
+	resized := scan{0, 0, 341, 2 * edgeSize} // a's count at another size
+	const conflict = 64 * LineSize           // line 64: set 0, outside a
+	type step struct {
+		name  string
+		scan  *scan
+		touch []uint64 // TouchTally, or Touch when viaTouch
+		group []uint64 // one grouped state phase
+		reset bool
+		// viaTouch prices touch through Touch instead of TouchTally.
+		viaTouch bool
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []step
+		// allHits names the step that must tally only hits.
+		allHits int
+	}{
+		{"directly after", []step{{name: "scan a", scan: &a}, {name: "repeat a", scan: &a}, {name: "repeat a again", scan: &a}}, 1},
+		{"after TouchTally", []step{{name: "scan a", scan: &a}, {name: "TouchTally", touch: []uint64{conflict}}, {name: "repeat a", scan: &a}}, -1},
+		{"after Touch", []step{{name: "scan a", scan: &a}, {name: "Touch", touch: []uint64{conflict, 0}, viaTouch: true}, {name: "repeat a", scan: &a}}, -1},
+		{"after TouchGrouped", []step{{name: "scan a", scan: &a}, {name: "TouchGrouped", group: []uint64{conflict, 3 * LineSize, conflict}}, {name: "repeat a", scan: &a}}, -1},
+		{"after Reset", []step{{name: "scan a", scan: &a}, {name: "Reset", reset: true}, {name: "repeat a", scan: &a}}, -1},
+		{"wider than the cache", []step{{name: "scan wide", scan: &wide}, {name: "repeat wide", scan: &wide}}, -1},
+		{"after a shifted range", []step{{name: "scan a", scan: &a}, {name: "scan shifted", scan: &shifted}, {name: "repeat a", scan: &a}}, -1},
+		{"after another record size", []step{{name: "scan a", scan: &a}, {name: "scan resized", scan: &resized}, {name: "repeat a", scan: &a}}, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{SizeBytes: 4 << 10, Ways: 4}
+			batched, err := NewCache(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perRecord, _ := NewCache(cfg)
+			if batched.numSets*uint64(batched.ways) != 64 {
+				t.Fatalf("cache holds %d lines, want 64", batched.numSets*uint64(batched.ways))
+			}
+			var tally Tally
+			var ctr Counters
+			var sc BatchScratch
+			for i, s := range tc.steps {
+				before := tally
+				switch {
+				case s.scan != nil:
+					batched.ScanChunk(s.scan.base, s.scan.first, s.scan.n, s.scan.size, &tally)
+					for k := 0; k < s.scan.n; k++ {
+						perRecord.Touch(s.scan.base+uint64(s.scan.first+k)*s.scan.size, &ctr)
+					}
+				case s.touch != nil:
+					for _, addr := range s.touch {
+						if s.viaTouch {
+							var c Counters
+							batched.Touch(addr, &c)
+							tally.Add(Tally{Hits: c.Hits, Misses: c.Misses})
+						} else {
+							batched.TouchTally(addr, &tally)
+						}
+						perRecord.Touch(addr, &ctr)
+					}
+				case s.group != nil:
+					if priceGrouped(batched, s.group, &sc, &tally) {
+						t.Fatalf("step %s: grouping refused", s.name)
+					}
+					for _, addr := range s.group {
+						perRecord.Touch(addr, &ctr)
+					}
+				case s.reset:
+					batched.Reset()
+					perRecord.Reset()
+				}
+				if tally.Hits != ctr.Hits || tally.Misses != ctr.Misses {
+					t.Fatalf("after %s: batched %d hits / %d misses, per record %d / %d",
+						s.name, tally.Hits, tally.Misses, ctr.Hits, ctr.Misses)
+				}
+				for set := uint64(0); set < batched.numSets; set++ {
+					got, _ := batched.residentLines(set)
+					want, _ := perRecord.residentLines(set)
+					if !slices.Equal(got, want) {
+						t.Fatalf("after %s: set %d holds %v, per record %v", s.name, set, got, want)
+					}
+				}
+				if i == tc.allHits {
+					if d := tally.Misses - before.Misses; d != 0 || tally.Hits-before.Hits != uint64(s.scan.n) {
+						t.Fatalf("%s: %d misses, %d hits; want every one of %d records to hit",
+							s.name, d, tally.Hits-before.Hits, s.scan.n)
+					}
+				}
+			}
+		})
 	}
 }
