@@ -64,8 +64,10 @@ const missHeavyJobs = 8
 // daemon runs: the presets' 64 KB LLC, and 8 jobs scanning each shared chunk
 // in turn before the stream moves on. A 4096-record chunk is 768 lines, 12
 // per set, so the first job misses every line of a new chunk (1 line probe
-// in 8 misses) and the others hit up to 11 ways deep. The lines/s metric
-// counts 64B line probes per wall-clock second.
+// in 8 misses). The chunk fits the cache's 1024 lines, so the other 7 scans
+// repeat the first one's range and each settles in O(1), as the lockstep's
+// followers do. The lines/s metric counts 64B line probes per wall-clock
+// second, the 7 settled scans' lines included.
 func BenchmarkScanChunkMissHeavy(b *testing.B) {
 	c, err := NewCache(DefaultConfig(64 << 10))
 	if err != nil {

@@ -85,6 +85,17 @@ type Cache struct {
 
 	// hits and misses are the cache-wide totals.
 	hits, misses uint64
+
+	// last is the range of the last ScanChunk call while a repeat of it can
+	// be settled without a walk (see ScanChunk); n == 0 when there is none.
+	// Every other access clears it.
+	last scanRange
+}
+
+// scanRange is the argument list of one ScanChunk call.
+type scanRange struct {
+	base, edgeSize uint64
+	first, n       int
 }
 
 // cacheSet is one set's complete state, inline (no pointer chase): its
@@ -170,6 +181,7 @@ func (s *cacheSet) touch(tag uint64, ways int) bool {
 // program order — the engine's fallback for a state phase GroupEntries
 // refuses.
 func (c *Cache) TouchTally(addr uint64, t *Tally) bool {
+	c.last.n = 0
 	line := addr / LineSize
 	miss := c.sets[line&(c.numSets-1)].touch(line>>c.setShift+1, c.ways) // +1 so that 0 marks an empty way
 	if miss {
@@ -198,31 +210,57 @@ func (c *Cache) Touch(addr uint64, ctr *Counters) bool {
 // set's stack changes nothing, so each set's LRU state afterwards is
 // bit-identical to one Touch per record, and a run whose line is already
 // atop the stack is a compare with no write.
+//
+// A call that repeats the last call's range with no other access in
+// between settles in O(1): every record hits and no set changes. A scan is
+// remembered only when its lines number at most numSets*ways, and any other
+// access (TouchTally, Touch, TouchGrouped) or Reset forgets it.
+// Consecutive lines fill consecutive sets, so no set then receives more
+// than ways of them: the scan evicts none of its own lines and leaves each
+// set's share of them atop its stack in scan order. Touching the same lines
+// again in the same order hits every time and rebuilds exactly that order.
+// This is the chunk lockstep's follower scan: every attendee that shares
+// the leader's copy of a chunk rescans the range the leader just scanned.
 func (c *Cache) ScanChunk(baseAddr uint64, firstEdge, nEdges int, edgeSize uint64, t *Tally) {
 	if nEdges <= 0 {
 		return
 	}
+	r := scanRange{base: baseAddr, edgeSize: edgeSize, first: firstEdge, n: nEdges}
+	if c.last == r {
+		t.Hits += uint64(nEdges)
+		return
+	}
 	mask := c.numSets - 1
-	var hits, misses uint64
-	for i := 0; i < nEdges; {
-		addr := baseAddr + uint64(firstEdge+i)*edgeSize
+	// Every record is one access and only a run's first can miss, so the
+	// walk counts misses alone. The end of a run is found by stepping the
+	// address over the run's records, which is cheaper than dividing.
+	addr := baseAddr + uint64(firstEdge)*edgeSize
+	lastAddr := addr + uint64(nEdges-1)*edgeSize
+	firstLine := addr / LineSize
+	var misses uint64
+	for {
 		line := addr / LineSize
-		run := i + int(((line+1)*LineSize-addr+edgeSize-1)/edgeSize)
-		if run > nEdges {
-			run = nEdges
-		}
 		set := &c.sets[line&mask]
 		tag := line>>c.setShift + 1
 		// An MRU hit is inlined to skip the call.
-		hits += uint64(run - i)
 		if set.tags[0] != tag && set.touch(tag, c.ways) {
 			misses++
-			hits-- // the run's first access
 		}
-		i = run
+		next := (line + 1) * LineSize
+		if next > lastAddr {
+			break
+		}
+		for addr < next {
+			addr += edgeSize
+		}
 	}
-	t.Hits += hits
+	t.Hits += uint64(nEdges) - misses
 	t.Misses += misses
+	if lastAddr/LineSize-firstLine < c.numSets*uint64(c.ways) {
+		c.last = r
+	} else {
+		c.last.n = 0
+	}
 }
 
 // BatchScratch holds the reusable buffers GroupEntries groups into. One
@@ -341,6 +379,7 @@ func (c *Cache) GroupEntries(entries []BatchEntry, sc *BatchScratch) (GroupedEnt
 // it ranks the group's lines by their last access. Rewriting tags[0:k] in
 // descending Last order closes that gap.
 func (c *Cache) TouchGrouped(g *GroupedEntries, t *Tally) {
+	c.last.n = 0
 	var hits, misses uint64
 	var lasts [MaxWays]uint32
 	start := uint32(0)
@@ -405,5 +444,6 @@ func (c *Cache) MissRate() float64 {
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
 	clear(c.sets)
+	c.last = scanRange{}
 	c.hits, c.misses = 0, 0
 }
