@@ -27,8 +27,9 @@
 // core.SharedPartition.ProcessAll, which streams a partition in two
 // phases, a window of chunks at a time: the last attending job to reach
 // the window becomes its owner and computes every attendee's chunks of it
-// through engine.Job.CollectChunk, while a pricing goroutine prices each
-// collected chunk of every attendee against the simulated LLC. Under
+// (engine.Job.OpenChunk, then engine.Job.CollectChunk), while a pricing
+// goroutine, one attendee's copy behind, prices each collected chunk of
+// every attendee against the simulated LLC. Under
 // FineSync it prices in lockstep order — each chunk's Formula (4) leader
 // first, then ascending job ID, every attendee's scan of the chunk
 // (engine.Job.PriceStream) before any attendee's state accesses
@@ -73,7 +74,7 @@
 // time is priced with a handful of multiplications at chunk end; and
 // programs implementing engine.BatchProgram process a chunk per call
 // instead of an interface dispatch per edge. The per-edge reference
-// model survives as engine.Job.CollectChunkPerEdge (core.Config.PerEdgeSim),
+// model survives as a per-edge engine.Job.OpenChunk (core.Config.PerEdgeSim),
 // and the scenario harness proves the two count every LLC hit and miss
 // identically. On the controller side, each partition's window waiters
 // park on its own wait list instead of one global broadcast, so a priced

@@ -49,7 +49,7 @@ type Config struct {
 	// rejected by NewSystem.
 	RelabelFactor float64
 	// PerEdgeSim routes chunk application through the reference per-edge LLC
-	// accounting model (engine.Job.CollectChunkPerEdge: one Cache.Touch per
+	// accounting model (engine.Job.OpenChunk with perEdge: one Cache.Touch per
 	// simulated access) instead of the batched run-length hot path. The two
 	// models are observably identical — the scenario harness's CheckSimEqual
 	// invariant proves it — so this exists for verification and debugging,

@@ -13,22 +13,40 @@ import "graphm/internal/chunk"
 //
 //  1. Collect. Once every attendee has reached the window, the ProcessAll
 //     caller that completes the count becomes the window's single owner. It
-//     computes every attendee's chunks on its own goroutine, chunk by chunk
-//     in ascending job ID (engine.Job.CollectChunk into consecutive record
-//     slots), without touching the cache; the other callers stay parked.
-//  2. Price. A pricing goroutine the owner starts for the window prices
-//     each chunk as soon as every attendee's copy of it is collected. The
-//     pricer's loop is the lockstep: for each chunk it elects the Formula
-//     (4) leader, then prices the leader first and the other attendees in
-//     ascending job ID. Every attendee's stream phase
-//     (engine.Job.PriceStream) comes before any attendee's state phase
-//     (engine.Job.PriceChunk), so the followers scan the chunk the leader
-//     just pulled into the LLC. Share-only (FineSync off) has no lockstep:
-//     the pricer prices each attendee's whole window in turn, in ascending
-//     job ID, as if the job had streamed it alone. The pricer records every
-//     attendee's samples; after the partition's last window the owner runs
-//     their profiling-phase observations in ascending job ID and then wakes
-//     the attendees once.
+//     collects every attendee's chunks on its own goroutine into
+//     consecutive record slots, without touching the cache; the other
+//     callers stay parked. For each chunk it first opens every attendee's
+//     record (engine.Job.OpenChunk: the copy's range, the frontier and its
+//     fullness), then computes the copies in ascending job ID
+//     (engine.Job.CollectChunk).
+//  2. Price. A pricing goroutine the owner starts for the window trails the
+//     collection by one attendee's copy. The pricer's loop is the lockstep:
+//     for each chunk it elects the Formula (4) leader, then prices the
+//     leader first and the other attendees in ascending job ID. Every
+//     attendee's stream phase (engine.Job.PriceStream) comes before any
+//     attendee's state phase (engine.Job.PriceChunk), so the followers scan
+//     the chunk the leader just pulled into the LLC; a follower that shares
+//     the leader's copy settles its scan in O(1) (memsim.Cache.ScanChunk).
+//     Share-only (FineSync off) has no lockstep: the pricer prices each
+//     attendee's whole window in turn, in ascending job ID, as if the job
+//     had streamed it alone. The pricer records every attendee's samples;
+//     after the partition's last window the owner runs their
+//     profiling-phase observations in ascending job ID and then wakes the
+//     attendees once.
+//
+// The owner hands the window to the pricer through one channel of tokens,
+// sized to the window so the collection never blocks: for each chunk, one
+// token once every attendee's record of it is open, then one per
+// attendee's computed copy, in ascending job ID. A stream phase reads only
+// an opened record, so the pricer scans a chunk for every attendee as soon
+// as its open token arrives, while the copies are still being computed,
+// and settles each copy's state phase once that copy's token has arrived.
+// Share-only takes the same tokens. The election stays on the pricer: it
+// reads each attendee's frontier, whose fullness opening a record caches,
+// and the open token orders that write before the read. Electing on the
+// collector instead, so that it could compute in pricing order, moved the
+// election's work onto the collector, which is the busier of the two
+// goroutines, and made the pipeline no faster.
 //
 // Collection and pricing each run on one goroutine, so a window keeps two
 // cores busy for its whole length whatever the attendance, instead of a
@@ -95,23 +113,25 @@ func (s *System) awaitWindow(js *jobState, cp *curPartition, w, lo, hi int) bool
 
 // streamWindowLocked is the owner's pass over chunks [lo, hi) of cp: it
 // collects every attendee's chunks into record slots 0..hi-lo-1, chunk by
-// chunk in ascending job ID, while a pricing goroutine it starts prices
-// each chunk as soon as every attendee's copy is collected (priceWindow),
-// and returns once both are done. It is called and returns with s.mu held,
-// and drops the lock meanwhile. No attendee is pending once an owner
-// exists, so cp.attend is fixed throughout.
+// chunk, while a pricing goroutine it starts prices each attendee's copy as
+// soon as it is collected (priceWindow), and returns once both are done.
+// It is called and returns with s.mu held, and drops the lock meanwhile.
+// No attendee is pending once an owner exists, so cp.attend is fixed
+// throughout.
 func (s *System) streamWindowLocked(cp *curPartition, lo, hi int) {
 	owned := cp.attend // ascending job ID
 	s.mu.Unlock()
 	for _, a := range owned {
 		a.job.ReserveSlots(hi - lo)
 	}
-	// collected carries one token per chunk whose copies are all collected;
-	// it holds the whole window, so the collection never blocks on pricing.
-	collected := make(chan struct{}, hi-lo)
+	// tokens carries, for each chunk in turn, one token once every
+	// attendee's record of it is open and then one per attendee's collected
+	// copy, in ascending job ID. It holds the whole window, so the
+	// collection never blocks on pricing.
+	tokens := make(chan struct{}, (hi-lo)*(len(owned)+1))
 	priced := make(chan struct{})
 	go func() {
-		s.priceWindow(cp, owned, lo, hi, collected)
+		s.priceWindow(cp, owned, lo, hi, tokens)
 		close(priced)
 	}()
 	if s.sem != nil {
@@ -120,13 +140,13 @@ func (s *System) streamWindowLocked(cp *curPartition, lo, hi int) {
 	for k := lo; k < hi; k++ {
 		for _, a := range owned {
 			edges, base, first := s.chunkEdges(a, cp, k)
-			if s.cfg.PerEdgeSim {
-				a.job.CollectChunkPerEdge(k-lo, edges, base, first)
-			} else {
-				a.job.CollectChunk(k-lo, edges, base, first, s.cache)
-			}
+			a.job.OpenChunk(k-lo, edges, base, first, s.cfg.PerEdgeSim)
 		}
-		collected <- struct{}{}
+		tokens <- struct{}{}
+		for _, a := range owned {
+			a.job.CollectChunk(k-lo, s.cache)
+			tokens <- struct{}{}
+		}
 	}
 	if s.sem != nil {
 		<-s.sem
@@ -141,44 +161,54 @@ func (s *System) streamWindowLocked(cp *curPartition, lo, hi int) {
 }
 
 // priceWindow prices chunks [lo, hi) of cp for the owned attendees, in
-// lockstep order under FineSync and job-major in Share-only, taking one
-// token from collected before each chunk's first pricing. It runs without
-// s.mu: while the window is owned nothing else reads or writes the owned
-// attendees' profiles, samples or chunk records.
-func (s *System) priceWindow(cp *curPartition, owned []*jobState, lo, hi int, collected <-chan struct{}) {
+// lockstep order under FineSync and job-major in Share-only, taking from
+// tokens (see streamWindowLocked) before it reads a record: the chunk's
+// open token before its election and stream phases, and an attendee's copy
+// token before the rest of that copy's pricing. It runs without s.mu: while
+// the window is owned nothing else reads or writes the owned attendees'
+// profiles, samples or chunk records.
+func (s *System) priceWindow(cp *curPartition, owned []*jobState, lo, hi int, tokens <-chan struct{}) {
+	// await returns once the token of attendee i's copy of chunk k has
+	// been taken, or with i = -1 that of the chunk's opened records.
+	got := 0
+	await := func(k, i int) {
+		for want := (k-lo)*(len(owned)+1) + i + 2; got < want; got++ {
+			<-tokens
+		}
+	}
 	if !s.cfg.FineSync {
-		// Only the first attendee waits for tokens: once it has priced the
-		// window, every attendee's copy of every chunk is collected.
 		for i, a := range owned {
 			for k := lo; k < hi; k++ {
-				if i == 0 {
-					<-collected
-				}
+				await(k, i)
 				s.recordSample(a, a.job.PriceChunk(k-lo, s.cache, s.cost))
 			}
 		}
 		return
 	}
-	order := make([]*jobState, 0, len(owned))
+	order := make([]int, 0, len(owned)) // indices into owned, leader first
 	for k := lo; k < hi; k++ {
-		// Elect after the token: the collection's first frontier read of an
-		// iteration caches the bitmap's fullness, and the token orders that
-		// write before the election's read.
-		<-collected
+		// Elect after the open token: opening a record caches the
+		// frontier's fullness, and the token orders that write before the
+		// election's read.
+		await(k, -1)
 		lead := s.electLeader(owned, cp.set.Chunks[k])
-		order = append(order[:0], owned[lead])
-		for i, a := range owned {
+		order = append(order[:0], lead)
+		for i := range owned {
 			if i != lead {
-				order = append(order, a)
+				order = append(order, i)
 			}
 		}
 		// The leader's scan pulls the chunk into the LLC and the followers'
-		// scans reuse it before any state phase competes for the sets.
-		for _, a := range order {
-			a.job.PriceStream(k-lo, s.cache)
+		// scans reuse it before any state phase competes for the sets; a
+		// follower that shares the leader's copy settles in O(1) (see
+		// memsim.Cache.ScanChunk). The scans read only the opened records,
+		// so they run while the copies are still being collected.
+		for _, i := range order {
+			owned[i].job.PriceStream(k-lo, s.cache)
 		}
-		for _, a := range order {
-			s.recordSample(a, a.job.PriceChunk(k-lo, s.cache, s.cost))
+		for _, i := range order {
+			await(k, i)
+			s.recordSample(owned[i], owned[i].job.PriceChunk(k-lo, s.cache, s.cost))
 		}
 	}
 }

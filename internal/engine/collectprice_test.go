@@ -97,7 +97,8 @@ func TestCollectPriceMatchesApplyChunk(t *testing.T) {
 					stA = append(stA, ja.ApplyChunk(g.Edges[first:hi], base, first, cacheA, cm))
 				}
 				for k, first := 0, 0; first < len(g.Edges); k, first = k+1, first+chunk {
-					jb.CollectChunk(k, g.Edges[first:min(first+chunk, len(g.Edges))], base, first, cacheB)
+					jb.OpenChunk(k, g.Edges[first:min(first+chunk, len(g.Edges))], base, first, false)
+					jb.CollectChunk(k, cacheB)
 				}
 				for k := range stA {
 					if k%2 == 1 {
@@ -181,7 +182,8 @@ func TestPricedRecordDropsChunk(t *testing.T) {
 	func() {
 		edges := slices.Clone(g.Edges)
 		runtime.SetFinalizer(&edges[0], func(*graph.Edge) { close(freed) })
-		j.CollectChunk(0, edges, 0, 0, cache)
+		j.OpenChunk(0, edges, 0, 0, false)
+		j.CollectChunk(0, cache)
 		j.PriceChunk(0, cache, engine.DefaultCostModel())
 	}()
 	released := false

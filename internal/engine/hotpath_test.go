@@ -149,11 +149,12 @@ func TestInterleavedChunkAppliesConserveCounters(t *testing.T) {
 // ApplyChunkPerEdge is the reference accounting model: the same canonical
 // access sequence as ApplyChunk — stream phase, then the chunk's state
 // accesses — priced one memsim.Cache.Touch at a time, in program order, and
-// always through the per-edge ProcessEdge path. It is CollectChunkPerEdge
-// then PriceChunk on slot 0. The two models' counters match bit for bit
-// (memsim's grouped-state property tests prove the state phase, the
+// always through the per-edge ProcessEdge path. It is a per-edge OpenChunk,
+// CollectChunk and PriceChunk on slot 0. The two models' counters match bit
+// for bit (memsim's grouped-state property tests prove the state phase, the
 // scenario harness the whole chunk).
 func (j *Job) ApplyChunkPerEdge(edges []graph.Edge, baseAddr uint64, first int, cache *memsim.Cache, cm CostModel) StreamStats {
-	j.CollectChunkPerEdge(0, edges, baseAddr, first)
+	j.OpenChunk(0, edges, baseAddr, first, true)
+	j.CollectChunk(0, cache)
 	return j.PriceChunk(0, cache, cm)
 }

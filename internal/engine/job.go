@@ -74,9 +74,10 @@ type Job struct {
 
 	// arena is the job's reusable chunk-apply scratch (the state-access
 	// aggregates of the chunk being collected, the set-grouping buffers and
-	// the per-chunk records awaiting pricing). Drivers serialize a job's
-	// chunk work — only one Collect or Price call of a job is ever running —
-	// so the arena is uncontended; it grows to the high-water mark once and
+	// the per-chunk records awaiting pricing). A job has at most one
+	// collector and one pricer at a time, and they share only the records,
+	// whose fields they split (see chunkRecord), so the arena is
+	// uncontended; it grows to the high-water mark once and
 	// steady-state chunk application allocates nothing (the zero-alloc gate
 	// in zeroalloc_test asserts it). It lives until ReleaseArena, which
 	// core.Session.Close calls.
@@ -135,16 +136,19 @@ type chunkArena struct {
 	held memsim.GroupedEntries
 }
 
-// chunkRecord is one chunk's compute outcome, held between CollectChunk and
+// chunkRecord is one chunk's compute outcome, held between OpenChunk and
 // PriceChunk: what the pricing tail needs to replay the chunk's canonical
-// LLC access sequence.
+// LLC access sequence. OpenChunk writes the chunk, its frontier and the
+// model; CollectChunk then writes the compute's outcome (st beyond Scanned,
+// grouped, g) and PriceStream writes streamed and tally, so the two may run
+// on one slot at once. PriceChunk runs once both are done.
 type chunkRecord struct {
 	edges     []graph.Edge // the chunk as the job observed it; nil once priced
 	active    *Bitmap      // the frontier the chunk was collected under
 	baseAddr  uint64
 	first     int
 	allActive bool
-	// perEdge marks a record collected for the per-edge reference model.
+	// perEdge marks a record opened for the per-edge reference model.
 	perEdge bool
 	// grouped says the state phase has a set-major grouping; false sends
 	// pricing down the in-order fallback.
@@ -225,14 +229,14 @@ func (j *Job) AddMetrics(delta Metrics) {
 // ApplyChunk is the job's chunk-apply entry: it streams one chunk's edges
 // (edges[0] is record first of the buffer at baseAddr) through the program
 // with full LLC instrumentation and metric accounting, and returns per-call
-// stats for the synchronization manager's profiler. It is CollectChunk then
-// PriceChunk on slot 0, except that the grouping is priced straight from
+// stats for the synchronization manager's profiler. It is OpenChunk,
+// CollectChunk and PriceChunk on slot 0, except that the grouping is priced straight from
 // the collection scratch instead of being copied — the form every driver
 // that prices a chunk the moment it computes it uses (the baseline
 // engines). Met is synchronized (see AddMetrics); Ctr and the cache have one
 // writer at a time (see memsim), and vertex-state safety is the caller's
-// contract — drivers serialize a job's chunk work (only ever one Collect or
-// Price call in flight per job), because ProcessEdge mutates per-vertex
+// contract — drivers serialize a job's compute (only ever one CollectChunk
+// in flight per job), because ProcessEdge mutates per-vertex
 // state that disjoint chunks may share through common destinations.
 //
 // The simulated access order is canonical across both accounting models, in
@@ -257,40 +261,61 @@ func (j *Job) AddMetrics(delta Metrics) {
 // TouchTally. Hits, misses and processed counts are tallied as integers and
 // flushed to the job's Counters and the cache-wide totals once at chunk
 // end. The collection buffers live in the job's arena, so steady-state
-// chunk application performs zero heap allocations. CollectChunkPerEdge is
-// the reference model for the same canonical sequence; the two produce
-// identical counters — the scenario harness's sim-equality invariant
-// proves it.
+// chunk application performs zero heap allocations. A record opened with
+// perEdge set is the reference model for the same canonical sequence; the
+// two produce identical counters — the scenario harness's sim-equality
+// invariant proves it.
 func (j *Job) ApplyChunk(edges []graph.Edge, baseAddr uint64, first int, cache *memsim.Cache, cm CostModel) StreamStats {
-	j.collect(0, edges, baseAddr, first, cache, false)
+	j.OpenChunk(0, edges, baseAddr, first, false)
+	j.collect(0, cache, false)
 	return j.PriceChunk(0, cache, cm)
 }
 
-// CollectChunk is the job-private half of ApplyChunk: it runs the chunk's
-// compute and records in the arena's record slot what PriceChunk needs to
-// price it. It touches no cache state (GroupEntries only reads the cache's
-// geometry), so the collections of different jobs may run in parallel, and
-// one job may collect a run of chunks into consecutive slots before any of
-// it is priced: the frontier a record keeps is the iteration's, which
-// no ProcessEdge call mutates. Pricing a job's records in slot order after
-// collecting them yields exactly the tallies, StreamStats, Metrics and
-// program state of ApplyChunk on each chunk in turn. Collecting slot 0
-// starts a new run of slots: every record collected before must have been
-// priced. Once ReserveSlots has covered the run, a driver may price a slot
-// from another goroutine while the job collects later ones.
-func (j *Job) CollectChunk(slot int, edges []graph.Edge, baseAddr uint64, first int, cache *memsim.Cache) {
-	j.collect(slot, edges, baseAddr, first, cache, true)
+// OpenChunk starts a collection into the arena's record slot: it records
+// the chunk (edges[0] is record first of the buffer at baseAddr), the
+// job's current frontier and its fullness, and whether the chunk is priced
+// by the per-edge reference model (one Cache.Touch per access) or by the
+// batched hot path. That is all PriceStream reads, so once a slot is open
+// a driver may price its stream phase from another goroutine while
+// CollectChunk runs the compute. Opening slot 0 starts a new run of slots:
+// every record collected before must have been priced.
+func (j *Job) OpenChunk(slot int, edges []graph.Edge, baseAddr uint64, first int, perEdge bool) {
+	j.ReserveSlots(slot + 1)
+	if slot == 0 {
+		h := &j.arena.held
+		h.Sets, h.Ends, h.Eg = h.Sets[:0], h.Ends[:0], h.Eg[:0]
+	}
+	active := j.Prog.Active()
+	j.arena.recs[slot] = chunkRecord{edges: edges, active: active, baseAddr: baseAddr, first: first,
+		allActive: active.Full(), perEdge: perEdge, st: StreamStats{Scanned: uint64(len(edges))}}
 }
 
-// collect is CollectChunk; keep says whether a non-memoized grouping must
-// outlive the next collection (copied into the held buffer) or is priced
-// before it (left as a view into the scratch).
-func (j *Job) collect(slot int, edges []graph.Edge, baseAddr uint64, first int, cache *memsim.Cache, keep bool) {
-	r := j.newRecord(slot, edges, baseAddr, first)
-	active := r.active
-	allActive := active.Full()
+// CollectChunk is the job-private half of ApplyChunk: it runs the compute
+// of the chunk OpenChunk opened in slot and records what PriceChunk needs
+// to price it. It touches no cache state (GroupEntries only reads the
+// cache's geometry), so the collections of different jobs may run in
+// parallel, and one job may collect a run of chunks into consecutive slots
+// before any of it is priced: the frontier a record keeps is the
+// iteration's, which no ProcessEdge call mutates. Pricing a job's records
+// in slot order after collecting them yields exactly the tallies,
+// StreamStats, Metrics and program state of ApplyChunk on each chunk in
+// turn. Once ReserveSlots has covered the run, a driver may price a slot
+// from another goroutine while the job collects later ones.
+func (j *Job) CollectChunk(slot int, cache *memsim.Cache) {
+	if j.arena.recs[slot].perEdge {
+		j.collectPerEdge(slot)
+		return
+	}
+	j.collect(slot, cache, true)
+}
+
+// collect is CollectChunk on the batched path; keep says whether a
+// non-memoized grouping must outlive the next collection (copied into the
+// held buffer) or is priced before it (left as a view into the scratch).
+func (j *Job) collect(slot int, cache *memsim.Cache, keep bool) {
+	r := &j.arena.recs[slot]
+	edges, active, allActive := r.edges, r.active, r.allActive
 	bp, _ := j.Prog.(BatchProgram)
-	r.allActive = allActive
 	// Memoized fast path: a full-active batch program touches every edge, so
 	// its per-line aggregates depend only on the chunk itself — and drivers
 	// re-apply the same chunks every iteration. After the first visit the
@@ -339,17 +364,15 @@ func (j *Job) collect(slot int, edges []graph.Edge, baseAddr uint64, first int, 
 	}
 }
 
-// CollectChunkPerEdge is CollectChunk for the per-edge reference model: it
-// runs the compute through ProcessEdge one active-source edge at a time and
-// records the chunk for PriceChunk to price one Cache.Touch per access.
-func (j *Job) CollectChunkPerEdge(slot int, edges []graph.Edge, baseAddr uint64, first int) {
-	r := j.newRecord(slot, edges, baseAddr, first)
-	active := r.active
-	r.perEdge = true
+// collectPerEdge is CollectChunk for the per-edge reference model: it runs
+// the compute through ProcessEdge one active-source edge at a time, and
+// PriceChunk prices the record one Cache.Touch per access.
+func (j *Job) collectPerEdge(slot int) {
+	r := &j.arena.recs[slot]
 	// ProcessEdge touches no simulated line, so running the compute ahead of
 	// the pricing leaves the access sequence unchanged.
-	for _, e := range edges {
-		if !active.Has(int(e.Src)) {
+	for _, e := range r.edges {
+		if !r.active.Has(int(e.Src)) {
 			continue
 		}
 		if j.Prog.ProcessEdge(e) {
@@ -359,12 +382,13 @@ func (j *Job) CollectChunkPerEdge(slot int, edges []graph.Edge, baseAddr uint64,
 	}
 }
 
-// PriceStream prices the stream phase of the chunk collected into slot:
-// one access per edge record, in storage order. It is optional — PriceChunk
+// PriceStream prices the stream phase of the chunk opened in slot: one
+// access per edge record, in storage order. It is optional — PriceChunk
 // runs it when it has not run — and lets a driver that prices several jobs'
 // copies of one chunk scan the chunk for all of them before any of their
 // state phases, as the lockstep's leader pulls the chunk into the LLC for
-// its followers.
+// its followers. It reads only what OpenChunk recorded, so it may run while
+// CollectChunk computes the slot.
 func (j *Job) PriceStream(slot int, cache *memsim.Cache) {
 	r := &j.arena.recs[slot]
 	if r.perEdge {
@@ -419,22 +443,6 @@ func (j *Job) ReserveSlots(n int) {
 	if n > len(j.arena.recs) {
 		j.arena.recs = append(j.arena.recs, make([]chunkRecord, n-len(j.arena.recs))...)
 	}
-}
-
-// newRecord resets the arena's record for slot to a fresh collection of
-// the chunk under the job's current frontier, growing the record list to
-// cover the slot. Slot 0 opens a new run of slots, so it also empties the
-// held grouping buffer.
-func (j *Job) newRecord(slot int, edges []graph.Edge, baseAddr uint64, first int) *chunkRecord {
-	j.ReserveSlots(slot + 1)
-	if slot == 0 {
-		h := &j.arena.held
-		h.Sets, h.Ends, h.Eg = h.Sets[:0], h.Ends[:0], h.Eg[:0]
-	}
-	r := &j.arena.recs[slot]
-	*r = chunkRecord{edges: edges, active: j.Prog.Active(), baseAddr: baseAddr, first: first,
-		st: StreamStats{Scanned: uint64(len(edges))}}
-	return r
 }
 
 // collectChunk runs the chunk's compute and folds its state accesses into

@@ -103,7 +103,8 @@ func TestApplyChunkZeroAlloc(t *testing.T) {
 			twoPhase := func() {
 				base += 1 << 20
 				for k, first := 0, 0; first < len(g.Edges); k, first = k+1, first+chunk {
-					j.CollectChunk(k, g.Edges[first:min(first+chunk, len(g.Edges))], base, first, cache)
+					j.OpenChunk(k, g.Edges[first:min(first+chunk, len(g.Edges))], base, first, false)
+					j.CollectChunk(k, cache)
 				}
 				for k := 0; k < chunks; k++ {
 					j.PriceStream(k, cache)
@@ -112,7 +113,7 @@ func TestApplyChunkZeroAlloc(t *testing.T) {
 			}
 			twoPhase()
 			if allocs := testing.AllocsPerRun(10, twoPhase); allocs != 0 {
-				t.Fatalf("steady-state CollectChunk+PriceStream+PriceChunk allocated %.1f times per pass over the graph", allocs)
+				t.Fatalf("steady-state OpenChunk+CollectChunk+PriceStream+PriceChunk allocated %.1f times per pass over the graph", allocs)
 			}
 		})
 	}
