@@ -20,12 +20,8 @@ import (
 
 	"graphm/internal/algorithms"
 	"graphm/internal/bench"
-	"graphm/internal/core"
 	"graphm/internal/engine"
-	"graphm/internal/gridgraph"
 	"graphm/internal/jobs"
-	"graphm/internal/memsim"
-	"graphm/internal/storage"
 )
 
 func main() {
@@ -33,7 +29,7 @@ func main() {
 		dataset = flag.String("dataset", "twitter", "dataset preset")
 		scheme  = flag.String("scheme", "M", "execution scheme: S, C or M")
 		nJobs   = flag.Int("jobs", 8, "number of concurrent jobs")
-		cores   = flag.Int("cores", 8, "simulated core count")
+		cores   = flag.Int("cores", 8, "simulated core count (GridGraph-C starts every job at once whatever it is)")
 		algos   = flag.String("algos", "", "comma-separated algorithm rotation (default: wcc,pagerank,sssp,bfs)")
 		seed    = flag.Int64("seed", 42, "workload seed")
 	)
@@ -43,16 +39,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	wf := func() *jobs.Workload { return buildWorkload(*algos, *nJobs, *seed) }
-	res, err := env.RunScheme(strings.ToUpper(*scheme), wf, bench.RunOptions{Cores: *cores})
-	if err != nil {
-		fatal(err)
+	// RunScheme builds the workload once; keep it for the per-job report, so
+	// the aggregate and the table describe the same run.
+	var w *jobs.Workload
+	wf := func() *jobs.Workload {
+		w = buildWorkload(*algos, *nJobs, *seed)
+		return w
 	}
-
-	// Re-run once more to keep the jobs for the per-job report (RunScheme
-	// consumes a fresh workload; rebuild and run the reporting pass on M).
-	w := wf()
-	perJob, err := runReporting(env, strings.ToUpper(*scheme), w, *cores)
+	res, err := env.RunScheme(strings.ToUpper(*scheme), wf, bench.RunOptions{Cores: *cores})
 	if err != nil {
 		fatal(err)
 	}
@@ -63,7 +57,7 @@ func main() {
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "job\talgorithm\titers\tscanned\tprocessed\tLLC miss\tsim time")
-	for _, j := range perJob {
+	for _, j := range w.Jobs {
 		fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%d\t%.1f%%\t%.3fs\n",
 			j.ID, j.Prog.Name(), j.Met.Iterations, j.Met.ScannedEdges, j.Met.ProcessedEdges,
 			100*j.Ctr.MissRate(), float64(j.Met.SimTotalNS())/1e9)
@@ -110,38 +104,6 @@ func newProgram(name string, rng *rand.Rand) engine.Program {
 	default:
 		return jobs.NewProgram(name, rng)
 	}
-}
-
-// runReporting executes w under the scheme on fresh storage so the caller
-// can inspect per-job counters.
-func runReporting(env *bench.GridEnv, scheme string, w *jobs.Workload, cores int) ([]*engine.Job, error) {
-	disk := env.Disk
-	disk.ResetCounters()
-	disk.DropCaches()
-	disk.SetPageCache(env.Spec.MemBudget)
-	mem := storage.NewMemory(disk, env.Spec.MemBudget)
-	cache, err := memsim.NewCache(memsim.DefaultConfig(env.Spec.LLCBytes))
-	if err != nil {
-		return nil, err
-	}
-	switch scheme {
-	case bench.SchemeS:
-		r := gridgraph.NewRunner(env.Grid, mem, cache)
-		return w.Jobs, r.RunSequential(w.Jobs)
-	case bench.SchemeC:
-		r := gridgraph.NewRunner(env.Grid, mem, cache)
-		r.Cores = cores
-		return w.Jobs, r.RunConcurrent(w.Jobs)
-	case bench.SchemeM:
-		cfg := core.DefaultConfig(env.Spec.LLCBytes)
-		cfg.Cores = cores
-		sys, err := core.NewSystem(env.Grid.AsLayout(), mem, cache, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return w.Jobs, sys.Run(w.Jobs)
-	}
-	return nil, fmt.Errorf("unknown scheme %q", scheme)
 }
 
 func fatal(err error) {
