@@ -44,9 +44,9 @@ import "graphm/internal/chunk"
 // Share-only takes the same tokens. The election stays on the pricer: it
 // reads each attendee's frontier, whose fullness opening a record caches,
 // and the open token orders that write before the read. Electing on the
-// collector instead, so that it could compute in pricing order, moved the
-// election's work onto the collector, which is the busier of the two
-// goroutines, and made the pipeline no faster.
+// collector instead, so that it could compute the copies in pricing order,
+// moved the election's work onto the collector, which then bounded the
+// pipeline: it measured no faster than the O(1) follower scans alone.
 //
 // Collection and pricing each run on one goroutine, so a window keeps two
 // cores busy for its whole length whatever the attendance, instead of a
@@ -166,7 +166,8 @@ func (s *System) streamWindowLocked(cp *curPartition, lo, hi int) {
 // open token before its election and stream phases, and an attendee's copy
 // token before the rest of that copy's pricing. It runs without s.mu: while
 // the window is owned nothing else reads or writes the owned attendees'
-// profiles, samples or chunk records.
+// profiles or samples, and only the owner's collection, which the tokens
+// order, writes their chunk records.
 func (s *System) priceWindow(cp *curPartition, owned []*jobState, lo, hi int, tokens <-chan struct{}) {
 	// await returns once the token of attendee i's copy of chunk k has
 	// been taken, or with i = -1 that of the chunk's opened records.
