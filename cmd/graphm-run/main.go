@@ -87,7 +87,6 @@ func buildWorkload(algos string, n int, seed int64) *jobs.Workload {
 	for i := 0; i < n; i++ {
 		name := strings.TrimSpace(names[i%len(names)])
 		w.Jobs = append(w.Jobs, engine.NewJob(i+1, newProgram(name, rng), rng.Int63()))
-		w.Delay = append(w.Delay, 0)
 	}
 	return w
 }

@@ -41,6 +41,14 @@
 // gates ns/op regressions against the committed BENCH_baseline.json (see
 // README.md, "CI").
 //
+// core.System.Run admits each job once the controller's simulated clock
+// reaches its arrival stamp (engine.Job.ArriveNS). The clock advances by
+// the disk time of every partition load and the compute and memory time
+// of every priced window over Config.Cores, and jumps to the next stamp
+// when no job is live. Admission happens only at the round barrier, in
+// stamp order and then by job ID, so Figures 15 and 16, whose workloads
+// arrive over time (bench.GridEnv.RunArrivals), reproduce byte for byte.
+//
 // # Adaptive chunk re-labelling
 //
 // Formula (1) of the paper sizes logical chunks so the working sets of the

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"graphm/internal/core"
-	"graphm/internal/engine"
 	"graphm/internal/graph"
 	"graphm/internal/gridgraph"
 	"graphm/internal/jobs"
@@ -187,11 +186,6 @@ func gridP(spec graph.DatasetSpec) int {
 // RunOptions tunes a scheme execution.
 type RunOptions struct {
 	Cores int
-	// TimeScale scales workload submission delays into real sleeps; 0
-	// submits everything immediately (SchemeM: as one System.Run batch).
-	// SchemeS runs the jobs back to back and SchemeC starts every job at
-	// once, whatever the delays.
-	TimeScale float64
 	// Scheduler controls the Section 4 strategy in SchemeM (default on).
 	SchedulerOff bool
 	// FineSyncOff disables chunk-level synchronization in SchemeM.
@@ -211,7 +205,8 @@ func (o RunOptions) cores() int {
 
 // RunScheme executes a freshly built workload under the named scheme and
 // returns aggregated metrics. wf must return a fresh workload each call
-// (programs are stateful).
+// (programs are stateful). Only SchemeM honours the jobs' arrival stamps:
+// SchemeS runs the jobs back to back and SchemeC starts every job at once.
 func (e *GridEnv) RunScheme(scheme string, wf func() *jobs.Workload, opts RunOptions) (*SchemeResult, error) {
 	w := wf()
 	budget := e.Spec.MemBudget
@@ -249,16 +244,10 @@ func (e *GridEnv) RunScheme(scheme string, wf func() *jobs.Workload, opts RunOpt
 		if err != nil {
 			return nil, err
 		}
-		// A workload submitted all at once is one System.Run batch: every
-		// job registers before any driver starts, so the first round holds
-		// the whole batch whatever the goroutine schedule, and the serial
-		// driver's simulated numbers do not depend on GOMAXPROCS.
-		if opts.TimeScale == 0 {
-			err = sys.Run(w.Jobs)
-		} else {
-			err = jobs.RunWorkload(w, sysSubmitter{sys}, opts.TimeScale)
-		}
-		if err != nil {
+		// System.Run admits the jobs on its simulated clock, so the rounds
+		// they join, and every simulated number, do not depend on
+		// GOMAXPROCS or the goroutine schedule.
+		if err := sys.Run(w.Jobs); err != nil {
 			return nil, err
 		}
 		st := sys.StatsSnapshot()
@@ -276,11 +265,27 @@ func (e *GridEnv) RunScheme(scheme string, wf func() *jobs.Workload, opts RunOpt
 	return res, nil
 }
 
-// sysSubmitter adapts core.System to the jobs.Submitter interface.
-type sysSubmitter struct{ sys *core.System }
-
-func (s sysSubmitter) Submit(j *engine.Job) { s.sys.Submit(j) }
-func (s sysSubmitter) Wait() error          { return s.sys.Wait() }
+// RunArrivals runs a stamped workload under every scheme of Schemes, in
+// order. wf builds the workload with its arrivals scaled to unitNS
+// simulated nanoseconds per unit (a Poisson λ window, a trace hour); the
+// unit is the S run's mean simulated job time (AvgJobSec). S runs first,
+// with unit 0, and its result does not depend on arrivals. So λ reads as
+// jobs per mean job duration, and one trace hour as one mean job.
+func (e *GridEnv) RunArrivals(wf func(unitNS uint64) *jobs.Workload, opts RunOptions) ([]*SchemeResult, error) {
+	var unitNS uint64
+	out := make([]*SchemeResult, 0, len(Schemes))
+	for _, scheme := range Schemes {
+		res, err := e.RunScheme(scheme, func() *jobs.Workload { return wf(unitNS) }, opts)
+		if err != nil {
+			return nil, err
+		}
+		if scheme == SchemeS {
+			unitNS = uint64(res.AvgJobSec() * 1e9)
+		}
+		out = append(out, res)
+	}
+	return out, nil
+}
 
 // Formatting helpers shared by the experiment runners.
 

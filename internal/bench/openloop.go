@@ -34,6 +34,7 @@ func (h *Harness) openloop() ([]*Table, error) {
 		Notes: []string{
 			"open arrivals join the in-flight round at the next partition barrier (service layer)",
 			"loads/IO: job-side partition loads served per disk read — denser arrivals amortize better",
+			"shared loads, mid-round joins, loads/IO, avg queue wait and wall follow real-time arrivals through the service: wall-clock readings that vary run to run",
 		},
 	}
 	for _, rate := range []float64{10, 40, 160} {

@@ -256,7 +256,8 @@ func (h *Harness) fig14() ([]*Table, error) {
 }
 
 // Figure 15: replay of the real trace (different job counts at different
-// times) under the three schemes.
+// times) under the three schemes. One trace hour is one mean job duration
+// (RunArrivals): the ~1 h jobs Figure 2's concurrency assumes.
 func (h *Harness) fig15() ([]*Table, error) {
 	tr := trace.Generate(168, h.Seed)
 	t := &Table{
@@ -268,28 +269,30 @@ func (h *Harness) fig15() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var base float64
-		row := []string{name}
-		for _, scheme := range Schemes {
-			res, err := env.RunScheme(scheme, func() *jobs.Workload {
-				return jobs.FromTrace(tr, 24, time.Millisecond)
-			}, RunOptions{Cores: h.Cores, TimeScale: 1})
-			if err != nil {
-				return nil, err
-			}
-			v := res.MakespanSec()
-			if scheme == SchemeS {
-				base = v
-			}
-			row = append(row, f3(v/base))
+		res, err := env.RunArrivals(func(hourNS uint64) *jobs.Workload {
+			return jobs.FromTrace(tr, 24, hourNS)
+		}, RunOptions{Cores: h.Cores})
+		if err != nil {
+			return nil, err
 		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, normalisedRow(name, res))
 	}
 	t.Notes = append(t.Notes, "paper: M improves S by 1.5-7.1x and C by 1.48-9.8x on the real trace")
 	return []*Table{t}, nil
 }
 
-// Figure 16: sensitivity to the Poisson submission rate λ on UK-union.
+// normalisedRow is label followed by each result's makespan over the
+// first's (S in RunArrivals' order).
+func normalisedRow(label string, res []*SchemeResult) []string {
+	row := []string{label}
+	for _, r := range res {
+		row = append(row, f3(r.MakespanSec()/res[0].MakespanSec()))
+	}
+	return row
+}
+
+// Figure 16: sensitivity to the Poisson submission rate λ on UK-union, in
+// jobs per mean job duration (RunArrivals).
 func (h *Harness) fig16() ([]*Table, error) {
 	env, err := h.gridEnv(graph.PresetUKUnion)
 	if err != nil {
@@ -300,32 +303,16 @@ func (h *Harness) fig16() ([]*Table, error) {
 		Headers: []string{"lambda", "GridGraph-S", "GridGraph-C", "GridGraph-M"},
 	}
 	for _, lambda := range []float64{2, 4, 6, 8, 10} {
-		var base float64
-		row := []string{fmt.Sprintf("%.0f", lambda)}
-		for _, scheme := range Schemes {
-			// Arrival density only matters where jobs share state: scheme M.
-			// S queues arrivals (sequential makespan is arrival-independent)
-			// and C's jobs are fully independent, so their delays are
-			// skipped to keep wall time down; M pays real inter-arrival
-			// gaps sized against its job durations so sparse arrivals
-			// genuinely reduce overlap (and thus sharing).
-			timeScale := 0.0
-			if scheme == SchemeM {
-				timeScale = 1.0
-			}
-			res, err := env.RunScheme(scheme, func() *jobs.Workload {
-				return jobs.Poisson(h.JobCount, lambda, 800*time.Millisecond, h.Seed)
-			}, RunOptions{Cores: h.Cores, TimeScale: timeScale})
-			if err != nil {
-				return nil, err
-			}
-			v := res.MakespanSec()
-			if scheme == SchemeS {
-				base = v
-			}
-			row = append(row, f3(v/base))
+		// Arrival density only matters where jobs share state: scheme M,
+		// whose sparse arrivals overlap less and so share fewer loads. S
+		// queues the jobs and C runs them all at once, whatever the stamps.
+		res, err := env.RunArrivals(func(unitNS uint64) *jobs.Workload {
+			return jobs.Poisson(h.JobCount, lambda, unitNS, h.Seed)
+		}, RunOptions{Cores: h.Cores})
+		if err != nil {
+			return nil, err
 		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, normalisedRow(fmt.Sprintf("%.0f", lambda), res))
 	}
 	t.Notes = append(t.Notes, "paper: higher lambda (denser arrivals) -> higher GraphM speedup")
 	return []*Table{t}, nil

@@ -14,7 +14,9 @@ import (
 //
 // Only bookkeeping time flows through a Clock. The simulated execution-time
 // model (engine.CostModel, Metrics.Sim*NS) is priced from counted work and
-// never reads any clock.
+// never reads any clock, and neither does System.Run: it admits arriving
+// jobs on the controller's own simulated clock, advanced by that priced
+// work (see admitDueLocked), never on a Clock.
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time

@@ -15,3 +15,10 @@ func (sess *Session) Profile() (tF, tE float64, profiled bool) {
 	p := sess.js.prof
 	return p.tF, p.tE, p.profiled
 }
+
+// SimClock exposes the controller's simulated clock to external tests.
+func (s *System) SimClock() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.clock
+}

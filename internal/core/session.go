@@ -93,21 +93,24 @@ func (s *System) OpenSession(j *engine.Job) (*Session, error) {
 // OpenSessionWith is OpenSession with explicit options.
 func (s *System) OpenSessionWith(j *engine.Job, opts SessionOptions) (*Session, error) {
 	j.Bind(s.g)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.register(j, opts)
+}
+
+// register enters the bound job j live but not ready: it joins rounds at
+// its first BeginIteration. Caller holds s.mu.
+func (s *System) register(j *engine.Job, opts SessionOptions) (*Session, error) {
+	if _, dup := s.jobs[j.ID]; dup {
+		return nil, fmt.Errorf("core: duplicate job ID %d", j.ID)
+	}
 	state := j.Prog.StateBytes()
 	j.StateBase = s.mem.AllocAddr(state)
 	s.mem.ReserveJobData(state)
-
 	js := &jobState{job: j, born: s.snaps.currentVersion(),
 		joinMidRound: opts.JoinMidRound}
-	s.mu.Lock()
-	if _, dup := s.jobs[j.ID]; dup {
-		s.mu.Unlock()
-		s.mem.ReserveJobData(-state)
-		return nil, fmt.Errorf("core: duplicate job ID %d", j.ID)
-	}
 	s.jobs[j.ID] = js
 	s.live++
-	s.mu.Unlock()
 	s.wg.Add(1)
 	return &Session{s: s, js: js}, nil
 }

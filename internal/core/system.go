@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -15,9 +17,9 @@ import (
 
 // Config tunes a GraphM instance.
 type Config struct {
-	// Cores bounds the number of chunks being streamed simultaneously
-	// (N of Formula 1). Zero resolves to runtime.GOMAXPROCS(0); negative
-	// values are rejected by NewSystem.
+	// Cores is N of Formula (1) and the divisor of compute and memory time
+	// on the simulated clock. Zero resolves to runtime.GOMAXPROCS(0);
+	// negative values are rejected by NewSystem.
 	Cores int
 	// Workers must be 0. Every partition streams on the calling job's
 	// goroutine: under FineSync the last Session.ProcessAll caller to reach
@@ -159,7 +161,6 @@ type System struct {
 	relabelFactor float64
 
 	snaps *snapshotStore
-	sem   chan struct{}
 
 	// cores is cfg.Cores resolved (0 -> runtime.GOMAXPROCS(0)).
 	cores int
@@ -200,8 +201,20 @@ type System struct {
 
 	sharedTE float64 // T(E), profiled once per graph (Section 3.4.2)
 
+	// clock is the simulated time in ns, as the bench's MakespanSec prices
+	// it (loads' disk time, windows' SimNS over cores). arrivals are the
+	// jobs Run has yet to admit, in admission order (admitDueLocked).
+	clock    uint64
+	arrivals []arrival
+
 	stats Stats
 	wg    sync.WaitGroup
+}
+
+// arrival is a job Run admits once the clock reaches at.
+type arrival struct {
+	at  uint64
+	job *engine.Job
 }
 
 // jobState is the controller's view of one running job.
@@ -275,7 +288,7 @@ func NewSystem(layout Layout, mem *storage.Memory, cache *memsim.Cache, cfg Conf
 		cfg.VertexPay = 8
 	}
 	if cfg.Cores < 0 {
-		return nil, fmt.Errorf("core: Cores must be >= 0 (0 means GOMAXPROCS-unbounded), got %d", cfg.Cores)
+		return nil, fmt.Errorf("core: Cores must be >= 0 (0 means GOMAXPROCS), got %d", cfg.Cores)
 	}
 	if cfg.Workers != 0 {
 		return nil, fmt.Errorf("core: Workers must be 0 (partitions stream on the jobs' own goroutines), got %d", cfg.Workers)
@@ -320,10 +333,6 @@ func NewSystem(layout Layout, mem *storage.Memory, cache *memsim.Cache, cfg Conf
 	}
 	s.roundCond = sync.NewCond(&s.mu)
 	s.evolveCond = sync.NewCond(&s.mu)
-	if cfg.Cores > 0 {
-		// Throttle concurrent two-phase collections to Cores.
-		s.sem = make(chan struct{}, cfg.Cores)
-	}
 	s.window = twoPhaseWindow
 	s.stats.ChunkBytes = sc
 	for _, p := range s.parts {
@@ -384,25 +393,44 @@ func (s *System) drive(sess *Session) {
 	}
 }
 
-// Run submits jobs together and waits for all of them. Every job is
-// registered before any driver starts, so the first round always includes
-// the whole batch: a driver that started while later jobs were still being
-// registered could open a round without them, and the round count would
-// depend on goroutine scheduling.
+// Run admits each job at the round barrier once the simulated clock,
+// counted from Run's call, reaches its stamp (engine.Job.ArriveNS), and
+// waits for all of them. The round a job first joins depends on the
+// simulated work alone; the jobs stamped 0 all join the first round.
 func (s *System) Run(jobs []*engine.Job) error {
-	sessions := make([]*Session, 0, len(jobs))
 	for _, j := range jobs {
-		sess, err := s.OpenSession(j)
+		j.Bind(s.g) // the program's Reset runs outside s.mu
+	}
+	s.mu.Lock()
+	for _, j := range jobs {
+		s.arrivals = append(s.arrivals, arrival{at: s.clock + j.ArriveNS, job: j})
+	}
+	slices.SortStableFunc(s.arrivals, func(a, b arrival) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.job.ID, b.job.ID))
+	})
+	s.maybeStartRoundLocked()
+	s.mu.Unlock()
+	return s.Wait()
+}
+
+// admitDueLocked registers every arrival the clock has reached, in stamp
+// order and then by job ID, and starts its driver, which reaches the
+// barrier only after s.mu is released; with no job live, the clock first
+// jumps to the next stamp. It runs only at the round barrier, where the
+// clock stands still, so every caller there admits the same jobs.
+func (s *System) admitDueLocked() {
+	if s.live == 0 && len(s.arrivals) > 0 {
+		s.clock = max(s.clock, s.arrivals[0].at)
+	}
+	for len(s.arrivals) > 0 && s.arrivals[0].at <= s.clock {
+		sess, err := s.register(s.arrivals[0].job, SessionOptions{})
+		s.arrivals = s.arrivals[1:]
 		if err != nil {
-			s.fail(err)
+			s.failLocked(err)
 			continue
 		}
-		sessions = append(sessions, sess)
-	}
-	for _, sess := range sessions {
 		go s.drive(sess)
 	}
-	return s.Wait()
 }
 
 // Wait blocks until every submitted job has finished.
@@ -563,10 +591,15 @@ func (s *System) detachLocked(js *jobState) {
 	cp.cond.Broadcast()
 }
 
-// maybeStartRoundLocked starts a new round when every live job is waiting at
-// the barrier and no round is in flight.
+// maybeStartRoundLocked is the round barrier: with no round in flight, it
+// admits the due arrivals and starts a new round once every live job waits
+// there.
 func (s *System) maybeStartRoundLocked() {
-	if s.roundActive || s.live == 0 || s.readyCount < s.live {
+	if s.roundActive {
+		return
+	}
+	s.admitDueLocked()
+	if s.live == 0 || s.readyCount < s.live {
 		return
 	}
 	s.startRoundLocked()
@@ -647,6 +680,7 @@ func (s *System) advancePartitionLocked() {
 			for _, js := range att {
 				js.job.AddMetrics(engine.Metrics{SimIONS: share})
 			}
+			s.clock += share * uint64(len(att))
 		}
 		if len(att) > 1 {
 			s.stats.SharedLoads++
@@ -741,11 +775,13 @@ func (s *System) chunkEdges(js *jobState, cp *curPartition, k int) (edges []grap
 	return cp.part.Edges[t.FirstEdge : t.FirstEdge+t.NumEdges], cp.buf.BaseAddr, t.FirstEdge
 }
 
-// recordSample accumulates Formula (2) observations for the profiler.
-func (s *System) recordSample(js *jobState, st engine.StreamStats) {
+// recordSample accumulates Formula (2) observations for the profiler and
+// returns the chunk's SimNS.
+func (s *System) recordSample(js *jobState, st engine.StreamStats) uint64 {
 	js.curSample.processed += float64(st.Processed)
 	js.curSample.scanned += float64(st.Scanned)
 	js.curSample.elapsedNS += float64(st.SimNS)
+	return st.SimNS
 }
 
 // partitionBarrier is the Barrier() API of Table 1: the job declares the

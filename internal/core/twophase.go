@@ -130,13 +130,11 @@ func (s *System) streamWindowLocked(cp *curPartition, lo, hi int) {
 	// collection never blocks on pricing.
 	tokens := make(chan struct{}, (hi-lo)*(len(owned)+1))
 	priced := make(chan struct{})
+	var simNS uint64
 	go func() {
-		s.priceWindow(cp, owned, lo, hi, tokens)
+		simNS = s.priceWindow(cp, owned, lo, hi, tokens)
 		close(priced)
 	}()
-	if s.sem != nil {
-		s.sem <- struct{}{}
-	}
 	for k := lo; k < hi; k++ {
 		for _, a := range owned {
 			edges, base, first := s.chunkEdges(a, cp, k)
@@ -148,11 +146,9 @@ func (s *System) streamWindowLocked(cp *curPartition, lo, hi int) {
 			tokens <- struct{}{}
 		}
 	}
-	if s.sem != nil {
-		<-s.sem
-	}
 	<-priced
 	s.mu.Lock()
+	s.clock += simNS / uint64(s.cores)
 	if hi == len(cp.set.Chunks) {
 		for _, a := range owned {
 			s.observeLocked(a)
@@ -164,11 +160,12 @@ func (s *System) streamWindowLocked(cp *curPartition, lo, hi int) {
 // lockstep order under FineSync and job-major in Share-only, taking from
 // tokens (see streamWindowLocked) before it reads a record: the chunk's
 // open token before its election and stream phases, and an attendee's copy
-// token before the rest of that copy's pricing. It runs without s.mu: while
+// token before the rest of that copy's pricing, and returns the sum of the
+// priced chunks' SimNS. It runs without s.mu: while
 // the window is owned nothing else reads or writes the owned attendees'
 // profiles or samples, and only the owner's collection, which the tokens
 // order, writes their chunk records.
-func (s *System) priceWindow(cp *curPartition, owned []*jobState, lo, hi int, tokens <-chan struct{}) {
+func (s *System) priceWindow(cp *curPartition, owned []*jobState, lo, hi int, tokens <-chan struct{}) (simNS uint64) {
 	// await returns once the token of attendee i's copy of chunk k has
 	// been taken, or with i = -1 that of the chunk's opened records.
 	got := 0
@@ -181,10 +178,10 @@ func (s *System) priceWindow(cp *curPartition, owned []*jobState, lo, hi int, to
 		for i, a := range owned {
 			for k := lo; k < hi; k++ {
 				await(k, i)
-				s.recordSample(a, a.job.PriceChunk(k-lo, s.cache, s.cost))
+				simNS += s.recordSample(a, a.job.PriceChunk(k-lo, s.cache, s.cost))
 			}
 		}
-		return
+		return simNS
 	}
 	order := make([]int, 0, len(owned)) // indices into owned, leader first
 	for k := lo; k < hi; k++ {
@@ -209,9 +206,10 @@ func (s *System) priceWindow(cp *curPartition, owned []*jobState, lo, hi int, to
 		}
 		for _, i := range order {
 			await(k, i)
-			s.recordSample(owned[i], owned[i].job.PriceChunk(k-lo, s.cache, s.cost))
+			simNS += s.recordSample(owned[i], owned[i].job.PriceChunk(k-lo, s.cache, s.cost))
 		}
 	}
+	return simNS
 }
 
 // electLeader returns the index in js of the attendee with the highest

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
-	"time"
 
 	"graphm/internal/graph"
 	"graphm/internal/memsim"
@@ -63,9 +62,10 @@ type Job struct {
 	// VertexPay is U_v: bytes of job-specific data per vertex.
 	VertexPay uint64
 
-	// SubmitAt is the job's arrival time in the workload timeline, used by
-	// the Poisson/trace submission modes.
-	SubmitAt time.Duration
+	// ArriveNS is the job's arrival stamp in simulated nanoseconds:
+	// core.System.Run admits the job once its simulated clock, counted from
+	// Run's call, reaches it.
+	ArriveNS uint64
 
 	// Iter is the job's current iteration, maintained by the engine driver.
 	Iter int

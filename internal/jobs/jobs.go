@@ -1,12 +1,13 @@
 // Package jobs builds the concurrent-job workloads of the paper's
 // evaluation (Section 5.1): WCC, PageRank, SSSP and BFS submitted in turn
-// with randomised parameters, either all at once, sequentially, or with
-// Poisson(λ) inter-arrival times; plus replay of the social-network trace.
+// with randomised parameters, either all at once or with Poisson(λ)
+// inter-arrival times; plus replay of the social-network trace. Arrivals
+// are stamped on the jobs (engine.Job.ArriveNS) in simulated nanoseconds,
+// the time core.System.Run admits them on; no workload ever sleeps.
 package jobs
 
 import (
 	"math/rand"
-	"time"
 
 	"graphm/internal/algorithms"
 	"graphm/internal/engine"
@@ -14,11 +15,10 @@ import (
 	"graphm/internal/trace"
 )
 
-// Workload is a reproducible batch of jobs with submission offsets.
+// Workload is a reproducible batch of jobs, each carrying its arrival
+// stamp.
 type Workload struct {
 	Jobs []*engine.Job
-	// Delay[i] is the submission offset of Jobs[i] from workload start.
-	Delay []time.Duration
 }
 
 // NewProgram instantiates a benchmark algorithm by name with randomised
@@ -55,7 +55,6 @@ func Rotation(n int, seed int64) *Workload {
 	for i := 0; i < n; i++ {
 		algo := trace.Algorithms[i%len(trace.Algorithms)]
 		w.Jobs = append(w.Jobs, engine.NewJob(i+1, NewProgram(algo, rng), rng.Int63()))
-		w.Delay = append(w.Delay, 0)
 	}
 	return w
 }
@@ -67,36 +66,36 @@ func RotationOf(algo string, n int, seed int64) *Workload {
 	w := &Workload{}
 	for i := 0; i < n; i++ {
 		w.Jobs = append(w.Jobs, engine.NewJob(i+1, NewProgram(algo, rng), rng.Int63()))
-		w.Delay = append(w.Delay, 0)
 	}
 	return w
 }
 
-// Poisson assigns Poisson(λ jobs per unit) inter-arrival delays to a
-// rotation of n jobs; unit is the simulated duration of one arrival window
+// Poisson stamps a rotation of n jobs with Poisson(λ jobs per unit)
+// arrivals; unitNS is the simulated duration of one unit in nanoseconds
 // (the paper uses λ=16 by default).
-func Poisson(n int, lambda float64, unit time.Duration, seed int64) *Workload {
+func Poisson(n int, lambda float64, unitNS uint64, seed int64) *Workload {
 	w := Rotation(n, seed)
 	rng := rand.New(rand.NewSource(seed + 1))
 	at := 0.0
-	for i := range w.Jobs {
+	for _, j := range w.Jobs {
 		at += rng.ExpFloat64() / lambda
-		w.Delay[i] = time.Duration(at * float64(unit))
+		j.ArriveNS = uint64(at * float64(unitNS))
 	}
 	return w
 }
 
-// FromTrace converts trace events into a workload; hourScale maps one trace
-// hour onto simulated wall time.
-func FromTrace(tr *trace.Trace, maxJobs int, hourScale time.Duration) *Workload {
+// FromTrace converts trace events into a workload; hourNS is the simulated
+// duration of one trace hour in nanoseconds.
+func FromTrace(tr *trace.Trace, maxJobs int, hourNS uint64) *Workload {
 	w := &Workload{}
 	for i, e := range tr.Events {
 		if maxJobs > 0 && i >= maxJobs {
 			break
 		}
 		rng := rand.New(rand.NewSource(e.Seed))
-		w.Jobs = append(w.Jobs, engine.NewJob(i+1, NewProgram(e.Algo, rng), e.Seed))
-		w.Delay = append(w.Delay, time.Duration(e.AtHour*float64(hourScale)))
+		j := engine.NewJob(i+1, NewProgram(e.Algo, rng), e.Seed)
+		j.ArriveNS = uint64(e.AtHour * float64(hourNS))
+		w.Jobs = append(w.Jobs, j)
 	}
 	return w
 }
@@ -126,33 +125,6 @@ func HopConstrained(algo string, n int, g *graph.Graph, centre graph.VertexID, m
 			prog = algorithms.NewBFS(root)
 		}
 		w.Jobs = append(w.Jobs, engine.NewJob(i+1, prog, rng.Int63()))
-		w.Delay = append(w.Delay, 0)
 	}
 	return w
-}
-
-// Submitter abstracts the three execution schemes over any engine: the
-// bench harness passes closures wrapping GridGraph-S, -C and -M.
-type Submitter interface {
-	// Submit starts a job (possibly immediately running it to completion,
-	// as the sequential scheme does).
-	Submit(j *engine.Job)
-	// Wait blocks until all submitted jobs finish and returns any error.
-	Wait() error
-}
-
-// RunWorkload submits every job of w through s, honouring delays scaled by
-// timeScale (0 disables delays entirely — all jobs submitted immediately).
-func RunWorkload(w *Workload, s Submitter, timeScale float64) error {
-	start := time.Now()
-	for i, j := range w.Jobs {
-		if timeScale > 0 && w.Delay[i] > 0 {
-			target := time.Duration(float64(w.Delay[i]) * timeScale)
-			if sleep := target - time.Since(start); sleep > 0 {
-				time.Sleep(sleep)
-			}
-		}
-		s.Submit(j)
-	}
-	return s.Wait()
 }

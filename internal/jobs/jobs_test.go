@@ -3,10 +3,8 @@ package jobs
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"graphm/internal/algorithms"
-	"graphm/internal/engine"
 	"graphm/internal/graph"
 	"graphm/internal/trace"
 )
@@ -65,35 +63,51 @@ func TestRotationDeterministic(t *testing.T) {
 }
 
 func TestPoissonDelaysIncrease(t *testing.T) {
-	w := Poisson(10, 4, time.Millisecond, 3)
-	prev := time.Duration(-1)
-	for i, d := range w.Delay {
-		if d <= prev {
-			t.Fatalf("delay %d not increasing: %v after %v", i, d, prev)
+	w := Poisson(10, 4, 1e6, 3)
+	var prev uint64
+	for i, j := range w.Jobs {
+		if j.ArriveNS <= prev {
+			t.Fatalf("stamp %d not increasing: %d after %d", i, j.ArriveNS, prev)
 		}
-		prev = d
+		prev = j.ArriveNS
 	}
 }
 
 func TestPoissonHigherLambdaDenser(t *testing.T) {
-	slow := Poisson(16, 2, time.Millisecond, 3)
-	fast := Poisson(16, 16, time.Millisecond, 3)
-	if fast.Delay[15] >= slow.Delay[15] {
-		t.Fatalf("lambda=16 span %v not denser than lambda=2 span %v",
-			fast.Delay[15], slow.Delay[15])
+	slow := Poisson(16, 2, 1e6, 3)
+	fast := Poisson(16, 16, 1e6, 3)
+	if fast.Jobs[15].ArriveNS >= slow.Jobs[15].ArriveNS {
+		t.Fatalf("lambda=16 span %d not denser than lambda=2 span %d",
+			fast.Jobs[15].ArriveNS, slow.Jobs[15].ArriveNS)
+	}
+}
+
+// TestPoissonUnitScalesStamps checks that the unit is the only scale: the
+// same seed at twice the unit stamps every job twice as late, and unit 0
+// stamps every job 0.
+func TestPoissonUnitScalesStamps(t *testing.T) {
+	one, two, zero := Poisson(8, 4, 1e6, 3), Poisson(8, 4, 2e6, 3), Poisson(8, 4, 0, 3)
+	for i := range one.Jobs {
+		a, b := one.Jobs[i].ArriveNS, two.Jobs[i].ArriveNS
+		if b < 2*a-1 || b > 2*a+1 {
+			t.Fatalf("job %d: stamp %d at twice the unit, want about %d", i, b, 2*a)
+		}
+		if zero.Jobs[i].ArriveNS != 0 {
+			t.Fatalf("job %d: stamp %d at unit 0", i, zero.Jobs[i].ArriveNS)
+		}
 	}
 }
 
 func TestFromTraceRespectsLimitAndDelays(t *testing.T) {
 	tr := trace.Generate(24, 5)
-	w := FromTrace(tr, 10, time.Millisecond)
+	w := FromTrace(tr, 10, 1e6)
 	if len(w.Jobs) != 10 {
 		t.Fatalf("jobs = %d, want 10", len(w.Jobs))
 	}
-	for i := range w.Jobs {
-		want := time.Duration(tr.Events[i].AtHour * float64(time.Millisecond))
-		if w.Delay[i] != want {
-			t.Fatalf("delay %d = %v, want %v", i, w.Delay[i], want)
+	for i, j := range w.Jobs {
+		want := uint64(tr.Events[i].AtHour * 1e6)
+		if j.ArriveNS != want {
+			t.Fatalf("stamp %d = %d, want %d", i, j.ArriveNS, want)
 		}
 	}
 }
@@ -120,45 +134,5 @@ func TestHopConstrainedSSSP(t *testing.T) {
 		if j.Prog.Name() != "sssp" {
 			t.Fatalf("got %q", j.Prog.Name())
 		}
-	}
-}
-
-// recordingSubmitter captures submission order and times.
-type recordingSubmitter struct {
-	ids   []int
-	times []time.Time
-}
-
-func (r *recordingSubmitter) Submit(j *engine.Job) {
-	r.ids = append(r.ids, j.ID)
-	r.times = append(r.times, time.Now())
-}
-func (r *recordingSubmitter) Wait() error { return nil }
-
-func TestRunWorkloadHonoursDelays(t *testing.T) {
-	w := &Workload{}
-	for i := 0; i < 3; i++ {
-		w.Jobs = append(w.Jobs, engine.NewJob(i+1, algorithms.NewBFS(0), int64(i)))
-		w.Delay = append(w.Delay, time.Duration(i)*10*time.Millisecond)
-	}
-	rec := &recordingSubmitter{}
-	start := time.Now()
-	if err := RunWorkload(w, rec, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.ids) != 3 {
-		t.Fatalf("submitted %d jobs", len(rec.ids))
-	}
-	if got := rec.times[2].Sub(start); got < 15*time.Millisecond {
-		t.Fatalf("third submission after %v, want >= ~20ms", got)
-	}
-	// TimeScale 0 disables sleeping entirely.
-	rec2 := &recordingSubmitter{}
-	start = time.Now()
-	if err := RunWorkload(w, rec2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) > 5*time.Millisecond {
-		t.Fatal("TimeScale 0 should not sleep")
 	}
 }
