@@ -44,12 +44,6 @@ func runExperiment(b *testing.B, name string, jobs int) {
 // service-era successor of the Figure 15 trace replay.
 func BenchmarkReplay(b *testing.B) { runExperiment(b, "replay", 16) }
 
-// BenchmarkAdaptive runs the adaptive chunk re-labelling experiment: the
-// deterministic attach/detach ramp under static vs partition-barrier
-// re-labelled chunking, comparing simulated LLC misses with bit-identical
-// outputs.
-func BenchmarkAdaptive(b *testing.B) { runExperiment(b, "adaptive", 14) }
-
 // BenchmarkDurability runs the durable-storage experiment: WAL overhead on
 // serial evolve ops, group-commit fsync coalescing under concurrent
 // writers, and the checkpoint compression ratio plus a crash-recovery

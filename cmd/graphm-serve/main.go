@@ -58,8 +58,6 @@ func main() {
 		inflight  = flag.Int("max-inflight", 8, "admission bound on concurrently streaming jobs")
 		queueCap  = flag.Int("queue", 64, "per-tenant queue capacity (backpressure beyond it)")
 		cores     = flag.Int("cores", 8, "simulated core count")
-		adaptive  = flag.Bool("adaptive", false, "re-label chunks at partition barriers as the attending-job count moves (Formula 1 with N = live attendees)")
-		relabelF  = flag.Float64("relabel-factor", 0, "adaptive chunking hysteresis factor (0 = default 2): re-label only on >= factor-x chunk-size drift")
 		seed      = flag.Int64("seed", 42, "arrival and parameter seed")
 		quietFlag = flag.Bool("q", false, "suppress the per-ticket table")
 		cpuPro    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -95,8 +93,6 @@ func main() {
 	}
 	cfg := core.DefaultConfig(env.Spec.LLCBytes)
 	cfg.Cores = *cores
-	cfg.AdaptiveChunking = *adaptive
-	cfg.RelabelFactor = *relabelF
 	mem := storage.NewMemory(env.Disk, env.Spec.MemBudget)
 	cache, err := memsim.NewCache(memsim.DefaultConfig(env.Spec.LLCBytes))
 	if err != nil {
@@ -206,10 +202,6 @@ func main() {
 		snap.PeakInFlight, snap.PeakQueued)
 	fmt.Printf("sharing: %d shared partition loads, %d mid-round joins, %d rounds, %d suspensions\n",
 		stats.SharedLoads, stats.MidRoundJoins, stats.Rounds, stats.Suspensions)
-	if *adaptive {
-		fmt.Printf("adaptive chunking: %d re-labels as attendance moved, %d skipped under hysteresis\n",
-			stats.Relabels, stats.RelabelSkips)
-	}
 	if stats.SharedLoads == 0 {
 		fmt.Println("warning: no partition load was shared — arrivals too sparse, or -max-inflight too tight, for this dataset")
 	}

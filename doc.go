@@ -23,7 +23,9 @@
 // # The streaming driver
 //
 // Simulated time (the figures) is priced from counted work and does not
-// depend on real parallelism. Every job's partitions stream through
+// depend on real parallelism. core.NewSystem labels every partition's
+// chunks once (Formula (1) with N = Config.Cores, then Algorithm 1), and
+// the labelling stays fixed for the System's lifetime. Every job's partitions stream through
 // core.SharedPartition.ProcessAll, which streams a partition in two
 // phases, a window of chunks at a time: the last attending job to reach
 // the window becomes its owner and computes every attendee's chunks of it
@@ -48,21 +50,6 @@
 // when no job is live. Admission happens only at the round barrier, in
 // stamp order and then by job ID, so Figures 15 and 16, whose workloads
 // arrive over time (bench.GridEnv.RunArrivals), reproduce byte for byte.
-//
-// # Adaptive chunk re-labelling
-//
-// Formula (1) of the paper sizes logical chunks so the working sets of the
-// N jobs sharing a partition fit the LLC together. Statically, N is the
-// core count fixed at NewSystem; with core.Config.AdaptiveChunking the
-// sharing controller re-evaluates the formula at every partition open with
-// N = the jobs about to attend, re-running the Algorithm 1 labelling pass
-// when the target size drifts past the RelabelFactor hysteresis (default
-// 2x). Partition-open time is a barrier — no chunk in flight — and
-// snapshot chunk keys are rebased onto the new labelling, so
-// every job's observed edge stream is unchanged. The `adaptive` bench
-// experiment replays a deterministic attach/detach ramp
-// (internal/scenario) and shows lower simulated LLC misses than static
-// chunking with bit-identical algorithm outputs.
 //
 // # The hot path
 //
@@ -128,9 +115,10 @@
 //
 // internal/scenario additionally generates its own dynamic-concurrency
 // scripts: GenerateScript draws a valid barrier-anchored timeline from a
-// seed, DiffCheck replays it across configurations (static vs adaptive
-// chunking, per-edge vs run-length LLC accounting) and applies every invariant the harness owns, and Minimize
-// shrinks failures to corpus-ready counterexamples
+// seed, DiffCheck replays it across configurations (Formula (1) labellings
+// for 1 and for 8 cores, per-edge vs run-length LLC accounting) and applies
+// every invariant the harness owns, and Minimize shrinks failures to
+// corpus-ready counterexamples
 // (internal/scenario/testdata/corpus, replayed as regressions). CI runs 50
 // fixed-seed scripts per push; GRAPHM_FUZZ_SCRIPTS and a native go-fuzz
 // target scale it to nightly length.

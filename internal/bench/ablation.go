@@ -103,7 +103,7 @@ func (h *Harness) ablateFineSync() (*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		Title:   "Ablation: fine-grained synchronization (UK-union, 16 jobs, buffers always shared)",
+		Title:   fmt.Sprintf("Ablation: fine-grained synchronization (UK-union, %d jobs, buffers always shared)", h.JobCount),
 		Headers: []string{"configuration", "LLC miss rate", "swapped", "makespan (sim s)"},
 	}
 	for _, mode := range []struct {

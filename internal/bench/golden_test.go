@@ -14,10 +14,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden table-layout files")
 
 // goldenExperiments are the experiments whose rendered table layout is
-// pinned by golden files. Chosen to cover the three table generations —
-// a motivation figure, the trace-similarity figure, and the new adaptive
-// experiment — while staying cheap enough for the unit-test suite.
-var goldenExperiments = []string{"fig2", "fig4", "adaptive"}
+// pinned by golden files: a motivation figure and the trace-similarity
+// figure, both cheap enough for the unit-test suite.
+var goldenExperiments = []string{"fig2", "fig4"}
 
 // TestGoldenTableLayouts fails loudly when an experiment's table formatting
 // drifts: changed headers, lost rows or columns, reworded notes. Refresh

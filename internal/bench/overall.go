@@ -126,11 +126,11 @@ func (h *Harness) overallTable(title string, metric func(*SchemeResult) float64,
 	return t, nil
 }
 
-// Figure 9: total execution time of 16 concurrent jobs, normalised to
-// GridGraph-S.
+// Figure 9: total execution time of h.JobCount concurrent jobs (the
+// paper's 16), normalised to GridGraph-S.
 func (h *Harness) fig9() ([]*Table, error) {
 	t, err := h.overallTable(
-		"Figure 9: total execution time for 16 jobs (normalised to GridGraph-S)",
+		fmt.Sprintf("Figure 9: total execution time for %d jobs (normalised to GridGraph-S)", h.JobCount),
 		func(r *SchemeResult) float64 { return r.MakespanSec() }, true, f3)
 	if err != nil {
 		return nil, err
@@ -198,20 +198,20 @@ func (h *Harness) fig10() ([]*Table, error) {
 // Figure 11: peak memory usage, normalised to GridGraph-C.
 func (h *Harness) fig11() ([]*Table, error) {
 	t, err := h.overallTable(
-		"Figure 11: memory usage for 16 jobs (normalised to GridGraph-C)",
+		fmt.Sprintf("Figure 11: memory usage for %d jobs (normalised to GridGraph-C)", h.JobCount),
 		func(r *SchemeResult) float64 { return float64(r.MemPeak) }, false,
 		func(v float64) string { return mb(int64(v)) })
 	if err != nil {
 		return nil, err
 	}
-	t.Notes = append(t.Notes, "paper shape: S < M < C (M shares one graph copy but keeps 16 jobs' state resident)")
+	t.Notes = append(t.Notes, fmt.Sprintf("paper shape: S < M < C (M shares one graph copy but keeps %d jobs' state resident)", h.JobCount))
 	return []*Table{t}, nil
 }
 
 // Figure 12: total I/O overhead, normalised to GridGraph-S.
 func (h *Harness) fig12() ([]*Table, error) {
 	t, err := h.overallTable(
-		"Figure 12: total I/O overhead for 16 jobs (normalised to GridGraph-S)",
+		fmt.Sprintf("Figure 12: total I/O overhead for %d jobs (normalised to GridGraph-S)", h.JobCount),
 		func(r *SchemeResult) float64 { return float64(r.IOBytes) }, true, f3)
 	if err != nil {
 		return nil, err
@@ -224,7 +224,7 @@ func (h *Harness) fig12() ([]*Table, error) {
 // Figure 13: LLC miss rate.
 func (h *Harness) fig13() ([]*Table, error) {
 	t, err := h.overallTable(
-		"Figure 13: LLC miss rate for 16 jobs",
+		fmt.Sprintf("Figure 13: LLC miss rate for %d jobs", h.JobCount),
 		func(r *SchemeResult) float64 { return r.LLCMissRate() }, false, pct)
 	if err != nil {
 		return nil, err
@@ -419,14 +419,14 @@ func (h *Harness) fig19() ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// Figure 20: scaling the number of cores with 16 jobs on Twitter.
+// Figure 20: scaling the number of cores with h.JobCount jobs on Twitter.
 func (h *Harness) fig20() ([]*Table, error) {
 	env, err := h.gridEnv(graph.PresetTwitter)
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
-		Title:   "Figure 20: total execution time vs number of cores (Twitter, 16 jobs, sim s)",
+		Title:   fmt.Sprintf("Figure 20: total execution time vs number of cores (Twitter, %d jobs, sim s)", h.JobCount),
 		Headers: []string{"cores", "GridGraph-S", "GridGraph-C", "GridGraph-M"},
 	}
 	for _, cores := range []int{1, 2, 4, 8, 16} {

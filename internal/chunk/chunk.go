@@ -98,17 +98,10 @@ func (t *Table) TotalEdges() int {
 }
 
 // Set is Set_c of the paper: the ordered chunk tables of one partition.
-//
-// A Set is immutable once built: adaptive chunking replaces a partition's
-// Set wholesale (Relabel) rather than editing it, so a streaming pass that
-// captured a Set pointer keeps a coherent view even if the partition is
-// re-labelled for the next pass. Epoch distinguishes labelling generations —
-// chunk indices are only meaningful relative to one epoch, which is what
-// makes (partition, epoch, index) a stable chunk key across re-labels.
+// A Set is immutable once built.
 type Set struct {
 	PartitionID int
 	ChunkBytes  int64
-	Epoch       int
 	Chunks      []*Table
 }
 
@@ -156,21 +149,10 @@ func Label(partitionID int, edges []graph.Edge, chunkBytes int64) *Set {
 // NumChunks returns the number of chunks in the set.
 func (s *Set) NumChunks() int { return len(s.Chunks) }
 
-// Relabel re-runs Algorithm 1 over the partition's edge stream with a new
-// chunk size — the adaptive form of Formula (1), re-evaluated when the
-// number of jobs sharing the partition has drifted from the N the current
-// labelling assumed. The old Set is untouched; the returned Set carries the
-// next labelling epoch.
-func (s *Set) Relabel(edges []graph.Edge, newChunkBytes int64) *Set {
-	ns := Label(s.PartitionID, edges, newChunkBytes)
-	ns.Epoch = s.Epoch + 1
-	return ns
-}
-
 // EdgesPerChunk returns the chunk capacity in edges implied by chunkBytes
 // (at least one edge). Label and SplitStream both derive their windows from
-// it, which is what keeps re-split snapshot streams aligned with a fresh
-// labelling's chunk boundaries.
+// it, which keeps a re-split stream aligned with a labelling's chunk
+// boundaries.
 func EdgesPerChunk(chunkBytes int64) int {
 	per := int(chunkBytes / graph.EdgeSize)
 	if per < 1 {
@@ -183,10 +165,9 @@ func EdgesPerChunk(chunkBytes int64) int {
 // whose concatenation is the input: segment i holds the i-th chunk-capacity
 // window of the stream and the final segment takes whatever remains (so a
 // stream longer than numChunks windows spills into the last segment, and a
-// shorter one leaves trailing segments empty). It is the remapping primitive
-// of adaptive re-labelling: replacement content recorded against one
-// labelling epoch's chunk keys is re-distributed across the next epoch's
-// keys without changing the stream any job observes.
+// shorter one leaves trailing segments empty). Restoring a checkpoint uses
+// it to lay a partition's saved edge stream back onto the partition's chunk
+// keys.
 func SplitStream(edges []graph.Edge, chunkBytes int64, numChunks int) [][]graph.Edge {
 	if numChunks <= 0 {
 		return nil

@@ -129,9 +129,9 @@ func TestChunkSizeTable(t *testing.T) {
 	}
 }
 
-// TestChunkSizeHalvesWithConcurrency pins the property adaptive re-labelling
-// relies on: S_c scales as 1/N, so doubling the attending jobs halves the
-// chunk (up to alignment rounding).
+// TestChunkSizeHalvesWithConcurrency pins Formula (1)'s scaling: S_c goes
+// as 1/N, so doubling the core count halves the chunk (up to alignment
+// rounding).
 func TestChunkSizeHalvesWithConcurrency(t *testing.T) {
 	base := SizeParams{LLCBytes: 1 << 20, GraphSize: 1 << 28, NumV: 1 << 16, VertexPay: 8, Reserved: 1 << 16}
 	prev := int64(0)
@@ -174,35 +174,6 @@ func TestLabelChunkSmallerThanEdge(t *testing.T) {
 		if c.NumEdges != 1 {
 			t.Fatalf("chunk %d holds %d edges, want 1", i, c.NumEdges)
 		}
-	}
-}
-
-func TestRelabelPreservesCoverageAndBumpsEpoch(t *testing.T) {
-	g, err := graph.GenerateRMAT(graph.DefaultRMAT("r", 128, 1500, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := Label(2, g.Edges, 40*graph.EdgeSize)
-	nw := old.Relabel(g.Edges, 10*graph.EdgeSize)
-	if nw.Epoch != old.Epoch+1 {
-		t.Fatalf("epoch = %d, want %d", nw.Epoch, old.Epoch+1)
-	}
-	if nw.PartitionID != old.PartitionID {
-		t.Fatalf("partition ID changed: %d -> %d", old.PartitionID, nw.PartitionID)
-	}
-	if old.NumChunks() >= nw.NumChunks() {
-		t.Fatalf("shrinking the chunk did not increase chunk count: %d -> %d", old.NumChunks(), nw.NumChunks())
-	}
-	total, next := 0, 0
-	for i, c := range nw.Chunks {
-		if c.FirstEdge != next {
-			t.Fatalf("chunk %d starts at %d, want %d", i, c.FirstEdge, next)
-		}
-		next += c.NumEdges
-		total += c.NumEdges
-	}
-	if total != len(g.Edges) {
-		t.Fatalf("relabelled chunks cover %d edges, want %d", total, len(g.Edges))
 	}
 }
 

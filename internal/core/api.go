@@ -23,12 +23,8 @@ import (
 // NumPartitions returns the number of engine partitions under management.
 func (s *System) NumPartitions() int { return len(s.parts) }
 
-// ChunkCount returns the number of logical chunks labelled in partition pid
-// under its current labelling (adaptive chunking may change it between
-// partition openings).
+// ChunkCount returns the number of logical chunks labelled in partition pid.
 func (s *System) ChunkCount(pid int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	set, ok := s.sets[pid]
 	if !ok {
 		return 0
@@ -59,11 +55,8 @@ func (s *System) ActivePartitions(active interface{ AnyInRange(lo, hi int) bool 
 	return out
 }
 
-// baseChunkEdgesLocked returns the shared base edges of (pid, chunkIdx)
-// under the partition's current labelling. Caller holds s.mu: adaptive
-// chunking rewrites s.sets at partition barriers, and chunk indices are only
-// meaningful against one labelling epoch.
-func (s *System) baseChunkEdgesLocked(pid, chunkIdx int) ([]graph.Edge, error) {
+// baseChunkEdges returns the shared base edges of (pid, chunkIdx).
+func (s *System) baseChunkEdges(pid, chunkIdx int) ([]graph.Edge, error) {
 	set, ok := s.sets[pid]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown partition %d", pid)
@@ -81,49 +74,23 @@ func (s *System) baseChunkEdgesLocked(pid, chunkIdx int) ([]graph.Edge, error) {
 // shared base chunk is untouched.
 //
 // The callback runs with no System lock held, so it may call back into the
-// System freely. Consistency against adaptive re-labelling is kept by
-// optimistic validation instead: the view is read under the partition's
-// current labelling epoch, and if a re-label lands while the callback runs
-// (changing what chunkIdx means), the view is re-read and the callback
-// re-run against it.
+// System freely.
 func (s *System) MutateChunk(jobID, pid, chunkIdx int, mutate func(edges []graph.Edge) []graph.Edge) error {
-	for {
-		s.mu.Lock()
-		epoch, ok := s.chunkEpochLocked(pid)
-		if !ok {
-			s.mu.Unlock()
-			return fmt.Errorf("core: unknown partition %d", pid)
-		}
-		cur, err := s.chunkViewEdgesLocked(jobID, pid, chunkIdx)
-		if err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		in := append([]graph.Edge(nil), cur...)
+	s.mu.Lock()
+	cur, err := s.chunkViewEdgesLocked(jobID, pid, chunkIdx)
+	if err != nil {
 		s.mu.Unlock()
-
-		out := mutate(in)
-
-		s.mu.Lock()
-		if now, ok := s.chunkEpochLocked(pid); !ok || now != epoch {
-			// The partition was re-labelled under the callback: chunkIdx now
-			// names a different slice of the stream. Retry on the new view.
-			s.mu.Unlock()
-			continue
-		}
-		s.snaps.mutate(jobID, pid, chunkIdx, out, s.mem.AllocAddr)
-		s.mu.Unlock()
-		return nil
+		return err
 	}
-}
+	in := append([]graph.Edge(nil), cur...)
+	s.mu.Unlock()
 
-// chunkEpochLocked returns the partition's current labelling epoch.
-func (s *System) chunkEpochLocked(pid int) (int, bool) {
-	set, ok := s.sets[pid]
-	if !ok {
-		return 0, false
-	}
-	return set.Epoch, true
+	out := mutate(in)
+
+	s.mu.Lock()
+	s.snaps.mutate(jobID, pid, chunkIdx, out, s.mem.AllocAddr)
+	s.mu.Unlock()
+	return nil
 }
 
 // mutateChunkLocked is the internal form for callers already holding s.mu
@@ -150,7 +117,7 @@ func (s *System) UpdateChunk(pid, chunkIdx int, edges []graph.Edge) (int, error)
 }
 
 func (s *System) updateChunkLocked(pid, chunkIdx int, edges []graph.Edge) (int, error) {
-	if _, err := s.baseChunkEdgesLocked(pid, chunkIdx); err != nil {
+	if _, err := s.baseChunkEdges(pid, chunkIdx); err != nil {
 		return 0, err
 	}
 	return s.snaps.update(pid, chunkIdx, edges, s.mem.AllocAddr), nil
@@ -166,7 +133,7 @@ func (s *System) ChunkView(jobID, pid, chunkIdx int) ([]graph.Edge, error) {
 }
 
 func (s *System) chunkViewEdgesLocked(jobID, pid, chunkIdx int) ([]graph.Edge, error) {
-	base, err := s.baseChunkEdgesLocked(pid, chunkIdx)
+	base, err := s.baseChunkEdges(pid, chunkIdx)
 	if err != nil {
 		return nil, err
 	}

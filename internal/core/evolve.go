@@ -42,10 +42,9 @@ func (s *System) locate(v graph.VertexID) (*Partition, error) {
 	return nil, fmt.Errorf("core: no partition covers vertex %d", v)
 }
 
-// lastChunkLocked returns the index of the partition's final chunk under its
-// current labelling, or an error for an unlabelled/empty partition. Caller
-// holds s.mu.
-func (s *System) lastChunkLocked(pid int) (int, error) {
+// lastChunk returns the index of the partition's final chunk, or an error
+// for an unlabelled/empty partition.
+func (s *System) lastChunk(pid int) (int, error) {
 	set, ok := s.sets[pid]
 	if !ok || set.NumChunks() == 0 {
 		return 0, fmt.Errorf("core: partition %d has no chunks", pid)
@@ -55,9 +54,9 @@ func (s *System) lastChunkLocked(pid int) (int, error) {
 
 // AddEdges installs new edges as a graph *update*: jobs submitted after the
 // call observe them; running jobs keep their snapshot. It returns the new
-// snapshot version. The whole multi-chunk installation runs atomically
-// against adaptive re-labelling, and — when a WAL sink is configured — the
-// call returns only once its record is durable.
+// snapshot version. The whole multi-chunk installation runs under one hold
+// of the controller lock, and — when a WAL sink is configured — the call
+// returns only once its record is durable.
 func (s *System) AddEdges(edges []graph.Edge) (int, error) {
 	return s.addEdges(edges, true)
 }
@@ -84,7 +83,7 @@ func (s *System) addEdges(edges []graph.Edge, log bool) (int, error) {
 		version := s.snaps.currentVersion()
 		for _, pid := range sortedPartitionIDs(groups) {
 			add := groups[pid]
-			k, err := s.lastChunkLocked(pid)
+			k, err := s.lastChunk(pid)
 			if err != nil {
 				s.applyUndosLocked(undos)
 				return 0, nil, nil, err
@@ -95,14 +94,13 @@ func (s *System) addEdges(edges []graph.Edge, log bool) (int, error) {
 				return 0, nil, nil, err
 			}
 			merged := append(append([]graph.Edge(nil), cur...), add...)
-			epoch, _ := s.chunkEpochLocked(pid)
 			version, err = s.updateChunkLocked(pid, k, merged)
 			if err != nil {
 				s.applyUndosLocked(undos)
 				return 0, nil, nil, err
 			}
 			if capture {
-				undos = append(undos, chunkUndo{jobID: -1, pid: pid, k: k, epoch: epoch,
+				undos = append(undos, chunkUndo{jobID: -1, pid: pid, k: k,
 					prior: cur, post: merged, added: add})
 			}
 		}
@@ -149,7 +147,7 @@ func (s *System) addEdgesFor(jobID int, edges []graph.Edge, log bool) error {
 		capture := log && s.evolveSink != nil
 		var undos []chunkUndo
 		for _, pid := range sortedPartitionIDs(groups) {
-			k, err := s.lastChunkLocked(pid)
+			k, err := s.lastChunk(pid)
 			if err != nil {
 				s.applyUndosLocked(undos)
 				return nil, nil, err
@@ -161,11 +159,10 @@ func (s *System) addEdgesFor(jobID int, edges []graph.Edge, log bool) error {
 				return nil, nil, err
 			}
 			merged := append(append([]graph.Edge(nil), cur...), add...)
-			epoch, _ := s.chunkEpochLocked(pid)
 			had := s.snaps.hasOverride(jobID, pid, k)
 			s.snaps.mutate(jobID, pid, k, merged, s.mem.AllocAddr)
 			if capture {
-				undos = append(undos, chunkUndo{jobID: jobID, pid: pid, k: k, epoch: epoch,
+				undos = append(undos, chunkUndo{jobID: jobID, pid: pid, k: k,
 					hadOverride: had, prior: cur, post: merged, added: add})
 			}
 		}
@@ -191,10 +188,9 @@ func (s *System) addEdgesFor(jobID int, edges []graph.Edge, log bool) error {
 
 // RemoveEdges installs an update deleting every edge matching pred; it
 // returns the new snapshot version and the number of edges removed. The
-// scan locks the controller one partition at a time — per-partition
-// consistency is all adaptive re-labelling needs (a partition's labelling
-// only changes at its own open) — so running jobs' chunk lockstep proceeds
-// between partitions instead of stalling for the whole O(|E|) pass. pred
+// scan locks the controller one partition at a time, so running jobs' chunk
+// lockstep proceeds between partitions instead of stalling for the whole
+// O(|E|) pass. pred
 // runs under that per-partition lock: it must be a pure predicate and must
 // not call back into the System.
 func (s *System) RemoveEdges(pred func(graph.Edge) bool) (version, removed int, err error) {
@@ -242,7 +238,6 @@ func (s *System) removeEdges(pred func(graph.Edge) bool, log bool) (version, rem
 				if len(kept) == len(cur) {
 					continue
 				}
-				epoch, _ := s.chunkEpochLocked(p.ID)
 				version, err = s.updateChunkLocked(p.ID, k, kept)
 				if err != nil {
 					s.applyUndosLocked(undos)
@@ -250,7 +245,7 @@ func (s *System) removeEdges(pred func(graph.Edge) bool, log bool) (version, rem
 					return 0, 0, nil, nil, err
 				}
 				if collect {
-					undos = append(undos, chunkUndo{jobID: -1, pid: p.ID, k: k, epoch: epoch,
+					undos = append(undos, chunkUndo{jobID: -1, pid: p.ID, k: k,
 						prior: cur, post: kept, removed: chunkRemoved})
 				}
 			}
@@ -330,11 +325,10 @@ func (s *System) removeEdgesFor(jobID int, pred func(graph.Edge) bool, log bool)
 					continue
 				}
 				removed += len(cur) - len(kept)
-				epoch, _ := s.chunkEpochLocked(p.ID)
 				had := s.snaps.hasOverride(jobID, p.ID, k)
 				s.snaps.mutate(jobID, p.ID, k, kept, s.mem.AllocAddr)
 				if collect {
-					undos = append(undos, chunkUndo{jobID: jobID, pid: p.ID, k: k, epoch: epoch,
+					undos = append(undos, chunkUndo{jobID: jobID, pid: p.ID, k: k,
 						hadOverride: had, prior: cur, post: kept, removed: chunkRemoved})
 				}
 			}

@@ -26,14 +26,14 @@ import "graphm/internal/graph"
 //     installation order — group-committed batches fail wholesale, so the
 //     failed suffix unwinds to the last durable state.
 //
-// The undo itself is bit-exact in the expected case: if the chunk is still
-// exactly as the op left it (same labelling epoch, same view), the captured
-// pre-install view is reinstalled verbatim. If the chunk moved on — an
-// adaptive re-label, or a later op that committed durably after a probe
-// re-armed the WAL mid-unwind — the undo falls back to multiset
-// compensation (remove this op's added edges tail-first / re-append its
-// removed edges), which keeps memory multiset-equal to the durable state
-// even though within-chunk order may differ from a pure replay.
+// The undo itself is bit-exact in the expected case: if the chunk still
+// shows exactly the view the op installed, the captured pre-install view is
+// reinstalled verbatim. If the chunk moved on — a later op that committed
+// durably after a probe re-armed the WAL mid-unwind — the undo falls back
+// to multiset compensation (remove this op's added edges tail-first /
+// re-append its removed edges), which keeps memory multiset-equal to the
+// durable state even though within-chunk order may differ from a pure
+// replay.
 //
 // Checkpoint interacts through the same registry: captureStateLocked must
 // never fold an unresolved installation into a durable snapshot (that would
@@ -45,7 +45,6 @@ type chunkUndo struct {
 	jobID int // -1 = shared snapshot update; >= 0 = job-private mutation
 	pid   int
 	k     int
-	epoch int // labelling epoch the views were captured under
 	// hadOverride records whether the job already held a private copy of
 	// (pid, k) before this op; if not, an exact undo deletes the override the
 	// op created instead of rewriting it, keeping OverrideChunks accounting
@@ -146,8 +145,7 @@ func (s *System) applyUndoLocked(u chunkUndo) {
 		return
 	}
 	cur, err := s.chunkViewEdgesLocked(u.jobID, u.pid, u.k)
-	epoch, ok := s.chunkEpochLocked(u.pid)
-	if err == nil && ok && epoch == u.epoch && edgeSlicesEqual(cur, u.post) {
+	if err == nil && edgeSlicesEqual(cur, u.post) {
 		// The chunk is exactly as this op left it: reinstall the captured
 		// pre-install view bit-for-bit.
 		if u.jobID < 0 {
@@ -165,8 +163,8 @@ func (s *System) applyUndoLocked(u chunkUndo) {
 			return
 		}
 	}
-	// The chunk moved on (re-label, or a later install landed on top):
-	// compensate at the multiset level instead.
+	// The chunk moved on (a later install landed on top): compensate at
+	// the multiset level instead.
 	if len(u.added) > 0 {
 		s.removeTailMultisetLocked(u.jobID, u.pid, u.added)
 	}
@@ -222,7 +220,7 @@ func (s *System) removeTailMultisetLocked(jobID, pid int, edges []graph.Edge) {
 // appendLastChunkLocked re-appends edges to the partition's final chunk —
 // the same placement AddEdges uses.
 func (s *System) appendLastChunkLocked(jobID, pid int, edges []graph.Edge) {
-	k, err := s.lastChunkLocked(pid)
+	k, err := s.lastChunk(pid)
 	if err != nil {
 		return
 	}

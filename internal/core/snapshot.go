@@ -175,183 +175,6 @@ func (st *snapshotStore) pruneBefore(minBorn int) {
 	}
 }
 
-// relabelPartition rebases the store's state for one partition onto a new
-// chunk labelling — the stable-chunk-key remapping behind adaptive
-// re-labelling. Versions and overrides are keyed by (partition, chunk
-// index), and a re-label changes what each index means; this remap rewrites
-// the keys so that every observer's concatenated partition stream is
-// bit-identical before and after:
-//
-//   - For global versions, visibility collapses to the partition level: a
-//     job born at b sees, for each chunk, the newest version <= b, so the
-//     distinct version numbers V across the partition's chunks define all
-//     observable full-partition streams S_v. Each S_v is re-split along the
-//     new chunk boundaries (chunk.SplitStream) and installed on every new
-//     chunk at version v, giving all new chunks identical version sets —
-//     resolution at any born then picks the same v on every chunk, exactly
-//     reproducing S_v.
-//   - For job-private overrides, the job's full view (override where
-//     present, else its born-version resolution, else base) is baked into
-//     per-new-chunk overrides the same way. Baking the version view into
-//     the override is sound because the job's born is fixed: versions
-//     installed later are invisible to it anyway, and a later MutateChunk
-//     replaces the baked chunk wholesale just as it replaced base chunks.
-//
-// The rebase densifies the partition's snapshot state (every new chunk gets
-// an entry where before only changed chunks did); pruneBefore and release
-// keep that bounded over a job population's lifetime. borns maps live job
-// IDs to their birth versions; override owners not listed (possible only
-// for never-submitted job IDs) default to the current version, matching
-// chunkViewEdgesLocked. Caller must guarantee no streaming pass holds the old
-// labelling — in core that is the partition-open barrier.
-func (st *snapshotStore) relabelPartition(pid int, baseEdges []graph.Edge, old, nw *chunk.Set, borns map[int]int, alloc func(int64) uint64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	oldN, newN := old.NumChunks(), nw.NumChunks()
-	perChunk := make([][]chunkVersion, oldN)
-	versionSet := make(map[int]bool)
-	hasState := false
-	for k := 0; k < oldN; k++ {
-		vs := st.versions[chunkKey(pid, k)]
-		perChunk[k] = vs
-		for _, v := range vs {
-			versionSet[v.version] = true
-			hasState = true
-		}
-	}
-	owners := make([]int, 0, len(st.overrides))
-	for jobID, m := range st.overrides {
-		for k := 0; k < oldN; k++ {
-			if _, ok := m[chunkKey(pid, k)]; ok {
-				owners = append(owners, jobID)
-				hasState = true
-				break
-			}
-		}
-	}
-	if !hasState || newN == 0 {
-		return
-	}
-	sort.Ints(owners)
-
-	// baseSeg and resolveAt reconstruct one old chunk's stream as seen at a
-	// given version.
-	baseSeg := func(k int) []graph.Edge {
-		t := old.Chunks[k]
-		return baseEdges[t.FirstEdge : t.FirstEdge+t.NumEdges]
-	}
-	resolveAt := func(k, born int) []graph.Edge {
-		vs := perChunk[k]
-		for i := len(vs) - 1; i >= 0; i-- {
-			if vs[i].version <= born {
-				return vs[i].copy.edges
-			}
-		}
-		return baseSeg(k)
-	}
-	newBaseSeg := func(k int) []graph.Edge {
-		t := nw.Chunks[k]
-		return baseEdges[t.FirstEdge : t.FirstEdge+t.NumEdges]
-	}
-	edgesEq := func(a, b []graph.Edge) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	// mkCopy clamps the segment's capacity to its length: the segments of
-	// one split share a backing array, and resolve hands cp.edges out by
-	// reference (ChunkView is public), so an append on one chunk's view must
-	// not be able to write into its neighbour's stored copy — update and
-	// mutate get the same guarantee from their dedicated allocations.
-	mkCopy := func(seg []graph.Edge) *chunkCopy {
-		seg = seg[:len(seg):len(seg)]
-		return &chunkCopy{
-			edges: seg,
-			addr:  alloc(int64(len(seg)) * graph.EdgeSize),
-			table: relabel(seg),
-		}
-	}
-
-	// Rebase the version chains. A version's segment is only stored on a
-	// new chunk when it differs from what resolution would yield anyway —
-	// the base, or wherever a previously-installed (older) version makes
-	// base fall-through wrong — so a relabel keeps the store at the size of
-	// the *changed* content, not versions x partition bytes. Skipping is
-	// safe exactly when the chunk's rebased chain is still empty: a job
-	// born at the skipped version then falls through to the identical base
-	// segment.
-	versions := make([]int, 0, len(versionSet))
-	for v := range versionSet {
-		versions = append(versions, v)
-	}
-	sort.Ints(versions)
-	newVersions := make(map[uint64][]chunkVersion, newN)
-	for _, v := range versions {
-		var stream []graph.Edge
-		for k := 0; k < oldN; k++ {
-			stream = append(stream, resolveAt(k, v)...)
-		}
-		for i, seg := range chunk.SplitStream(stream, nw.ChunkBytes, newN) {
-			key := chunkKey(pid, i)
-			if len(newVersions[key]) == 0 && edgesEq(seg, newBaseSeg(i)) {
-				continue
-			}
-			newVersions[key] = append(newVersions[key], chunkVersion{version: v, copy: mkCopy(seg)})
-		}
-	}
-	for k := 0; k < oldN; k++ {
-		delete(st.versions, chunkKey(pid, k))
-	}
-	for key, vs := range newVersions {
-		st.versions[key] = vs
-	}
-	// resolveNewAt mirrors resolve against the rebased chains: what a job
-	// born at `born` reads from new chunk k absent an override.
-	resolveNewAt := func(k, born int) []graph.Edge {
-		vs := newVersions[chunkKey(pid, k)]
-		for i := len(vs) - 1; i >= 0; i-- {
-			if vs[i].version <= born {
-				return vs[i].copy.edges
-			}
-		}
-		return newBaseSeg(k)
-	}
-
-	// Rebase job-private overrides over the (already rebased) version view,
-	// with the same sparsity rule: store an override segment only where it
-	// differs from the job's version-resolved view.
-	for _, jobID := range owners {
-		m := st.overrides[jobID]
-		born, ok := borns[jobID]
-		if !ok {
-			born = st.version
-		}
-		var stream []graph.Edge
-		for k := 0; k < oldN; k++ {
-			if cp, ok := m[chunkKey(pid, k)]; ok {
-				stream = append(stream, cp.edges...)
-			} else {
-				stream = append(stream, resolveAt(k, born)...)
-			}
-		}
-		for k := 0; k < oldN; k++ {
-			delete(m, chunkKey(pid, k))
-		}
-		for i, seg := range chunk.SplitStream(stream, nw.ChunkBytes, newN) {
-			if edgesEq(seg, resolveNewAt(i, born)) {
-				continue
-			}
-			m[chunkKey(pid, i)] = mkCopy(seg)
-		}
-	}
-}
-
 // overridePartitions lists the (jobID, partitionID) pairs holding live
 // job-private overrides, sorted for deterministic checkpoint layout.
 func (st *snapshotStore) overridePartitions() [][2]int {

@@ -10,7 +10,7 @@ import (
 
 // TestSnapshotStoreConcurrency hammers the snapshot store with the
 // concurrency shape the real system produces, for the -race CI job:
-// writers (update / mutate / relabelPartition) serialized by one mutex —
+// writers (update / mutate) serialized by one mutex —
 // System.mu plays that role in production — while readers (resolve,
 // currentVersion, overrideCount) and the job-exit path (release,
 // pruneBefore, which System.leave runs outside its lock) interleave freely.
@@ -20,48 +20,32 @@ func TestSnapshotStoreConcurrency(t *testing.T) {
 		jobCount  = 4
 		writerOps = 200
 	)
-	base := seqEdges(32)
-	sets := []*chunk.Set{
-		chunk.Label(pid, base, 8*graph.EdgeSize),  // 4 chunks
-		chunk.Label(pid, base, 16*graph.EdgeSize), // 2 chunks
-	}
-	sets[1].Epoch = 1
+	n := chunk.Label(pid, seqEdges(32), 8*graph.EdgeSize).NumChunks() // 4 chunks
 
 	st := newSnapshotStore()
 	var ctl sync.Mutex // stands in for System.mu: serializes structure writers
-	cur := 0           // index into sets of the current labelling; guarded by ctl
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
-	// Writer: updates, mutations and periodic relabels in one serialized
-	// stream, exactly as partition barriers and evolve calls interleave.
+	// Writer: updates and mutations in one serialized stream, exactly as
+	// evolve calls interleave.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer close(stop)
 		for i := 0; i < writerOps; i++ {
 			ctl.Lock()
-			n := sets[cur].NumChunks()
-			switch i % 4 {
-			case 0:
+			if i%2 == 0 {
 				st.update(pid, i%n, seqEdges(3+i%5), alloc64)
-			case 1:
+			} else {
 				st.mutate(1+i%jobCount, pid, i%n, seqEdges(1+i%3), alloc64)
-			case 2:
-				st.update(pid, (i+1)%n, seqEdges(2), alloc64)
-			default:
-				next := 1 - cur
-				st.relabelPartition(pid, base, sets[cur], sets[next], map[int]int{1: 0, 2: 0}, alloc64)
-				cur = next
 			}
 			ctl.Unlock()
 		}
 	}()
 
-	// Readers: resolve against whatever labelling is current. The chunk
-	// index is read under ctl (as chunkViewEdgesLocked does) but resolve
-	// itself runs with only the store's own lock.
+	// Readers: resolve runs with only the store's own lock.
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func(seed int) {
@@ -73,9 +57,6 @@ func TestSnapshotStoreConcurrency(t *testing.T) {
 					return
 				default:
 				}
-				ctl.Lock()
-				n := sets[cur].NumChunks()
-				ctl.Unlock()
 				born := st.currentVersion()
 				if cp := st.resolve(1+(seed+i)%jobCount, born, pid, i%n); cp != nil && len(cp.edges) == 0 && cp.table == nil {
 					t.Error("resolve returned a copy with no table")
@@ -107,8 +88,8 @@ func TestSnapshotStoreConcurrency(t *testing.T) {
 
 	wg.Wait()
 
-	// Post-quiescence invariants: the version counter saw every update (two
-	// per four-op cycle), and pruning to the current version leaves exactly
+	// Post-quiescence invariants: the version counter saw every update (one
+	// per two-op cycle), and pruning to the current version leaves exactly
 	// one observable version per remaining chain.
 	if got, want := st.currentVersion(), writerOps/2; got != want {
 		t.Fatalf("version counter = %d, want %d", got, want)
@@ -162,4 +143,13 @@ func TestSnapshotPruneDropsUnobservableVersions(t *testing.T) {
 	if cp := st.resolve(-1, vs[3], 0, 0); cp == nil || len(cp.edges) != 4 {
 		t.Fatal("newest version lost by full pruning")
 	}
+}
+
+// seqEdges returns n distinct edges i -> i+1.
+func seqEdges(n int) []graph.Edge {
+	out := make([]graph.Edge, n)
+	for i := range out {
+		out[i] = graph.Edge{Src: uint32(i), Dst: uint32(i + 1), Weight: 1}
+	}
+	return out
 }

@@ -37,19 +37,6 @@ type Config struct {
 	Reserved int64
 	// VertexPay is U_v — per-vertex job-specific bytes.
 	VertexPay int64
-	// AdaptiveChunking re-evaluates Formula (1) at partition barriers with
-	// N = the number of jobs about to share the partition being opened,
-	// re-labelling the partition (Algorithm 1) when the target chunk size
-	// has drifted beyond RelabelFactor from the size its current labelling
-	// assumed. Off by default: the figure experiments run the paper's
-	// static, NewSystem-time sizing.
-	AdaptiveChunking bool
-	// RelabelFactor is the adaptive-chunking hysteresis threshold: a
-	// partition is re-labelled only when target >= factor*current or
-	// target*factor <= current, so attendance jitter of less than factor-x
-	// never churns chunk tables. Zero resolves to 2; values below 1 are
-	// rejected by NewSystem.
-	RelabelFactor float64
 	// PerEdgeSim routes chunk application through the reference per-edge LLC
 	// accounting model (engine.Job.OpenChunk with perEdge: one Cache.Touch per
 	// simulated access) instead of the batched run-length hot path. The two
@@ -90,10 +77,15 @@ func DefaultConfig(llcBytes int64) Config {
 
 // Stats aggregates system-wide counters exposed for the evaluation harness.
 type Stats struct {
-	ChunkBytes    int64
-	NumChunks     int
-	Rounds        int
-	Suspensions   uint64 // jobs suspended waiting for a partition they need
+	ChunkBytes int64
+	NumChunks  int
+	Rounds     int
+	// Suspensions counts jobs suspended waiting for a partition they need,
+	// and Resumes the suspended jobs that then picked one up. Both depend
+	// on the goroutine schedule, not on the simulated work: a job counts a
+	// suspension whenever its goroutine reaches sharing before the
+	// partition opens, so reruns of one batch read different values.
+	Suspensions   uint64
 	Resumes       uint64
 	SharedLoads   uint64 // partition loads served to more than one job
 	MetadataBytes int64  // chunk table overhead (Table 3 discussion)
@@ -107,14 +99,6 @@ type Stats struct {
 	// prefetch hit ratio.
 	Prefetches   uint64
 	PrefetchHits uint64
-	// Relabels counts adaptive chunk re-labellings: partition-barrier
-	// re-evaluations of Formula (1) whose target size drifted beyond the
-	// hysteresis threshold and rewrote the partition's chunk tables.
-	// RelabelSkips counts re-evaluations whose drift stayed under the
-	// threshold (the hysteresis holding the line). Both zero unless
-	// Config.AdaptiveChunking is on.
-	Relabels     uint64
-	RelabelSkips uint64
 }
 
 // Sub returns the counter deltas accumulated between old and s. Sizing
@@ -131,8 +115,6 @@ func (s Stats) Sub(old Stats) Stats {
 		SharedLoads:   s.SharedLoads - old.SharedLoads,
 		MidRoundJoins: s.MidRoundJoins - old.MidRoundJoins,
 		Detaches:      s.Detaches - old.Detaches,
-		Relabels:      s.Relabels - old.Relabels,
-		RelabelSkips:  s.RelabelSkips - old.RelabelSkips,
 	}
 }
 
@@ -150,15 +132,9 @@ type System struct {
 
 	parts    []*Partition
 	partByID map[int]*Partition
-	// sets and chunkSize hold each partition's current labelling and chunk
-	// size. Static configurations write them once at NewSystem; adaptive
-	// chunking rewrites them at partition barriers, so every read outside
-	// NewSystem must hold mu (streaming passes instead capture the Set
-	// pointer when the partition opens — Sets are immutable once built).
-	sets      map[int]*chunk.Set
-	chunkSize map[int]int64
-	// relabelFactor is cfg.RelabelFactor resolved (0 -> 2).
-	relabelFactor float64
+	// sets holds each partition's chunk labelling, written once at
+	// NewSystem and read-only afterwards.
+	sets map[int]*chunk.Set
 
 	snaps *snapshotStore
 
@@ -293,13 +269,6 @@ func NewSystem(layout Layout, mem *storage.Memory, cache *memsim.Cache, cfg Conf
 	if cfg.Workers != 0 {
 		return nil, fmt.Errorf("core: Workers must be 0 (partitions stream on the jobs' own goroutines), got %d", cfg.Workers)
 	}
-	if cfg.RelabelFactor != 0 && cfg.RelabelFactor < 1 {
-		return nil, fmt.Errorf("core: RelabelFactor must be >= 1 (0 means the default of 2), got %v", cfg.RelabelFactor)
-	}
-	relabelFactor := cfg.RelabelFactor
-	if relabelFactor == 0 {
-		relabelFactor = 2
-	}
 	cores := cfg.Cores
 	if cores == 0 {
 		cores = runtime.GOMAXPROCS(0)
@@ -316,20 +285,18 @@ func NewSystem(layout Layout, mem *storage.Memory, cache *memsim.Cache, cfg Conf
 		return nil, err
 	}
 	s := &System{
-		cfg:           cfg,
-		layout:        layout,
-		g:             g,
-		mem:           mem,
-		cache:         cache,
-		cost:          cfg.Cost,
-		parts:         layout.Partitions(),
-		partByID:      make(map[int]*Partition),
-		sets:          make(map[int]*chunk.Set),
-		chunkSize:     make(map[int]int64),
-		relabelFactor: relabelFactor,
-		snaps:         newSnapshotStore(),
-		jobs:          make(map[int]*jobState),
-		cores:         cores,
+		cfg:      cfg,
+		layout:   layout,
+		g:        g,
+		mem:      mem,
+		cache:    cache,
+		cost:     cfg.Cost,
+		parts:    layout.Partitions(),
+		partByID: make(map[int]*Partition),
+		sets:     make(map[int]*chunk.Set),
+		snaps:    newSnapshotStore(),
+		jobs:     make(map[int]*jobState),
+		cores:    cores,
 	}
 	s.roundCond = sync.NewCond(&s.mu)
 	s.evolveCond = sync.NewCond(&s.mu)
@@ -339,7 +306,6 @@ func NewSystem(layout Layout, mem *storage.Memory, cache *memsim.Cache, cfg Conf
 		set := chunk.Label(p.ID, p.Edges, sc)
 		s.partByID[p.ID] = p
 		s.sets[p.ID] = set
-		s.chunkSize[p.ID] = sc
 		s.stats.NumChunks += set.NumChunks()
 		s.stats.MetadataBytes += set.MetadataBytes()
 	}
@@ -660,10 +626,6 @@ func (s *System) advancePartitionLocked() {
 		// Deterministic attendee order: leader tie-breaks and the pricing
 		// order must not depend on map iteration.
 		sort.Slice(att, func(i, j int) bool { return att[i].job.ID < att[j].job.ID })
-		// The partition barrier is the one point where no chunk of pid is in
-		// flight, so the adaptive sizing rule may swap the partition's
-		// labelling before any job captures it.
-		s.maybeRelabelLocked(pid, len(att))
 		part := s.partByID[pid]
 		// Algorithm 2, lines 8–13: one shared buffer per partition.
 		buf, io, err := s.mem.Load(part.DiskName, part.DiskName)

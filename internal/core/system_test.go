@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"graphm/internal/algorithms"
 	"graphm/internal/core"
@@ -330,5 +331,47 @@ func TestActivePartitionsMatchesBitmap(t *testing.T) {
 	}
 	if len(pids) == 0 {
 		t.Fatal("no active partitions for vertex 0")
+	}
+}
+
+// TestMutateChunkCallbackMayReenterSystem guards the locking contract: the
+// MutateChunk callback runs with no System lock held, so it may call public
+// System methods (here ChunkView on another chunk) without deadlocking.
+func TestMutateChunkCallbackMayReenterSystem(t *testing.T) {
+	r := newRig(t, 200, 1600, 2, core.DefaultConfig(64<<10))
+	other, err := r.sys.ChunkView(-1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- r.sys.MutateChunk(5, 0, 0, func(edges []graph.Edge) []graph.Edge {
+			// Re-enter the System mid-callback — this deadlocked when the
+			// callback ran under the controller mutex.
+			v, err := r.sys.ChunkView(-1, 1, 0)
+			if err != nil || len(v) != len(other) {
+				t.Errorf("re-entrant ChunkView failed: %v (len %d vs %d)", err, len(v), len(other))
+			}
+			return append(edges, graph.Edge{Src: 1, Dst: 2, Weight: 1})
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("MutateChunk with a re-entrant callback deadlocked")
+	}
+	mutated, err := r.sys.ChunkView(5, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := r.sys.ChunkView(-1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mutated) != len(base)+1 {
+		t.Fatalf("mutation lost: view has %d edges, want %d", len(mutated), len(base)+1)
 	}
 }

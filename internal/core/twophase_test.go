@@ -121,7 +121,9 @@ func TestTwoPhaseOwnerElectionOnAttendanceChange(t *testing.T) {
 // misses, every job's LLC counters and Metrics — and bit-identical program
 // outputs whether each partition streams in one window, in windows of three
 // chunks (so the last window of a partition is short), or one chunk at a
-// time; with static and with adaptive chunk labelling.
+// time. It runs under two Formula (1) labellings, sized for 4 and for 16
+// cores; the finer one must label more chunks, and the two must agree on
+// every job's work counters and outputs.
 func TestTwoPhaseWindowsPriceIdentically(t *testing.T) {
 	g, err := graph.GenerateRMAT(graph.DefaultRMAT("windows", 1200, 12000, 29))
 	if err != nil {
@@ -133,13 +135,14 @@ func TestTwoPhaseWindowsPriceIdentically(t *testing.T) {
 		Out          any // the program's result vector
 	}
 	type outcome struct {
+		Chunks       int
 		Hits, Misses uint64
 		Jobs         []jobSim
 	}
-	run := func(window int, adaptive bool) outcome {
+	run := func(window, cores int) outcome {
 		disk := storage.NewDisk()
 		cfg := DefaultConfig(16 << 10)
-		cfg.AdaptiveChunking = adaptive
+		cfg.Cores = cores
 		cache, err := memsim.NewCache(memsim.DefaultConfig(cfg.LLCBytes))
 		if err != nil {
 			t.Fatal(err)
@@ -149,7 +152,7 @@ func TestTwoPhaseWindowsPriceIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.window = window
-		if window == 3 && !adaptive {
+		if window == 3 && cores == 4 {
 			uneven := false
 			for pid := range s.parts {
 				uneven = uneven || s.ChunkCount(pid) > 3 && s.ChunkCount(pid)%3 != 0
@@ -178,10 +181,7 @@ func TestTwoPhaseWindowsPriceIdentically(t *testing.T) {
 		if err := s.Run(jobs); err != nil {
 			t.Fatal(err)
 		}
-		if adaptive && s.StatsSnapshot().Relabels == 0 {
-			t.Fatal("adaptive run never re-labelled — the comparison is vacuous")
-		}
-		o := outcome{Hits: cache.TotalHits(), Misses: cache.TotalMisses()}
+		o := outcome{Chunks: s.StatsSnapshot().NumChunks, Hits: cache.TotalHits(), Misses: cache.TotalMisses()}
 		for _, j := range jobs {
 			var out any
 			switch p := j.Prog.(type) {
@@ -198,21 +198,35 @@ func TestTwoPhaseWindowsPriceIdentically(t *testing.T) {
 		}
 		return o
 	}
-	for _, adaptive := range []bool{false, true} {
-		want := run(1<<30, adaptive)
+	var coarse outcome
+	for _, cores := range []int{4, 16} {
+		want := run(1<<30, cores)
 		for _, window := range []int{3, 1} {
-			got := run(window, adaptive)
+			got := run(window, cores)
 			if got.Hits != want.Hits || got.Misses != want.Misses {
-				t.Fatalf("adaptive=%v window %d: cache totals %d hits/%d misses, one window per partition %d/%d",
-					adaptive, window, got.Hits, got.Misses, want.Hits, want.Misses)
+				t.Fatalf("cores %d window %d: cache totals %d hits/%d misses, one window per partition %d/%d",
+					cores, window, got.Hits, got.Misses, want.Hits, want.Misses)
 			}
 			for k := range want.Jobs {
 				// DeepEqual compares float64 elements with ==: no NaN occurs,
 				// so equal vectors are bit-identical up to the sign of zero.
 				if !reflect.DeepEqual(got.Jobs[k], want.Jobs[k]) {
-					t.Fatalf("adaptive=%v window %d: job %d simulated numbers or outputs differ from one window per partition",
-						adaptive, window, k+1)
+					t.Fatalf("cores %d window %d: job %d simulated numbers or outputs differ from one window per partition",
+						cores, window, k+1)
 				}
+			}
+		}
+		if cores == 4 {
+			coarse = want
+			continue
+		}
+		if want.Chunks <= coarse.Chunks {
+			t.Fatalf("16-core labelling has %d chunks, 4-core %d: the granularity comparison is vacuous", want.Chunks, coarse.Chunks)
+		}
+		for k := range want.Jobs {
+			got, ref := want.Jobs[k], coarse.Jobs[k]
+			if got.Met.Work() != ref.Met.Work() || !reflect.DeepEqual(got.Out, ref.Out) {
+				t.Fatalf("job %d: work or outputs depend on chunk granularity", k+1)
 			}
 		}
 	}

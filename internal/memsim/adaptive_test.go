@@ -7,10 +7,10 @@ import (
 	"graphm/internal/memsim"
 )
 
-// This file verifies, at the cache-model level, the mechanism adaptive chunk
-// re-labelling relies on (Formula 1 of the paper): a chunk sized for the
-// jobs *actually* sharing a partition survives in the LLC across the
-// FineSync leader/follower lockstep, while a chunk sized for a stale, lower
+// This file verifies, at the cache-model level, why Formula (1) of the
+// paper sizes chunks by the number of jobs sharing a partition: a chunk
+// sized for the jobs actually sharing it survives in the LLC across the
+// FineSync leader/follower lockstep, while a chunk sized for a lower
 // concurrency is evicted by the extra jobs' vertex state before the late
 // followers re-stream it. Symmetrically, when concurrency drops back to the
 // sized-for level, the follower miss rate recovers.
@@ -81,32 +81,31 @@ func streamPass(t *testing.T, chunkBytes int64, nJobs int) float64 {
 }
 
 func TestChunkSizingGovernsFollowerMissRate(t *testing.T) {
-	staleSize := sizeFor(t, 2)  // labelled when 2 jobs shared the partition
-	rightSize := sizeFor(t, 12) // re-labelled for the 12 jobs actually attending
+	staleSize := sizeFor(t, 2)  // sized for 2 jobs sharing the partition
+	rightSize := sizeFor(t, 12) // sized for the 12 jobs actually attending
 	if staleSize <= rightSize*2 {
 		t.Fatalf("geometry broken: stale %d not meaningfully larger than right-sized %d", staleSize, rightSize)
 	}
 
 	staleAt12 := streamPass(t, staleSize, 12)
-	relabelledAt12 := streamPass(t, rightSize, 12)
+	rightAt12 := streamPass(t, rightSize, 12)
 	staleAt2 := streamPass(t, staleSize, 2)
 
-	// Rising concurrency with a stale labelling thrashes; re-labelling for
-	// the true N restores follower reuse.
-	if relabelledAt12 >= staleAt12/2 {
-		t.Fatalf("re-labelling did not help at 12 jobs: stale miss rate %.4f, re-labelled %.4f",
-			staleAt12, relabelledAt12)
+	// Rising concurrency with chunks sized for too few jobs thrashes;
+	// sizing for the true N restores follower reuse.
+	if rightAt12 >= staleAt12/2 {
+		t.Fatalf("right-sizing did not help at 12 jobs: stale miss rate %.4f, right-sized %.4f",
+			staleAt12, rightAt12)
 	}
-	// When concurrency drops back to the N the stale labelling assumed, the
-	// miss rate improves on its own — which is why core's hysteresis may
-	// keep a labelling whose drift stays under the factor.
+	// When concurrency drops back to the N the stale size assumed, the
+	// miss rate improves on its own.
 	if staleAt2 >= staleAt12/2 {
 		t.Fatalf("miss rate did not improve when concurrency dropped: 12 jobs %.4f, 2 jobs %.4f",
 			staleAt12, staleAt2)
 	}
-	// And the re-labelled configuration is roughly as healthy as the
+	// And the right-sized configuration is roughly as healthy as the
 	// correctly-sized low-concurrency one.
-	if relabelledAt12 > 3*staleAt2 {
-		t.Fatalf("re-labelled 12-job miss rate %.4f far above the healthy baseline %.4f", relabelledAt12, staleAt2)
+	if rightAt12 > 3*staleAt2 {
+		t.Fatalf("right-sized 12-job miss rate %.4f far above the healthy baseline %.4f", rightAt12, staleAt2)
 	}
 }

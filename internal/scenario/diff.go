@@ -63,13 +63,18 @@ func (o DiffOptions) GenDefaults() (GenOptions, error) {
 	return GenOptions{Partitions: env.NonEmptyPartitions(), NumV: o.withDefaults().NumV}, nil
 }
 
+// granularityCores is the Cores of DiffCheck's chunk-granularity variant.
+const granularityCores = 8
+
 // DiffCheck replays one generated script across configurations and
-// applies the package invariants to every pair against the static
-// baseline:
+// applies the package invariants to every pair against the baseline, which
+// runs at Cores 1:
 //
 //   - CheckClean on every run (no pins or orphaned snapshot overrides);
-//   - CheckWorkEqual and CheckOutputsEqual between static and adaptive
-//     chunk labelling;
+//   - CheckWorkEqual and CheckOutputsEqual between the baseline and a run
+//     at granularityCores, whose Formula (1) labelling (N = Cores) yields
+//     a different chunk count — work and outputs must not depend on chunk
+//     granularity;
 //   - for single-job scripts additionally CheckSimEqual between the
 //     run-length accounting hot path and the per-edge reference model —
 //     the configuration whose LLC access schedule is deterministic.
@@ -89,14 +94,13 @@ func DiffCheck(gs GenScript, o DiffOptions) error {
 			gs.Partitions, p)
 	}
 
-	runOne := func(adaptive, perEdge bool) (*Result, error) {
+	runOne := func(cores int, perEdge bool) (*Result, error) {
 		env, err := o.NewEnv()
 		if err != nil {
 			return nil, err
 		}
 		cfg := core.DefaultConfig(o.LLCBytes)
-		cfg.Cores = 1
-		cfg.AdaptiveChunking = adaptive
+		cfg.Cores = cores
 		cfg.PerEdgeSim = perEdge
 		res, err := Run(env, cfg, script)
 		if err != nil {
@@ -108,22 +112,26 @@ func DiffCheck(gs GenScript, o DiffOptions) error {
 		return res, nil
 	}
 
-	base, err := runOne(false, false)
+	base, err := runOne(1, false)
 	if err != nil {
-		return fmt.Errorf("scenario: baseline (static): %w", err)
+		return fmt.Errorf("scenario: baseline (cores 1): %w", err)
 	}
-	adaptive, err := runOne(true, false)
+	fine, err := runOne(granularityCores, false)
 	if err != nil {
-		return fmt.Errorf("scenario: variant adaptive: %w", err)
+		return fmt.Errorf("scenario: variant cores %d: %w", granularityCores, err)
 	}
-	if err := CheckWorkEqual(base, adaptive); err != nil {
-		return fmt.Errorf("scenario: adaptive vs baseline: %w", err)
+	if fine.Stats.NumChunks == base.Stats.NumChunks {
+		return fmt.Errorf("scenario: cores %d labels %d chunks, as many as cores 1 — the granularity comparison is vacuous",
+			granularityCores, fine.Stats.NumChunks)
 	}
-	if err := CheckOutputsEqual(base, adaptive); err != nil {
-		return fmt.Errorf("scenario: adaptive vs baseline: %w", err)
+	if err := CheckWorkEqual(base, fine); err != nil {
+		return fmt.Errorf("scenario: cores %d vs baseline: %w", granularityCores, err)
+	}
+	if err := CheckOutputsEqual(base, fine); err != nil {
+		return fmt.Errorf("scenario: cores %d vs baseline: %w", granularityCores, err)
 	}
 	if gs.SingleJob() {
-		perEdge, err := runOne(false, true)
+		perEdge, err := runOne(1, true)
 		if err != nil {
 			return fmt.Errorf("scenario: variant per-edge-sim: %w", err)
 		}

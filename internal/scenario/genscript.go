@@ -180,7 +180,7 @@ func GenerateScript(rng *rand.Rand, opts GenOptions) (GenScript, error) {
 			joined[j.ID] = b
 			jobByID[j.ID] = j
 		case Detach:
-			id := pickTarget(rng, jobByID, joined, detachedAt, targetedAt, b, p)
+			id := pickTarget(rng, jobByID, joined, detachedAt, targetedAt, b, p, false)
 			if id == 0 {
 				gs.Events = append(gs.Events, GenEvent{Barrier: b, Kind: Update, Edges: genEdges(rng, opts.NumV)})
 				continue
@@ -189,16 +189,12 @@ func GenerateScript(rng *rand.Rand, opts GenOptions) (GenScript, error) {
 			target(id)
 			gs.Events = append(gs.Events, GenEvent{Barrier: b, Kind: Detach, Target: id})
 		case MutatePrivate:
-			// Private mutations only ever target the triggering job itself.
-			// The trigger has finished every chunk of the partition it holds
-			// open, so its own next snapshot resolve is strictly after the
-			// install; a co-attending target may still be streaming that
-			// partition's final chunk (chunkDone does not wait for the
-			// followers), and whether its resolve beats the install is a
-			// goroutine race — the fuzzer caught exactly that as a one-edge
-			// work divergence (generator seed 168).
-			target(1)
-			gs.Events = append(gs.Events, GenEvent{Barrier: b, Kind: MutatePrivate, Target: 1, Edges: genEdges(rng, opts.NumV)})
+			// Any job alive at b may own the mutation, the trigger included:
+			// no job resolves a chunk while an event fires (see the package
+			// comment).
+			id := pickTarget(rng, jobByID, joined, detachedAt, targetedAt, b, p, true)
+			target(id)
+			gs.Events = append(gs.Events, GenEvent{Barrier: b, Kind: MutatePrivate, Target: id, Edges: genEdges(rng, opts.NumV)})
 		case Update:
 			gs.Events = append(gs.Events, GenEvent{Barrier: b, Kind: Update, Edges: genEdges(rng, opts.NumV)})
 		}
@@ -221,16 +217,21 @@ func genJob(rng *rand.Rand, id, anchorIters int) GenJob {
 	return GenJob{ID: id, Algo: "pagerank", Iters: iters, Seed: rng.Int63()}
 }
 
-// pickTarget selects a detach target: a non-anchor job deterministically
-// alive at barrier b (the anchor carries every later event and must never
-// be withdrawn), not yet detached at or before b, and not targeted by any
+// pickTarget selects an event target: a job deterministically alive at
+// barrier b, not yet detached at or before b, and not targeted by any
 // already-generated event at a *later* barrier — barriers are drawn in
 // shuffled order, so without that check a detach could slot in below an
 // existing mutate/detach of the same job (the mutate would then fire on a
 // job that already left, leaking its snapshot override past CheckClean,
-// and the second detach would double-withdraw).
-func pickTarget(rng *rand.Rand, jobs map[int]GenJob, joined, detachedAt, targetedAt map[int]int, b, p int) int {
+// and the second detach would double-withdraw). The anchor (job 1) is a
+// candidate only when withAnchor is set: it triggers every event, so it is
+// alive at every b, but it carries every later event and must never be
+// withdrawn. It returns 0 when no job qualifies.
+func pickTarget(rng *rand.Rand, jobs map[int]GenJob, joined, detachedAt, targetedAt map[int]int, b, p int, withAnchor bool) int {
 	var ids []int
+	if withAnchor {
+		ids = append(ids, 1)
+	}
 	for id, j := range jobs {
 		if id == 1 {
 			continue

@@ -29,10 +29,10 @@ type RampOptions struct {
 // anchors start as a batch, RampJobs short PageRank jobs attach mid-round at
 // the first anchor's successive partition barriers of round one, run their
 // iterations alongside, converge and leave — so attendance climbs from 2 to
-// RampJobs+2 and falls back, exercising adaptive re-labelling in both
-// directions. All attach anchors land strictly inside round one and every
-// program keeps all partitions active while events fire, which is what makes
-// the script deterministic (see the package comment's rules).
+// RampJobs+2 and falls back. All attach anchors land strictly inside round
+// one and every program keeps all partitions active while events fire,
+// which is what makes the script deterministic (see the package comment's
+// rules).
 //
 // Job IDs: anchors are 1 (PageRank) and 2 (WCC); ramp jobs are 11..10+n.
 func RampScript(o RampOptions) (Script, error) {

@@ -1,9 +1,9 @@
 // Package scenario is a deterministic scenario harness for GraphM's dynamic
 // concurrency: scripted attach / detach / graph-mutation timelines replayed
 // against a core.System, with invariant checks strong enough to compare runs
-// bit for bit. The adaptive-chunking tests and the bench `adaptive`
-// experiment drive it, and future PRs get a ready-made way to turn "jobs
-// come and go while the stream is hot" into a reproducible test.
+// bit for bit. The chunk-granularity and accounting-model oracles and the
+// differential fuzzer drive it, and it turns "jobs come and go while the
+// stream is hot" into a reproducible test.
 //
 // # Determinism model
 //
@@ -17,7 +17,7 @@
 // additionally block the triggering job until the new session has joined the
 // controller (Session.Joined), pinning the order of admission.
 //
-// Three rules keep a script's work and outputs fully deterministic:
+// Four rules keep a script's work and outputs fully deterministic:
 //
 //   - Fire events at a barrier that is not the last partition of the
 //     triggering job's round when other jobs have heterogeneous active
@@ -32,26 +32,28 @@
 //     structure whose ranking does not depend on how many jobs a round
 //     counted at formation, so each job streams partitions in the same
 //     order however the round boundary raced.
-//   - Aim MutatePrivate events only at the triggering job. The trigger has
-//     finished every chunk of the partition it holds open, so its own next
-//     snapshot resolve is strictly ordered after the install; any
-//     co-attending target may still be streaming that partition's final
-//     chunk (chunkDone never waits for followers), and whether its resolve
-//     beats the install is a goroutine race that shifts the target's work
-//     by the mutated edges. (Found by the differential fuzzer as a
-//     one-edge ScannedEdges divergence.)
+//   - Aim MutatePrivate events only at jobs alive when the event fires
+//     (the trigger or any co-running job). No job resolves a chunk while
+//     an event fires: the owner of each of a partition's windows resolves
+//     every attendee's snapshot while it collects the window, the
+//     trigger's ProcessAll returns only once its last window is priced,
+//     and no partition opens while the trigger holds its partition before
+//     Barrier. So every job's next resolve is strictly ordered after the
+//     install.
 //
 // Under those rules the schedule-independent work counters
 // (engine.Metrics.Work) and the algorithm outputs are identical across
-// runs and across static vs adaptive chunk labelling — which is exactly what CheckWorkEqual and
-// CheckOutputsEqual assert. Controller-level counters (Rounds,
-// MidRoundJoins, SharedLoads, Relabels) are NOT part of the deterministic
-// contract: a JoinMidRound job reaching its iteration boundary races the
-// next round's formation — it either queues into the forming round or
-// re-attaches mid-round a moment later — which moves those counters without
-// moving any work. (Once the round's last partition is open a joiner always
-// queues, so an attendee of that partition ending its iteration first no
-// longer re-attaches.)
+// runs and across chunk labellings (Formula (1) sized for different core
+// counts) — which is exactly what CheckWorkEqual and CheckOutputsEqual
+// assert. Controller-level counters (Rounds, MidRoundJoins, SharedLoads,
+// Suspensions, Resumes) are NOT part of the deterministic contract: a
+// JoinMidRound job reaching its iteration boundary races the next round's
+// formation — it either queues into the forming round or re-attaches
+// mid-round a moment later — which moves those counters without moving any
+// work, and a job counts a suspension whenever its goroutine reaches
+// sharing before the partition it needs opens. (Once the round's last
+// partition is open a joiner always queues, so an attendee of that
+// partition ending its iteration first no longer re-attaches.)
 package scenario
 
 import (
@@ -188,8 +190,7 @@ type JobResult struct {
 type Result struct {
 	Jobs  map[int]*JobResult
 	Stats core.Stats
-	// CacheMisses/CacheHits are the cache-wide counters of the run's Env —
-	// the `adaptive` experiment's comparison quantity.
+	// CacheMisses/CacheHits are the cache-wide counters of the run's Env.
 	CacheMisses uint64
 	CacheHits   uint64
 

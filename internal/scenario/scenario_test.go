@@ -55,18 +55,19 @@ func testScript(t *testing.T, env scenario.Env) scenario.Script {
 	return s
 }
 
-func runCfg(adaptive bool) core.Config {
+// runCfg sizes the system for cores; Formula (1) labels finer chunks as
+// cores grows.
+func runCfg(cores int) core.Config {
 	cfg := core.DefaultConfig(testLLC)
-	cfg.Cores = 1
-	cfg.AdaptiveChunking = adaptive
+	cfg.Cores = cores
 	return cfg
 }
 
-func mustRun(t *testing.T, adaptive bool) *scenario.Result {
+func mustRun(t *testing.T, cores int) *scenario.Result {
 	t.Helper()
 	env, _ := testEnv(t)
 	script := testScript(t, env)
-	res, err := scenario.Run(env, runCfg(adaptive), script)
+	res, err := scenario.Run(env, runCfg(cores), script)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func mustRun(t *testing.T, adaptive bool) *scenario.Result {
 // scripted dynamic-concurrency timeline produces its mid-round joins and
 // exactly the scripted detach.
 func TestScenarioScriptedTimeline(t *testing.T) {
-	res := mustRun(t, false)
+	res := mustRun(t, 1)
 	if res.Stats.MidRoundJoins == 0 {
 		t.Fatal("script produced no mid-round joins — the ramp never attached")
 	}
@@ -92,18 +93,19 @@ func TestScenarioScriptedTimeline(t *testing.T) {
 	}
 }
 
-// TestScenarioAdaptiveMatchesStatic: adaptive re-labelling must change chunk
-// granularity (relabels fire on the ramp) and nothing else.
-func TestScenarioAdaptiveMatchesStatic(t *testing.T) {
-	static := mustRun(t, false)
-	adaptive := mustRun(t, true)
-	if adaptive.Stats.Relabels == 0 {
-		t.Fatal("adaptive run never re-labelled on a 2 -> 7 attendance ramp")
+// TestScenarioChunkGranularityMatches: labelling the same graph for 1 and
+// for 8 cores changes the chunk count and nothing else — the scripted
+// timeline does the same work and computes the same outputs.
+func TestScenarioChunkGranularityMatches(t *testing.T) {
+	coarse := mustRun(t, 1)
+	fine := mustRun(t, 8)
+	if fine.Stats.NumChunks == coarse.Stats.NumChunks {
+		t.Fatalf("1 and 8 cores both label %d chunks — the comparison is vacuous", fine.Stats.NumChunks)
 	}
-	if err := scenario.CheckWorkEqual(static, adaptive); err != nil {
+	if err := scenario.CheckWorkEqual(coarse, fine); err != nil {
 		t.Fatal(err)
 	}
-	if err := scenario.CheckOutputsEqual(static, adaptive); err != nil {
+	if err := scenario.CheckOutputsEqual(coarse, fine); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -111,12 +113,12 @@ func TestScenarioAdaptiveMatchesStatic(t *testing.T) {
 // TestScenarioDeterministicRepeat: the same script twice must agree on the
 // deterministic contract — per-job work, bit-identical outputs, and the
 // scripted detach. Controller-level counters (rounds, mid-round joins,
-// shared loads, relabels) are deliberately not pinned: a JoinMidRound job
+// shared loads, suspensions) are deliberately not pinned: a JoinMidRound job
 // reaching its iteration boundary races the next round's formation, so those
 // counters vary run to run by design (the work does not).
 func TestScenarioDeterministicRepeat(t *testing.T) {
-	a := mustRun(t, true)
-	b := mustRun(t, true)
+	a := mustRun(t, 8)
+	b := mustRun(t, 8)
 	if err := scenario.CheckWorkEqual(a, b); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +170,7 @@ func checkSimEqualPerAlgorithm(t *testing.T, budget int64) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg := runCfg(false)
+				cfg := runCfg(1)
 				cfg.PerEdgeSim = perEdge
 				res, err := scenario.Run(env, cfg, script)
 				if err != nil {
@@ -207,10 +209,10 @@ func checkSimEqualPerAlgorithm(t *testing.T, budget int64) {
 // where exact LLC counts are schedule-dependent (concurrent jobs interleave
 // set accesses differently per model).
 func TestScenarioPerEdgeModelMatchesAcrossRamp(t *testing.T) {
-	batched := mustRun(t, false)
+	batched := mustRun(t, 1)
 	env, _ := testEnv(t)
 	script := testScript(t, env)
-	cfg := runCfg(false)
+	cfg := runCfg(1)
 	cfg.PerEdgeSim = true
 	perEdge, err := scenario.Run(env, cfg, script)
 	if err != nil {
@@ -228,7 +230,8 @@ func TestScenarioPerEdgeModelMatchesAcrossRamp(t *testing.T) {
 }
 
 // TestScenarioResultsCorrect anchors the harness to ground truth: a plain
-// ramp (no graph mutations) run under adaptive chunking must still reproduce the reference PageRank and WCC solutions exactly.
+// ramp (no graph mutations) run over the 8-core labelling must still
+// reproduce the reference PageRank and WCC solutions exactly.
 func TestScenarioResultsCorrect(t *testing.T) {
 	env, g := testEnv(t)
 	parts := env.NonEmptyPartitions()
@@ -238,7 +241,7 @@ func TestScenarioResultsCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := scenario.Run(env, runCfg(true), script)
+	res, err := scenario.Run(env, runCfg(8), script)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +335,7 @@ func TestScenarioScriptValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := scenario.Run(env, runCfg(false), tc.script)
+			_, err := scenario.Run(env, runCfg(1), tc.script)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error = %v, want containing %q", err, tc.want)
 			}

@@ -10,9 +10,8 @@ import (
 
 // handleMetrics serves the Prometheus text exposition format (version
 // 0.0.4) with no external dependencies: the service admission counters, the
-// core sharing-controller counters the earlier PRs accumulated (shared
-// loads, mid-round joins, relabels...), the HTTP-layer
-// counters, and the rolling SLO windows as summary-style quantile gauges.
+// core sharing-controller counters (shared loads, mid-round joins,
+// suspensions...), the HTTP-layer counters, and the rolling SLO windows as summary-style quantile gauges.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.svc.Snapshot()
 	stats := s.svc.SystemStats()
@@ -46,8 +45,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("graphm_mid_round_joins_total", "Iteration joins into a round already in flight.", stats.MidRoundJoins)
 	counter("graphm_detaches_total", "Jobs withdrawn from sharing before convergence.", stats.Detaches)
 	counter("graphm_suspensions_total", "Job suspensions waiting for a needed partition.", stats.Suspensions)
-	counter("graphm_relabels_total", "Adaptive chunk re-labellings applied.", stats.Relabels)
-	counter("graphm_relabel_skips_total", "Re-labellings suppressed by hysteresis.", stats.RelabelSkips)
 
 	// Durable storage: the live snapshot version (bumps on every global
 	// evolve update and restore), recovery facts, and the WAL's group-commit

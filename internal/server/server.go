@@ -328,7 +328,6 @@ type statsView struct {
 	MidRoundJoins uint64 `json:"mid_round_joins"`
 	Rounds        int    `json:"rounds"`
 	Suspensions   uint64 `json:"suspensions"`
-	Relabels      uint64 `json:"relabels"`
 }
 
 func ticketView(t *service.Ticket) ticketResponse {
@@ -353,7 +352,6 @@ func ticketView(t *service.Ticket) ticketResponse {
 			MidRoundJoins: delta.MidRoundJoins,
 			Rounds:        delta.Rounds,
 			Suspensions:   delta.Suspensions,
-			Relabels:      delta.Relabels,
 		}
 	}
 	return resp

@@ -66,75 +66,6 @@ func newSystem(t *testing.T, numV, numE int) *core.System {
 	return sys
 }
 
-// TestServiceSurfacesRelabelCounts runs the admission service over an
-// adaptive-chunking system: the attendance swings the service produces must
-// drive re-labels, and both the system-level counters and the per-ticket
-// stats deltas must surface them.
-func TestServiceSurfacesRelabelCounts(t *testing.T) {
-	g, err := graph.GenerateRMAT(graph.DefaultRMAT("svc-adaptive", 400, 3000, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk := storage.NewDisk()
-	grid, err := gridgraph.Build(g, 2, disk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := memsim.NewCache(memsim.DefaultConfig(32 << 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig(32 << 10)
-	cfg.Cores = 1 // static sizing assumes one job; a burst of 8 drifts 8x
-	cfg.AdaptiveChunking = true
-	sys, err := core.NewSystem(grid.AsLayout(), storage.NewMemory(disk, 64<<20), cache, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := service.New(sys, service.Config{MaxInFlight: 8, Seed: 3})
-	// A partition opened for two or more attendees is what drifts the
-	// target size at Cores=1, so the burst must overlap: the first job is
-	// gated mid-partition until the other seven have attached to its round.
-	gate := newGated(algorithms.NewPageRank(0, 10))
-	first, err := svc.Submit(service.Request{Prog: gate, Algo: "pagerank"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-gate.started
-	tickets := []*service.Ticket{first}
-	for i := 0; i < 7; i++ {
-		tk, err := svc.Submit(service.Request{Algo: "pagerank"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
-	}
-	for deadline := time.Now().Add(10 * time.Second); sys.StatsSnapshot().MidRoundJoins < 7; {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of 7 arrivals attached to the gated round", sys.StatsSnapshot().MidRoundJoins)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate.release)
-	if err := svc.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	stats := svc.SystemStats()
-	if stats.Relabels == 0 {
-		t.Fatal("service burst drove no re-labels on an adaptive system")
-	}
-	var deltaRelabels uint64
-	for _, tk := range tickets {
-		if tk.Wait() != service.StatusDone {
-			t.Fatalf("ticket %d finished %v", tk.ID, tk.Status())
-		}
-		deltaRelabels += tk.StatsDelta().Relabels
-	}
-	if deltaRelabels == 0 {
-		t.Fatal("no ticket's stats delta recorded a re-label")
-	}
-}
-
 func TestStaggeredArrivalsShareInFlightLoads(t *testing.T) {
 	sys := newSystem(t, 600, 5000)
 	svc := service.New(sys, service.Config{MaxInFlight: 16, Seed: 1})
